@@ -57,9 +57,10 @@ func runScan(ctx context.Context, regions int, opts core.Options, tf diag.TraceF
 	if err != nil {
 		return err
 	}
+	indexed := &trace.Opened{Format: trace.FormatVTR2, Container: c}
 	dopts := ddg.Options{}
 
-	baseline, err := pipeline.AnalyzeLoopRegionsStream(mod, trace.NewDecoder(bytes.NewReader(v1.Bytes())), scanLoopLine, dopts, opts)
+	baseline, err := pipeline.AnalyzeLoopRegionsStreamCtx(ctx, mod, trace.NewDecoder(bytes.NewReader(v1.Bytes())), scanLoopLine, dopts, opts)
 	if err != nil {
 		return err
 	}
@@ -131,7 +132,7 @@ func runScan(ctx context.Context, regions int, opts core.Options, tf diag.TraceF
 		}
 		w := width
 		if err := row("vtr2 indexed", w, func() ([]pipeline.RegionReport, error) {
-			return pipeline.AnalyzeLoopRegionsIndexed(ctx, c, mod, scanLoopLine, dopts, opts, w)
+			return pipeline.AnalyzeLoopRegionsOpened(ctx, indexed, mod, scanLoopLine, dopts, opts, w)
 		}); err != nil {
 			return err
 		}

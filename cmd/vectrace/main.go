@@ -289,10 +289,8 @@ func analyzeCmd(file, src string, rest []string) error {
 	traceFile := fs.String("trace", "", "analyze a previously saved trace instead of re-executing")
 	intOps := fs.Bool("int-ops", false, "also characterize integer add/sub/mul")
 	workers := fs.Int("workers", 0, "analysis worker count (0 = GOMAXPROCS)")
-	tile := fs.Int("tile", 0, "candidates per fused Algorithm-1 pass (0 = auto, <0 = per-candidate kernel)")
+	tile := fs.Int("tile", 0, "candidates per fused Algorithm-1 pass (0 = auto)")
 	jsonOut := fs.Bool("json", false, "emit the canonical analysis JSON instead of text (requires -line; excludes -baselines)")
-	dispatch := fs.String("dispatch", "plan", "interpreter dispatch engine: plan (precompiled) or oracle (legacy switch loop)")
-	shadow := fs.String("shadow", "paged", "stream-kernel shadow memory: paged (two-level pages) or map (legacy oracle)")
 	var tf diag.TraceFormat
 	tf.Register(fs, "trace-format", "auto", true)
 	var prof diag.Flags
@@ -304,22 +302,11 @@ func analyzeCmd(file, src string, rest []string) error {
 	if err := parseFlags(fs, rest); err != nil {
 		return err
 	}
+	if *tile < 0 {
+		return usageError{fmt.Errorf("-tile must be >= 0, got %d", *tile)}
+	}
 	opts := ddg.Options{CharacterizeInts: *intOps}
 	copts := core.Options{RelaxReductions: *relax, Workers: *workers, TileSize: *tile}
-	switch *dispatch {
-	case "plan":
-	case "oracle":
-		copts.OracleDispatch = true
-	default:
-		return usageError{fmt.Errorf("-dispatch must be plan or oracle, got %q", *dispatch)}
-	}
-	switch *shadow {
-	case "paged":
-	case "map":
-		copts.MapShadow = true
-	default:
-		return usageError{fmt.Errorf("-shadow must be paged or map, got %q", *shadow)}
-	}
 	if err := tf.Validate(true); err != nil {
 		return usageError{err}
 	}
@@ -345,15 +332,10 @@ func analyzeCmd(file, src string, rest []string) error {
 		return err
 	}
 	err := func() error {
-		mod, err := pipeline.CompileCtx(ctx, file, src)
-		if err != nil {
-			return err
-		}
-		// printRegions and printGraph share the output layout between the
-		// streaming and in-memory paths, keeping them byte-identical. A
-		// region that failed prints a one-line diagnostic in place of its
-		// report — the remaining regions still print in full, and the joined
-		// error (returned by the caller) makes the exit status nonzero.
+		// printRegions prints a region fan-out. A region that failed prints
+		// a one-line diagnostic in place of its report — the remaining
+		// regions still print in full, and the joined error (returned by
+		// the caller) makes the exit status nonzero.
 		// Region failures are additionally condensed into one stderr line
 		// (count, first error, corrupt byte offset when the trace itself was
 		// damaged), so a long report still ends with a usable diagnostic.
@@ -402,39 +384,27 @@ func analyzeCmd(file, src string, rest []string) error {
 			}
 			fmt.Fprintln(os.Stderr, summary)
 		}
-		// printRegionJSON is the single-instance JSON path: it analyzes the
-		// region through pipeline.AnalyzeRegion — the exact call the
-		// vectraced job engine makes — so the output bytes match the
-		// service's for the same submission.
-		printRegionJSON := func(sub *trace.Trace, idx int) error {
-			rep, aerr := pipeline.AnalyzeRegion(ctx, sub, opts, copts)
-			rr := pipeline.RegionReport{Index: idx, Events: sub.Len(), Report: rep}
-			if aerr != nil {
-				rr.Err = fmt.Errorf("pipeline: region %d: %w", idx, aerr)
-			}
-			js, jerr := report.RegionsJSON([]pipeline.RegionReport{rr})
-			if jerr != nil {
-				return jerr
-			}
-			_, sp := obs.StartSpan(ctx, "report")
-			defer sp.End()
-			os.Stdout.Write(js)
-			return rr.Err
-		}
-		printGraph := func(g *ddg.Graph) error {
-			rep, err := core.AnalyzeCtx(ctx, g, copts)
-			if err != nil {
+		// printInstance prints a single-instance analysis. Text mode prints
+		// the bare report; JSON mode prints the canonical document, which
+		// carries a failed region's error in place of its report.
+		printInstance := func(regs []pipeline.RegionReport, err error) error {
+			if len(regs) == 0 || (err != nil && !*jsonOut) {
 				return err
 			}
+			var out []byte
+			if *jsonOut {
+				js, jerr := report.RegionsJSON(regs)
+				if jerr != nil {
+					return jerr
+				}
+				out = js
+			} else {
+				out = []byte(regs[0].Report.String())
+			}
 			_, sp := obs.StartSpan(ctx, "report")
 			defer sp.End()
-			fmt.Print(rep.String())
-			if *compare {
-				p := baseline.Kumar(g)
-				fmt.Printf("kumar: critical path %d, avg parallelism %.1f\n",
-					p.CriticalPath, p.AvgParallelism)
-			}
-			return nil
+			os.Stdout.Write(out)
+			return err
 		}
 		// openTrace opens and format-sniffs the input trace, with its bytes
 		// counted into the recorder (and its size recorded, for percent-done
@@ -468,81 +438,99 @@ func analyzeCmd(file, src string, rest []string) error {
 			return f, o, nil
 		}
 
-		if *traceFile != "" && *line != 0 {
-			// Offline mode, the paper's workflow: the instrumented run wrote
-			// the trace to disk; analysis replays it against the same module.
-			// Sequential streams keep memory bounded by the largest region;
-			// indexed containers additionally seek and fan out (-scan-workers).
+		if *line != 0 && (*instance < 0 || !*compare) {
+			// Region analyses go through the entry points vectraced's job
+			// engine uses (pipeline.AnalyzeSourceCtx, and for trace files the
+			// functions pipeline.AnalyzeTraceBytesCtx composes), so the report
+			// bytes match the service's. A program runs live: all-regions
+			// analyses never hold its trace. Trace files stream region by
+			// region, or seek and fan out across -scan-workers when indexed.
+			regs, err := func() ([]pipeline.RegionReport, error) {
+				if *traceFile == "" {
+					return pipeline.AnalyzeSourceCtx(ctx, file, src, *line, *instance, opts, copts, core.Budget{})
+				}
+				mod, err := pipeline.CompileCtx(ctx, file, src)
+				if err != nil {
+					return nil, err
+				}
+				f, o, err := openTrace()
+				if err != nil {
+					return nil, err
+				}
+				defer f.Close()
+				if *instance < 0 {
+					return pipeline.AnalyzeLoopRegionsOpened(ctx, o, mod, *line, opts, copts, tf.ScanWorkers)
+				}
+				sub, err := pipeline.LoopRegionOpened(o, mod, *line, *instance)
+				if err != nil {
+					return nil, err
+				}
+				rep, err := pipeline.AnalyzeRegion(ctx, sub, opts, copts)
+				rr := pipeline.RegionReport{Index: *instance, Events: sub.Len(), Report: rep}
+				if err != nil {
+					rr.Err = fmt.Errorf("pipeline: region %d: %w", *instance, err)
+				}
+				return []pipeline.RegionReport{rr}, rr.Err
+			}()
+			if *instance < 0 {
+				printRegions(regs, err)
+				return err
+			}
+			return printInstance(regs, err)
+		}
+
+		// Whole-program analysis (-line 0) and the Kumar baseline
+		// (-baselines) analyze the graph itself, so only they materialize a
+		// trace: the whole program's, or the one region's.
+		mod, err := pipeline.CompileCtx(ctx, file, src)
+		if err != nil {
+			return err
+		}
+		var tr *trace.Trace
+		if *traceFile != "" {
 			f, o, err := openTrace()
 			if err != nil {
 				return err
 			}
 			defer f.Close()
-			if *instance < 0 {
-				regs, err := pipeline.AnalyzeLoopRegionsOpened(ctx, o, mod, *line, opts, copts, tf.ScanWorkers)
-				printRegions(regs, err)
-				return err
+			if *line != 0 {
+				tr, err = pipeline.LoopRegionOpened(o, mod, *line, *instance)
+			} else {
+				var events []trace.Event
+				events, err = trace.ReadAll(o.Source())
+				tr = &trace.Trace{Module: mod, Events: events}
 			}
-			region, err := pipeline.LoopRegionOpened(o, mod, *line, *instance)
 			if err != nil {
 				return err
 			}
-			if *jsonOut {
-				return printRegionJSON(region, *instance)
-			}
-			g, err := ddg.BuildOpts(region, opts)
-			if err != nil {
-				return err
-			}
-			return printGraph(g)
-		}
-
-		var tr *trace.Trace
-		if *traceFile != "" {
-			// Whole-program analysis needs every event resident; only this
-			// mode decodes the file into memory.
-			f, o, err := openTrace()
-			if err != nil {
-				return err
-			}
-			events, err := trace.ReadAll(o.Source())
-			f.Close()
-			if err != nil {
-				return err
-			}
-			tr = &trace.Trace{Module: mod, Events: events}
 		} else {
-			var err error
 			_, tr, err = pipeline.TraceCtxOpts(ctx, mod, core.Budget{}, copts)
 			if err != nil {
 				return err
 			}
-		}
-		if *line != 0 && *instance < 0 {
-			// Analyze every dynamic execution of the loop, regions fanned
-			// out across the worker pool.
-			regs, err := pipeline.AnalyzeLoopRegionsCtx(ctx, tr, *line, opts, copts)
-			printRegions(regs, err)
-			return err
-		}
-		var g *ddg.Graph
-		if *line == 0 {
-			g, err = ddg.BuildOpts(tr, opts)
-		} else {
-			var region *trace.Trace
-			region, err = pipeline.LoopRegion(tr, *line, *instance)
-			if err != nil {
-				return err
+			if *line != 0 {
+				if tr, err = pipeline.LoopRegion(tr, *line, *instance); err != nil {
+					return err
+				}
 			}
-			if *jsonOut {
-				return printRegionJSON(region, *instance)
-			}
-			g, err = ddg.BuildOpts(region, opts)
 		}
+		g, err := ddg.BuildOpts(tr, opts)
 		if err != nil {
 			return err
 		}
-		return printGraph(g)
+		rep, err := core.AnalyzeCtx(ctx, g, copts)
+		if err != nil {
+			return err
+		}
+		_, sp := obs.StartSpan(ctx, "report")
+		defer sp.End()
+		fmt.Print(rep.String())
+		if *compare {
+			p := baseline.Kumar(g)
+			fmt.Printf("kumar: critical path %d, avg parallelism %.1f\n",
+				p.CriticalPath, p.AvgParallelism)
+		}
+		return nil
 	}()
 	if serr := prof.Stop(); err == nil {
 		err = serr
@@ -554,7 +542,6 @@ func analyzeCmd(file, src string, rest []string) error {
 		"file": file, "line": *line, "instance": *instance,
 		"workers": copts.WorkerCount(), "tile": *tile,
 		"relax_reductions": *relax, "int_ops": *intOps,
-		"dispatch": *dispatch, "shadow": *shadow,
 	}
 	if *traceFile != "" {
 		config["trace"] = *traceFile

@@ -336,6 +336,7 @@ func TestExitCodes(t *testing.T) {
 		{"no subcommand", nil, 2},
 		{"unknown subcommand", []string{"frobnicate"}, 2},
 		{"unknown flag", []string{"analyze", path, "-no-such-flag"}, 2},
+		{"negative tile", []string{"analyze", path, "-line", "8", "-tile", "-1"}, 2},
 		{"missing file", []string{"profile", filepath.Join(t.TempDir(), "absent.c")}, 1},
 		{"no loop on line", []string{"analyze", path, "-line", "4"}, 1},
 	}

@@ -18,6 +18,7 @@ import (
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/trace"
 )
 
 // faultKernelSrc has one multi-region inner loop (line 6) with several
@@ -64,8 +65,12 @@ func TestAnalyzePanicIsolation(t *testing.T) {
 	defer restore()
 
 	for _, workers := range []int{1, 4} {
-		for _, tile := range []int{1, 64, -1} { // -1 = per-candidate oracle kernel
-			rep, err := core.AnalyzeCtx(context.Background(), g, core.Options{Workers: workers, TileSize: tile})
+		for _, tile := range []int{1, 64, -1} { // -1 = per-candidate reference kernel
+			opts := core.Options{Workers: workers, TileSize: tile}
+			if tile < 0 {
+				opts = core.WithPerCandidate(core.Options{Workers: workers})
+			}
+			rep, err := core.AnalyzeCtx(context.Background(), g, opts)
 			if err == nil {
 				t.Fatalf("workers=%d tile=%d: poisoned sweep reported no error", workers, tile)
 			}
@@ -107,12 +112,16 @@ func TestAnalyzePanicIsolation(t *testing.T) {
 // the deadline — having skipped most of the work — with an error satisfying
 // errors.Is for both context.DeadlineExceeded and core.ErrCanceled.
 func TestAnalyzeRegionsDeadline(t *testing.T) {
-	_, _, tr, err := pipeline.CompileAndTrace("deadline.c", faultKernelSrc)
+	mod, _, tr, err := pipeline.CompileAndTrace("deadline.c", faultKernelSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	analyze := func(ctx context.Context, copts core.Options) ([]pipeline.RegionReport, error) {
+		return pipeline.AnalyzeLoopRegionsStreamCtx(ctx, mod, &trace.SliceSource{Events: tr.Events},
+			faultKernelInnerLine, ddg.Options{}, copts)
+	}
 	// Total work units = regions x candidates per region, from a no-fault run.
-	regs, err := pipeline.AnalyzeLoopRegions(tr, faultKernelInnerLine, ddg.Options{}, core.Options{Workers: 1})
+	regs, err := analyze(context.Background(), core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +145,7 @@ func TestAnalyzeRegionsDeadline(t *testing.T) {
 			calls.Store(0)
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			start := time.Now()
-			_, err := pipeline.AnalyzeLoopRegionsCtx(ctx, tr, faultKernelInnerLine,
-				ddg.Options{}, core.Options{Workers: workers, TileSize: tile})
+			_, err := analyze(ctx, core.Options{Workers: workers, TileSize: tile})
 			elapsed := time.Since(start)
 			cancel()
 			if err == nil {

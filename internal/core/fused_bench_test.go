@@ -83,7 +83,7 @@ func BenchmarkFusedSweep(b *testing.B) {
 }
 
 // BenchmarkPerCandidateSweep measures the same analysis through the legacy
-// per-candidate kernel (TileSize < 0), one Algorithm-1 graph pass per
+// per-candidate kernel (core.WithPerCandidate), one Algorithm-1 graph pass per
 // candidate.
 func BenchmarkPerCandidateSweep(b *testing.B) {
 	for _, c := range benchCandidateCounts {
@@ -92,7 +92,7 @@ func BenchmarkPerCandidateSweep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.Analyze(g, core.Options{Workers: 1, TileSize: -1})
+				core.Analyze(g, core.WithPerCandidate(core.Options{Workers: 1}))
 			}
 		})
 	}

@@ -2,7 +2,7 @@ package core_test
 
 // Analyze-level differential testing of the fused tiled kernel: for random
 // programs, reports from the fused path (every tile width × worker count)
-// must be byte-identical to the legacy per-candidate kernel (TileSize: -1,
+// must be byte-identical to the legacy per-candidate kernel (WithPerCandidate,
 // Workers: 1) — including under reduction relaxation, where the fused path
 // precomputes every candidate's cuts in one pass.
 
@@ -90,7 +90,7 @@ func TestFusedMatchesOracleRandomPrograms(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			g, src := fusedGraph(t, seed)
 			for _, relax := range []bool{false, true} {
-				oracle := core.Analyze(g, core.Options{TileSize: -1, Workers: 1, RelaxReductions: relax})
+				oracle := core.Analyze(g, core.WithPerCandidate(core.Options{Workers: 1, RelaxReductions: relax}))
 				for _, ts := range tileSizes {
 					for _, w := range workerCounts {
 						got := core.Analyze(g, core.Options{TileSize: ts, Workers: w, RelaxReductions: relax})
@@ -131,7 +131,7 @@ void main() {
 		t.Fatal(err)
 	}
 	for _, relax := range []bool{false, true} {
-		oracle := core.Analyze(g, core.Options{TileSize: -1, Workers: 1, RelaxReductions: relax})
+		oracle := core.Analyze(g, core.WithPerCandidate(core.Options{Workers: 1, RelaxReductions: relax}))
 		for _, ts := range []int{1, 2, 7, 64} {
 			got := core.Analyze(g, core.Options{TileSize: ts, Workers: 4, RelaxReductions: relax})
 			if !reflect.DeepEqual(oracle, got) {

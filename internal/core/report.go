@@ -89,9 +89,9 @@ type Report struct {
 // Timestamping runs through the fused tiled kernel (fused.go): candidates
 // are grouped into tiles of opts.tileWidth() and each tile shares one
 // trace-order pass over the graph, with tiles fanned out across
-// opts.WorkerCount() workers. A negative opts.TileSize selects the legacy
-// per-candidate kernel instead (one sweep per candidate), which is retained
-// as the differential-testing oracle. Either way results land in
+// opts.WorkerCount() workers. The tests can select the legacy per-candidate
+// kernel instead (one sweep per candidate), which is retained as their
+// reference. Either way results land in
 // index-addressed slots and all aggregation happens afterwards over integer
 // counters in candidate-id order, making the output byte-identical for
 // every worker count, tile width, and kernel choice.
@@ -146,7 +146,7 @@ func AnalyzeCtx(ctx context.Context, g *ddg.Graph, opts Options) (*Report, error
 		rec.Add(obs.CandidatesAnalyzed, int64(len(ids)))
 		rec.Set(obs.BudgetMaxAnalysisBytes, opts.Budget.MaxAnalysisBytes)
 		tw := 1
-		if opts.TileSize >= 0 {
+		if !opts.perCandidate {
 			tw = opts.tileWidth(len(g.Nodes))
 		}
 		rec.Max(obs.AnalysisFootprintBytes, analysisFootprint(len(g.Nodes), len(ids), tw, opts.WorkerCount()))
@@ -154,7 +154,7 @@ func AnalyzeCtx(ctx context.Context, g *ddg.Graph, opts Options) (*Report, error
 
 	var sweepErr error
 	results := make([]InstrReport, len(ids))
-	if opts.TileSize < 0 {
+	if opts.perCandidate {
 		sweepErr = ParallelFor(ctx, len(ids), opts.WorkerCount(), func(i int) error {
 			return Guard(i, "candidate", int64(ids[i]), func() error {
 				if analyzeUnitHook != nil {

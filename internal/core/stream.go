@@ -26,8 +26,8 @@ package core
 // candidate's first instance has timestamp 0 for that candidate.
 //
 // Equivalence with ddg.BuildOpts + AnalyzeCtx is enforced by differential
-// tests (stream_test.go and the pipeline suites); the materialized path
-// remains available behind Options.Materialize as the oracle, and is still
+// tests (stream_test.go and the pipeline suites, whose reference builds
+// each region's graph independently); the materialized path is still
 // required for the whole-graph analyses (critical-path profiles, the
 // Kumar/Larus baselines, RelaxReductions).
 
@@ -119,8 +119,8 @@ type shadowCell struct {
 // epoch increment — no per-slot clearing — and pages are recycled across
 // regions through the directory itself plus a freelist. Addresses outside
 // the directory's span (negative, or beyond maxShadowPages pages) fall
-// back to the legacy map, which also serves whole when Options.MapShadow
-// selects the oracle path.
+// back to the legacy map, which also serves whole when the tests select it
+// as the reference (Options.mapShadow).
 const (
 	shadowPageShift = 10 // 1 KiB of address space per page
 	shadowPageSpan  = 1 << shadowPageShift
@@ -168,7 +168,7 @@ type StreamKernel struct {
 	cands  []candCol
 	frames []streamFrame
 	// shadow is the legacy map path: the whole shadow under
-	// Options.MapShadow, the out-of-directory overflow otherwise.
+	// Options.mapShadow, the out-of-directory overflow otherwise.
 	shadow map[int64]*shadowCell
 	// The paged shadow: directory, per-region touch list, recycled pages,
 	// and the current region epoch (always ≥ 1; 0 marks dead slots).
@@ -464,9 +464,9 @@ func (k *StreamKernel) popFrame() {
 
 // cellAt resolves an address to its live shadow cell, or nil. The paged
 // path is two array indexes and an epoch compare; only out-of-directory
-// addresses (and the MapShadow oracle mode) consult the map.
+// addresses (and the map reference mode) consult the map.
 func (k *StreamKernel) cellAt(addr int64) *shadowCell {
-	if k.opts.MapShadow {
+	if k.opts.mapShadow {
 		return k.shadow[addr]
 	}
 	pi := addr >> shadowPageShift
@@ -505,7 +505,7 @@ func (k *StreamKernel) newCell(addr int64) *shadowCell {
 		c = &shadowCell{valInstr: -1}
 	}
 	k.cells = append(k.cells, c)
-	if pi := addr >> shadowPageShift; !k.opts.MapShadow && uint64(pi) < maxShadowPages {
+	if pi := addr >> shadowPageShift; !k.opts.mapShadow && uint64(pi) < maxShadowPages {
 		for int(pi) >= len(k.pageDir) {
 			k.pageDir = append(k.pageDir, nil)
 		}

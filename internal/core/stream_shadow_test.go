@@ -259,7 +259,7 @@ func TestShadowPagedMatchesMap(t *testing.T) {
 	}
 	for _, dopts := range []ddg.Options{{}, {IncludeAntiOutput: true}} {
 		pagedRep, pagedAddrs, pagedBytes := run(Options{}, dopts)
-		mapRep, mapAddrs, mapBytes := run(Options{MapShadow: true}, dopts)
+		mapRep, mapAddrs, mapBytes := run(Options{mapShadow: true}, dopts)
 		if !reflect.DeepEqual(pagedRep, mapRep) {
 			t.Fatalf("paged report differs from map report (anti=%v):\npaged: %+v\nmap:   %+v",
 				dopts.IncludeAntiOutput, pagedRep, mapRep)

@@ -35,10 +35,9 @@ type Options struct {
 	// (see fused.go). 0 picks an automatic width — up to 64 candidates,
 	// shrunk on very large graphs so one tile's timestamp matrix stays
 	// within a fixed byte budget. Positive values force an exact width
-	// (the tests sweep {1, 2, 7, 64}). Negative values disable fusion and
-	// run the legacy per-candidate kernel, which is kept as the
-	// differential-testing oracle. Output is byte-identical for every
-	// setting.
+	// (the tests sweep {1, 2, 7, 64}). It must not be negative; the CLI and
+	// the service reject negative values, and the analysis treats one as 0.
+	// Output is byte-identical for every setting.
 	TileSize int
 	// Budget bounds the resources the analysis may consume (see Budget).
 	// The zero value imposes no analysis bound. A tight MaxAnalysisBytes
@@ -48,27 +47,16 @@ type Options struct {
 	// (last-writer tables, shadow memory, instance arrays) instead of the
 	// tile matrix; exceeding it mid-region degrades that region only.
 	Budget Budget
-	// Materialize forces the region-analysis pipeline to build the full
-	// per-region ddg.Graph and analyze it with AnalyzeCtx instead of the
-	// default one-pass stream kernel. The materialized path is the
-	// differential-testing oracle and remains mandatory for the analyses
-	// that genuinely need the whole graph: RelaxReductions re-timestamping,
-	// the critical-path/parallelism profiles, and the Kumar/Larus-style
-	// whole-graph baselines. Output is byte-identical either way.
-	Materialize bool
-	// MapShadow forces the one-pass stream kernel's legacy map-backed
-	// shadow memory (map[addr]*cell) instead of the default two-level paged
-	// shadow. The map path is the differential-testing oracle for the paged
-	// implementation; results, budget charging, and the
-	// shadow_peak_live_addresses gauge are identical either way. Only the
-	// shadow_pages_touched counter differs (zero under the map).
-	MapShadow bool
-	// OracleDispatch forces the interpreter's legacy per-instruction
-	// switch loop instead of the default precompiled-plan dispatcher when
-	// the pipeline traces a module (see interp.Config.Oracle). Output is
-	// bit-for-bit identical either way; the switch loop is the
-	// differential-testing oracle for the plan engine.
-	OracleDispatch bool
+
+	// perCandidate and mapShadow select the reference implementations the
+	// differential tests compare the production engines against: the
+	// legacy per-candidate Algorithm-1 sweep in AnalyzeCtx (instead of the
+	// fused tiled kernel) and the stream kernel's map-backed shadow memory
+	// (instead of the paged shadow; the map still serves out-of-directory
+	// addresses in production). Output is byte-identical either way. Only
+	// export_test.go sets them.
+	perCandidate bool
+	mapShadow    bool
 }
 
 // Timestamps runs Algorithm 1 for static instruction id over the graph and

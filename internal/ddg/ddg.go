@@ -19,8 +19,8 @@
 // directly off the event stream without materializing a graph. The full
 // graph is still built for the analyses that genuinely need every node and
 // edge at once — critical-path extraction, the Kumar/Larus-style baselines,
-// graph export — and as the differential-testing oracle for the stream
-// kernel (core.Options.Materialize).
+// graph export, RelaxReductions' reduction cuts — and as the independent
+// reference the stream kernel is differentially tested against.
 package ddg
 
 import (

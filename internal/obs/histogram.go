@@ -92,18 +92,20 @@ func (h *Histogram) Count() int64 {
 
 // Snapshot returns a consistent-enough copy for export: buckets are read
 // individually, so a snapshot taken mid-Observe may be off by the events
-// in flight — fine for monitoring, never torn per bucket.
+// in flight — fine for monitoring, never torn per bucket. The count is the
+// sum of the buckets read, so a snapshot's count always equals its +Inf
+// bucket, as the exposition format requires.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	if h == nil {
 		return s
 	}
-	s.Count = h.count.Load()
 	s.SumNs = h.sumNs.Load()
 	s.MaxNs = h.maxNs.Load()
 	s.Buckets = make([]int64, histBuckets)
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }

@@ -222,8 +222,8 @@ var counterNames = [numCounters]string{
 func (c Counter) Name() string { return counterNames[c] }
 
 // maxRecordedSpans bounds the individually recorded span list; beyond it
-// (and beyond maxSpansPerName for any one stage) spans still update the
-// per-name aggregates but are not materialized, so a million-region run
+// (and beyond maxSpansPerName for any one stage) spans still feed their
+// stage histograms but are not materialized, so a million-region run
 // exports a bounded document. Dropped spans are counted, never silent.
 const (
 	maxRecordedSpans = 4096
@@ -244,7 +244,6 @@ type Recorder struct {
 
 	mu           sync.Mutex
 	spans        []SpanStats
-	aggs         map[string]*SpanAgg
 	spansDropped int64
 	firstFailure string
 	corruptByte  int64
@@ -254,7 +253,7 @@ type Recorder struct {
 
 // New returns an empty Recorder with its clock started.
 func New() *Recorder {
-	return &Recorder{start: time.Now(), aggs: make(map[string]*SpanAgg), corruptByte: -1}
+	return &Recorder{start: time.Now(), corruptByte: -1}
 }
 
 // Add increments counter c by n. No-op on a nil recorder.

@@ -218,6 +218,33 @@ func TestSpanTree(t *testing.T) {
 	}
 }
 
+// TestSpanTotalsFromHistograms: span_totals is derived from the stage
+// histograms, so its count, total, and max equal theirs exactly — and a
+// recorder that merges another's histograms (the service folding in a
+// finished job) reports the merged stages in its totals too.
+func TestSpanTotalsFromHistograms(t *testing.T) {
+	job := New()
+	ctx := WithRecorder(context.Background(), job)
+	for i := 0; i < 3; i++ {
+		_, sp := StartSpan(ctx, "parse")
+		sp.End()
+	}
+	job.StartTimer("region").Stop()
+	rs := job.Stats("t", nil)
+	for _, name := range []string{"parse", "region"} {
+		hs := rs.Histograms["stage:"+name]
+		want := SpanAgg{Count: hs.Count, TotalNs: hs.SumNs, MaxNs: hs.MaxNs}
+		if got := rs.SpanTotals[name]; got != want || got.Count == 0 {
+			t.Errorf("span_totals[%q] = %+v, want %+v from its histogram", name, got, want)
+		}
+	}
+	svc := New()
+	svc.MergeHistsFrom(job)
+	if got, want := svc.Stats("svc", nil).SpanTotals["parse"], rs.SpanTotals["parse"]; got != want {
+		t.Errorf("merged span_totals[parse] = %+v, want the job's %+v", got, want)
+	}
+}
+
 // TestSpanCaps floods one stage name past maxSpansPerName and the recorder
 // past maxRecordedSpans: aggregates keep counting, the individual list
 // stays bounded, and drops are reported.

@@ -126,16 +126,9 @@ func StartServer(addr string, rec *Recorder, flight *FlightRecorder) (*Server, e
 	mux.Handle("/debug/flight", FlightHandler(flight))
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		snap := rec.snapshotMap()
-		rec.mu.Lock()
-		totals := make(map[string]SpanAgg, len(rec.aggs))
-		for name, agg := range rec.aggs {
-			totals[name] = *agg
-		}
-		rec.mu.Unlock()
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(map[string]any{"counters": snap, "span_totals": totals})
+		enc.Encode(map[string]any{"counters": rec.snapshotMap(), "span_totals": rec.spanTotals()})
 	})
 	mux.HandleFunc("/debug/pprof/", httppprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)

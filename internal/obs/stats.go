@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime/debug"
 	"sort"
+	"strings"
 )
 
 // RunStats is the versioned machine-readable summary of one analysis run:
@@ -31,7 +32,10 @@ type RunStats struct {
 	// (bounded; see SpansDropped).
 	Spans []SpanStats `json:"spans"`
 	// SpanTotals aggregates every span and timer by stage name, including
-	// ones past the individual-span caps.
+	// ones past the individual-span caps. It is derived from the exact
+	// count, sum, and max of the "stage:<name>" histograms, so on a
+	// recorder that merges other recorders' histograms (the vectraced
+	// service folding in each finished job) it includes the merged stages.
 	SpanTotals map[string]SpanAgg `json:"span_totals"`
 	// SpansDropped counts spans elided from Spans by the caps.
 	SpansDropped int64 `json:"spans_dropped"`
@@ -90,6 +94,19 @@ type SpanAgg struct {
 	Count   int64 `json:"count"`
 	TotalNs int64 `json:"total_ns"`
 	MaxNs   int64 `json:"max_ns"`
+}
+
+// spanTotals derives the per-stage totals from the "stage:<name>"
+// histograms, whose count, sum, and max are exact.
+func (r *Recorder) spanTotals() map[string]SpanAgg {
+	totals := map[string]SpanAgg{}
+	r.eachHist(func(name string, h *Histogram) {
+		if stage, ok := strings.CutPrefix(name, "stage:"); ok {
+			s := h.Snapshot()
+			totals[stage] = SpanAgg{Count: s.Count, TotalNs: s.SumNs, MaxNs: s.MaxNs}
+		}
+	})
+	return totals
 }
 
 // HistogramStats is the exported form of one latency histogram: the raw
@@ -152,11 +169,9 @@ func (r *Recorder) Stats(tool string, config map[string]any) *RunStats {
 	r.eachHist(func(name string, h *Histogram) {
 		rs.Histograms[name] = h.Snapshot().Stats()
 	})
+	rs.SpanTotals = r.spanTotals()
 	r.mu.Lock()
 	rs.Spans = append(rs.Spans, r.spans...)
-	for name, agg := range r.aggs {
-		rs.SpanTotals[name] = *agg
-	}
 	rs.SpansDropped = r.spansDropped
 	rs.Failures.First = r.firstFailure
 	rs.Failures.CorruptAtByte = r.corruptByte

@@ -13,10 +13,8 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
@@ -69,7 +67,7 @@ func RecordContainerCtx(ctx context.Context, mod *ir.Module, w io.Writer, budget
 		return nil, fmt.Errorf("pipeline: recording trace: %w", err)
 	}
 	sink := &containerSink{cw: cw}
-	m := interp.New(mod, interpConfig(budget, sink, true, false))
+	m := interp.New(mod, interpConfig(budget, sink, true))
 	res, err := m.RunContext(ctx, "main")
 	if err != nil {
 		return nil, err
@@ -83,25 +81,22 @@ func RecordContainerCtx(ctx context.Context, mod *ir.Module, w io.Writer, budget
 	return res, nil
 }
 
-// AnalyzeLoopRegionsIndexed analyzes every dynamic region of the loop on
+// analyzeLoopRegionsIndexed analyzes every dynamic region of the loop on
 // the given source line by seeking through a VTR2 container's footer index:
 // regions fan out across scanWorkers workers, each decoding only its
-// region's covering blocks and running the standard per-region analysis in
-// place (scan and analyze fused per worker, so decoded events feed the
-// kernel without a handoff). scanWorkers <= 0 means copts.WorkerCount().
+// region's covering blocks and running AnalyzeRegion in place (scan and
+// analyze fused per worker, so decoded events feed the kernel without a
+// handoff).
 //
 // Degradation is per-region and strictly better than sequential: damage in
 // one region's blocks fails that region alone, while the sequential scanner
 // must stop at the first damaged byte. On a pristine trace the output —
 // reports, error texts, lifecycle counters — is byte-identical to
 // AnalyzeLoopRegionsStreamCtx at any worker count.
-func AnalyzeLoopRegionsIndexed(ctx context.Context, c *trace.Container, mod *ir.Module, line int, dopts ddg.Options, copts core.Options, scanWorkers int) ([]RegionReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	lm := mod.LoopByLine(line)
-	if lm == nil {
-		return nil, fmt.Errorf("pipeline: no loop on line %d", line)
+func analyzeLoopRegionsIndexed(ctx context.Context, c *trace.Container, mod *ir.Module, line int, dopts ddg.Options, copts core.Options, scanWorkers int) ([]RegionReport, error) {
+	lm, err := findLoop(mod, line)
+	if err != nil {
+		return nil, err
 	}
 	ctx, span := obs.StartSpan(ctx, "region-analyze")
 	defer span.End()
@@ -110,83 +105,48 @@ func AnalyzeLoopRegionsIndexed(ctx context.Context, c *trace.Container, mod *ir.
 	if len(regions) == 0 {
 		return nil, fmt.Errorf("pipeline: loop on line %d never executed", line)
 	}
-	if scanWorkers <= 0 {
-		scanWorkers = copts.WorkerCount()
-	}
 	inner := copts
 	inner.Workers = 1
 	out := make([]RegionReport, len(regions))
 	_ = c.ScanIndexedRegions(ctx, mod, lm.ID, scanWorkers, func(k int, r trace.IndexRegion, sub *trace.Trace, derr error) {
-		var start time.Time
-		if rec != nil {
-			start = time.Now()
-			rec.Add(obs.RegionsStarted, 1)
-		}
-		rt := rec.StartTimer("region")
+		life := startRegion(rec)
 		out[k] = RegionReport{Index: k, Events: r.Events()}
-		fail := func(err error) {
-			out[k].Err = fmt.Errorf("pipeline: region %d: %w", k, err)
-			if rec != nil {
-				rec.Add(obs.RegionsFailed, 1)
-				rec.RecordRegionFailure(out[k].Err.Error())
-			}
+		err := derr
+		if off, ok := trace.CorruptOffset(derr); ok {
+			rec.SetCorruptByte(off)
 		}
-		if derr != nil {
-			if off, ok := trace.CorruptOffset(derr); ok {
-				rec.SetCorruptByte(off)
-			}
-			fail(derr)
-		} else {
+		if derr == nil {
 			rec.GaugeInc(obs.ResidentRegions, obs.PeakResidentRegions)
-			err := core.Guard(k, "region", int64(k), func() error {
+			err = core.Guard(k, "region", int64(k), func() error {
 				rep, aerr := AnalyzeRegion(ctx, sub, dopts, inner)
 				out[k].Report = rep
 				return aerr
 			})
 			rec.GaugeDec(obs.ResidentRegions)
-			if err != nil {
-				fail(err)
-			} else if rec != nil {
-				rec.Add(obs.RegionsCompleted, 1)
-			}
 		}
-		rt.Stop()
-		if rec != nil {
-			out[k].Elapsed = time.Since(start)
-		}
+		life.finish(&out[k], err)
 	})
-	if err := core.Canceled(ctx); err != nil {
-		// Cancellation can leave unvisited slots; truncate at the first hole
-		// so the returned prefix is dense, matching the streaming path.
-		for i := range out {
-			if out[i].Report == nil && out[i].Err == nil {
-				out = out[:i]
-				break
-			}
-		}
-	}
-	errs := make([]error, 0, 2)
-	for i := range out {
-		if out[i].Err != nil {
-			errs = append(errs, out[i].Err)
-		}
-	}
-	if err := core.Canceled(ctx); err != nil {
-		errs = append(errs, err)
-	}
-	return out, errors.Join(errs...)
+	return collectRegions(ctx, out, nil)
 }
 
-// AnalyzeLoopRegionsOpened routes an opened trace to the right region
-// analysis: the indexed parallel scan when the footer index is available
-// and scanWorkers >= 0, the sequential streaming scanner otherwise
-// (scanWorkers == -1 forces sequential even on an indexed file — the
-// differential-testing oracle).
+// AnalyzeLoopRegionsOpened analyzes every dynamic region of the loop on the
+// given source line in an opened trace: through the footer index — regions
+// seeked and fanned across scanWorkers workers (0 means
+// copts.WorkerCount()) — when the index is available and scanWorkers >= 0,
+// through the sequential AnalyzeLoopRegionsStreamCtx scan otherwise
+// (scanWorkers == -1 forces sequential even on an indexed file, the
+// differential tests' reference).
 func AnalyzeLoopRegionsOpened(ctx context.Context, o *trace.Opened, mod *ir.Module, line int, dopts ddg.Options, copts core.Options, scanWorkers int) ([]RegionReport, error) {
-	if o.Container != nil && scanWorkers >= 0 {
-		return AnalyzeLoopRegionsIndexed(ctx, o.Container, mod, line, dopts, copts, scanWorkers)
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return AnalyzeLoopRegionsStreamCtx(ctx, mod, o.Source(), line, dopts, copts)
+	if o.Container == nil || scanWorkers < 0 {
+		return AnalyzeLoopRegionsStreamCtx(ctx, mod, o.Source(), line, dopts, copts)
+	}
+	if scanWorkers == 0 {
+		scanWorkers = copts.WorkerCount()
+	}
+	return analyzeLoopRegionsIndexed(ctx, o.Container, mod, line, dopts, copts, scanWorkers)
 }
 
 // LoopRegionOpened materializes the idx-th dynamic region of the loop on
@@ -197,9 +157,9 @@ func LoopRegionOpened(o *trace.Opened, mod *ir.Module, line, idx int) (*trace.Tr
 	if o.Container == nil {
 		return LoopRegionStream(mod, o.Source(), line, idx)
 	}
-	lm := mod.LoopByLine(line)
-	if lm == nil {
-		return nil, fmt.Errorf("pipeline: no loop on line %d", line)
+	lm, err := findLoop(mod, line)
+	if err != nil {
+		return nil, err
 	}
 	regions := o.Container.RegionsOf(lm.ID)
 	if idx < 0 || idx >= len(regions) {

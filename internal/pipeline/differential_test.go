@@ -24,6 +24,7 @@ import (
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
@@ -59,17 +60,10 @@ func openContainer(t *testing.T, data []byte) *trace.Container {
 	return c
 }
 
-// loopLines returns the distinct source lines of mod's loops.
-func loopLines(mod *ir.Module) []int {
-	seen := map[int]bool{}
-	var lines []int
-	for _, lm := range mod.Loops {
-		if !seen[lm.Line] {
-			seen[lm.Line] = true
-			lines = append(lines, lm.Line)
-		}
-	}
-	return lines
+// indexed wraps an opened container so AnalyzeLoopRegionsOpened takes its
+// indexed parallel scan.
+func indexed(c *trace.Container) *trace.Opened {
+	return &trace.Opened{Format: trace.FormatVTR2, Container: c}
 }
 
 // TestDifferentialVTR2MatchesVTR1 is the headline equivalence proof: for
@@ -82,7 +76,7 @@ func TestDifferentialVTR2MatchesVTR1(t *testing.T) {
 	for seed := int64(300); seed < 300+programs; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			src := generateProgram(seed)
+			src := testprog.Random(seed)
 			mod, err := pipeline.Compile(fmt.Sprintf("diff%d.c", seed), src)
 			if err != nil {
 				t.Fatalf("compile failed:\n%s\nerror: %v", src, err)
@@ -97,7 +91,7 @@ func TestDifferentialVTR2MatchesVTR1(t *testing.T) {
 				containers[bs] = v2
 			}
 
-			for _, line := range loopLines(mod) {
+			for _, line := range testprog.LoopLines(mod) {
 				oracle, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod,
 					trace.NewDecoder(bytes.NewReader(vtr1)), line, dopts, copts)
 				if err != nil {
@@ -106,7 +100,7 @@ func TestDifferentialVTR2MatchesVTR1(t *testing.T) {
 				for _, bs := range diffBlockSizes {
 					c := openContainer(t, containers[bs])
 					for _, workers := range diffWorkerCounts() {
-						got, err := pipeline.AnalyzeLoopRegionsIndexed(context.Background(), c, mod, line, dopts, copts, workers)
+						got, err := pipeline.AnalyzeLoopRegionsOpened(context.Background(), indexed(c), mod, line, dopts, copts, workers)
 						if err != nil {
 							t.Fatalf("line %d block %d workers %d: %v", line, bs, workers, err)
 						}
@@ -145,7 +139,7 @@ var diffCounterParity = []obs.Counter{
 // checks the shared RunStats counters agree, while the access-pattern
 // counters prove the index actually changed the I/O shape.
 func TestDifferentialCounterParity(t *testing.T) {
-	mod, err := pipeline.Compile("fault.c", faultSrc)
+	mod, err := pipeline.Compile("fault.c", testprog.Fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +148,7 @@ func TestDifferentialCounterParity(t *testing.T) {
 	seqRec := obs.New()
 	seqCtx := obs.WithRecorder(context.Background(), seqRec)
 	seq, err := pipeline.AnalyzeLoopRegionsStreamCtx(seqCtx, mod,
-		trace.NewDecoder(bytes.NewReader(vtr1)), faultInnerLine, ddg.Options{}, core.Options{})
+		trace.NewDecoder(bytes.NewReader(vtr1)), testprog.FaultInnerLine, ddg.Options{}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +159,7 @@ func TestDifferentialCounterParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := pipeline.AnalyzeLoopRegionsIndexed(idxCtx, c, mod, faultInnerLine, ddg.Options{}, core.Options{}, 2)
+	idx, err := pipeline.AnalyzeLoopRegionsOpened(idxCtx, indexed(c), mod, testprog.FaultInnerLine, ddg.Options{}, core.Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +196,7 @@ func TestDifferentialCounterParity(t *testing.T) {
 // many-block container through the opened-trace path decodes only the
 // blocks its indexed byte range covers.
 func TestInstanceSeekReadsOnlyCoveringBlocks(t *testing.T) {
-	mod, err := pipeline.Compile("fault.c", faultSrc)
+	mod, err := pipeline.Compile("fault.c", testprog.Fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +218,7 @@ func TestInstanceSeekReadsOnlyCoveringBlocks(t *testing.T) {
 	if total < 8 {
 		t.Fatalf("want a many-block container, got %d blocks", total)
 	}
-	sub, err := pipeline.LoopRegionOpened(o, mod, faultInnerLine, 1)
+	sub, err := pipeline.LoopRegionOpened(o, mod, testprog.FaultInnerLine, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +235,7 @@ func TestInstanceSeekReadsOnlyCoveringBlocks(t *testing.T) {
 	}
 
 	// The sequential oracle agrees on the region's content.
-	want, err := pipeline.LoopRegionStream(mod, trace.NewBlockSource(bytes.NewReader(data), nil), faultInnerLine, 1)
+	want, err := pipeline.LoopRegionStream(mod, trace.NewBlockSource(bytes.NewReader(data), nil), testprog.FaultInnerLine, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +248,7 @@ func TestInstanceSeekReadsOnlyCoveringBlocks(t *testing.T) {
 // never-executed loops, and out-of-range instances are identical whichever
 // format the trace file is in.
 func TestDifferentialCLIErrorTexts(t *testing.T) {
-	mod, err := pipeline.Compile("fault.c", faultSrc)
+	mod, err := pipeline.Compile("fault.c", testprog.Fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +277,11 @@ func TestDifferentialCLIErrorTexts(t *testing.T) {
 			return err
 		}},
 		{"bad-instance", func(o *trace.Opened) error {
-			_, err := pipeline.LoopRegionOpened(o, mod, faultInnerLine, 99)
+			_, err := pipeline.LoopRegionOpened(o, mod, testprog.FaultInnerLine, 99)
 			return err
 		}},
 		{"negative-instance", func(o *trace.Opened) error {
-			_, err := pipeline.LoopRegionOpened(o, mod, faultInnerLine, -1)
+			_, err := pipeline.LoopRegionOpened(o, mod, testprog.FaultInnerLine, -1)
 			return err
 		}},
 	} {
@@ -307,7 +301,7 @@ func TestDifferentialCLIErrorTexts(t *testing.T) {
 // the byte offset, and a prefix that still holds every block analyzes
 // completely.
 func TestVTR2TruncationSweep(t *testing.T) {
-	mod, err := pipeline.Compile("fault.c", faultSrc)
+	mod, err := pipeline.Compile("fault.c", testprog.Fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +315,7 @@ func TestVTR2TruncationSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intact, err := pipeline.AnalyzeLoopRegionsOpened(context.Background(), o, mod, faultInnerLine, ddg.Options{}, core.Options{}, 2)
+	intact, err := pipeline.AnalyzeLoopRegionsOpened(context.Background(), o, mod, testprog.FaultInnerLine, ddg.Options{}, core.Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +335,7 @@ func TestVTR2TruncationSweep(t *testing.T) {
 		if op.Container != nil {
 			t.Fatalf("offset %d: truncated container still opened with a usable index", off)
 		}
-		regs, aerr := pipeline.AnalyzeLoopRegionsOpened(context.Background(), op, mod, faultInnerLine, ddg.Options{}, core.Options{}, 2)
+		regs, aerr := pipeline.AnalyzeLoopRegionsOpened(context.Background(), op, mod, testprog.FaultInnerLine, ddg.Options{}, core.Options{}, 2)
 		if aerr == nil {
 			// The cut only removed footer bytes: the full event stream
 			// survived, so the salvage analysis must equal the clean run.
@@ -376,7 +370,7 @@ func TestVTR2TruncationSweep(t *testing.T) {
 // regions after the damage, which the sequential scanner cannot reach), and
 // damaged regions fail with typed corruption naming their index.
 func TestVTR2BitFlipDegradesPerRegion(t *testing.T) {
-	mod, err := pipeline.Compile("fault.c", faultSrc)
+	mod, err := pipeline.Compile("fault.c", testprog.Fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +380,7 @@ func TestVTR2BitFlipDegradesPerRegion(t *testing.T) {
 	}
 	data := buf.Bytes()
 	c := openContainer(t, data)
-	intact, err := pipeline.AnalyzeLoopRegionsIndexed(context.Background(), c, mod, faultInnerLine, ddg.Options{}, core.Options{}, 2)
+	intact, err := pipeline.AnalyzeLoopRegionsOpened(context.Background(), indexed(c), mod, testprog.FaultInnerLine, ddg.Options{}, core.Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +399,7 @@ func TestVTR2BitFlipDegradesPerRegion(t *testing.T) {
 			}
 			continue
 		}
-		regs, aerr := pipeline.AnalyzeLoopRegionsIndexed(context.Background(), co, mod, faultInnerLine, ddg.Options{}, core.Options{}, 2)
+		regs, aerr := pipeline.AnalyzeLoopRegionsOpened(context.Background(), indexed(co), mod, testprog.FaultInnerLine, ddg.Options{}, core.Options{}, 2)
 		if len(regs) != len(intact) {
 			t.Fatalf("offset %d: %d region slots, want %d", off, len(regs), len(intact))
 		}
@@ -443,7 +437,7 @@ func TestVTR2BitFlipDegradesPerRegion(t *testing.T) {
 // not be misclassified as trace corruption — on the random-access indexed
 // path and the streaming salvage path alike.
 func TestVTR2ReaderFaults(t *testing.T) {
-	mod, err := pipeline.Compile("fault.c", faultSrc)
+	mod, err := pipeline.Compile("fault.c", testprog.Fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +456,7 @@ func TestVTR2ReaderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("footer read hit the mid-file fault: %v", err)
 	}
-	_, aerr := pipeline.AnalyzeLoopRegionsIndexed(context.Background(), c, mod, faultInnerLine, ddg.Options{}, core.Options{}, 2)
+	_, aerr := pipeline.AnalyzeLoopRegionsOpened(context.Background(), indexed(c), mod, testprog.FaultInnerLine, ddg.Options{}, core.Options{}, 2)
 	if !errors.Is(aerr, sentinel) {
 		t.Fatalf("indexed analysis error %v does not wrap the injected fault", aerr)
 	}
@@ -472,7 +466,7 @@ func TestVTR2ReaderFaults(t *testing.T) {
 
 	// Streaming salvage path over a failing sequential reader.
 	src := trace.NewBlockSource(&faultio.ErrReader{R: bytes.NewReader(data), FailAt: int64(len(data)) / 2, Err: sentinel}, nil)
-	_, serr := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, src, faultInnerLine, ddg.Options{}, core.Options{})
+	_, serr := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, src, testprog.FaultInnerLine, ddg.Options{}, core.Options{})
 	if !errors.Is(serr, sentinel) {
 		t.Fatalf("salvage analysis error %v does not wrap the injected fault", serr)
 	}
@@ -482,12 +476,12 @@ func TestVTR2ReaderFaults(t *testing.T) {
 
 	// Short reads (one byte per call) must not change the analysis.
 	want, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod,
-		trace.NewBlockSource(bytes.NewReader(data), nil), faultInnerLine, ddg.Options{}, core.Options{})
+		trace.NewBlockSource(bytes.NewReader(data), nil), testprog.FaultInnerLine, ddg.Options{}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod,
-		trace.NewBlockSource(&faultio.ShortReader{R: bytes.NewReader(data)}, nil), faultInnerLine, ddg.Options{}, core.Options{})
+		trace.NewBlockSource(&faultio.ShortReader{R: bytes.NewReader(data)}, nil), testprog.FaultInnerLine, ddg.Options{}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +496,7 @@ func TestVTR2ReaderFaults(t *testing.T) {
 // `vectrace record -format vtr2`.
 func TestVTR2RoundTripReencode(t *testing.T) {
 	for seed := int64(400); seed < 403; seed++ {
-		src := generateProgram(seed)
+		src := testprog.Random(seed)
 		mod, _, tr, err := pipeline.CompileAndTrace(fmt.Sprintf("re%d.c", seed), src)
 		if err != nil {
 			t.Fatal(err)

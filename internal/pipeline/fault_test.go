@@ -20,31 +20,15 @@ import (
 	"github.com/example/vectrace/internal/faultio"
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
-const faultSrc = `
-double a[24];
-double s;
-void main() {
-  int t; int i;
-  for (t = 0; t < 3; t++) {
-    for (i = 1; i < 24; i++) {  /* inner loop: line 7 */
-      a[i] = a[i-1] * 0.5 + 0.25 * i;
-    }
-  }
-  for (i = 0; i < 24; i++) { s = s + a[i]; }
-  print(s);
-}
-`
-
-const faultInnerLine = 7
-
-// recordedTrace compiles faultSrc and returns its module plus the recorded
+// recordedTrace compiles testprog.Fault and returns its module plus the recorded
 // VTR1 byte stream.
 func recordedTrace(t *testing.T) (*ir.Module, []byte) {
 	t.Helper()
-	mod, err := pipeline.Compile("fault.c", faultSrc)
+	mod, err := pipeline.Compile("fault.c", testprog.Fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +42,7 @@ func recordedTrace(t *testing.T) (*ir.Module, []byte) {
 // streamRegions runs the streaming analysis over raw bytes.
 func streamRegions(mod *ir.Module, data []byte) ([]pipeline.RegionReport, error) {
 	dec := trace.NewDecoder(bytes.NewReader(data))
-	return pipeline.AnalyzeLoopRegionsStream(mod, dec, faultInnerLine, ddg.Options{}, core.Options{Workers: 2})
+	return pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, dec, testprog.FaultInnerLine, ddg.Options{}, core.Options{Workers: 2})
 }
 
 // TestStreamTruncationSweep truncates a recorded trace at every byte offset
@@ -77,7 +61,7 @@ func TestStreamTruncationSweep(t *testing.T) {
 	}
 	for off := 0; off < len(data); off++ {
 		dec := trace.NewDecoder(&faultio.TruncatingReader{R: bytes.NewReader(data), N: int64(off)})
-		regs, err := pipeline.AnalyzeLoopRegionsStream(mod, dec, faultInnerLine, ddg.Options{}, core.Options{Workers: 2})
+		regs, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, dec, testprog.FaultInnerLine, ddg.Options{}, core.Options{Workers: 2})
 		if err == nil {
 			t.Fatalf("offset %d: truncated stream analyzed without error", off)
 		}
@@ -113,7 +97,7 @@ func TestStreamReaderError(t *testing.T) {
 	mod, data := recordedTrace(t)
 	sentinel := fmt.Errorf("disk on fire")
 	dec := trace.NewDecoder(&faultio.ErrReader{R: bytes.NewReader(data), FailAt: int64(len(data) / 2), Err: sentinel})
-	_, err := pipeline.AnalyzeLoopRegionsStream(mod, dec, faultInnerLine, ddg.Options{}, core.Options{Workers: 2})
+	_, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, dec, testprog.FaultInnerLine, ddg.Options{}, core.Options{Workers: 2})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("error %v does not wrap the injected reader error", err)
 	}
@@ -132,7 +116,7 @@ func TestStreamShortReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec := trace.NewDecoder(&faultio.ShortReader{R: bytes.NewReader(data)})
-	got, err := pipeline.AnalyzeLoopRegionsStream(mod, dec, faultInnerLine, ddg.Options{}, core.Options{Workers: 2})
+	got, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, dec, testprog.FaultInnerLine, ddg.Options{}, core.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +191,7 @@ func TestStreamCancellationReleasesWorkers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	dec := trace.NewDecoder(bytes.NewReader(data))
-	_, err := pipeline.AnalyzeLoopRegionsStreamCtx(ctx, mod, dec, faultInnerLine, ddg.Options{}, core.Options{Workers: 2})
+	_, err := pipeline.AnalyzeLoopRegionsStreamCtx(ctx, mod, dec, testprog.FaultInnerLine, ddg.Options{}, core.Options{Workers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
 	}
@@ -226,7 +210,7 @@ func TestStreamMatchesInMemoryNoFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := &trace.Trace{Module: mod, Events: events}
-	want, err := pipeline.AnalyzeLoopRegions(tr, faultInnerLine, ddg.Options{}, core.Options{Workers: 2})
+	want, err := referenceRegions(tr, testprog.FaultInnerLine, ddg.Options{}, core.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,14 @@
 package pipeline_test
 
-// Differential battery for the hot-path engine: the precompiled-plan
-// interpreter dispatch and the paged shadow memory must be invisible in
-// every output. Random programs run through the fully fused live pipeline
-// under every combination of {plan, oracle} dispatch × {paged, map} shadow
-// × worker count × tile width, and each combination's execution summary,
-// RegionReports, and rendered report text must be deeply equal to the
-// all-legacy oracle. Error surfaces (interpreter step limits, analysis
-// budgets) and the RunStats counter contract are pinned the same way.
+// Differential battery for the interpreter's dispatch engine: the
+// precompiled-plan dispatcher must be invisible in every output. The
+// legacy switch-loop dispatcher (interp.Config.Oracle) is driven directly:
+// its trace, execution summary, error texts, and counters must equal the
+// plan's, and every pipeline output is a function of those — so random
+// programs analyzed from the oracle's trace must equal the fused live
+// pipeline (plan dispatch) at every worker count and tile width. The
+// stream kernel's shadow-memory axis of the same matrix runs in
+// internal/core, whose test hooks select the map shadow.
 
 import (
 	"context"
@@ -20,23 +21,12 @@ import (
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/interp"
+	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
+	"github.com/example/vectrace/internal/trace"
 )
-
-// hotPathCombos enumerates the engine matrix: both dispatchers crossed with
-// both shadow implementations.
-type hotPathCombo struct {
-	name            string
-	oracle, mapShdw bool
-}
-
-var hotPathCombos = []hotPathCombo{
-	{"plan+paged", false, false},
-	{"plan+map", false, true},
-	{"oracle+paged", true, false},
-	{"oracle+map", true, true},
-}
 
 // renderHotRegions flattens RegionReports into the exact text `vectrace
 // analyze -instance -1` prints, so the comparison pins the golden bytes and
@@ -54,11 +44,32 @@ func renderHotRegions(regs []pipeline.RegionReport) string {
 	return b.String()
 }
 
-// TestHotPathDifferentialMatrix is the headline equivalence proof for this
-// PR's engines: for random programs, every loop, every engine combination,
-// every worker count, and both tile widths, the fused live pipeline returns
-// an execution summary and RegionReports deeply equal to the all-legacy
-// oracle (switch-loop dispatch, map shadow, sequential workers).
+// oracleTrace executes mod's main function on the legacy switch-loop
+// dispatcher under full instrumentation, with the pipeline's tracing
+// configuration otherwise.
+func oracleTrace(ctx context.Context, mod *ir.Module, budget core.Budget) (*interp.Result, []trace.Event, error) {
+	sink := &interp.TraceSink{}
+	m := interp.New(mod, interp.Config{
+		Oracle: true, Tracer: sink, CountLoopCycles: true,
+		MaxSteps: budget.MaxSteps, MaxDepth: budget.MaxDepth, StackSize: budget.MaxStackBytes,
+	})
+	res, err := m.RunContext(ctx, "main")
+	if err != nil {
+		return nil, nil, err
+	}
+	events := make([]trace.Event, len(sink.Events))
+	for i, ev := range sink.Events {
+		events[i] = trace.Event{ID: ev.ID, Addr: ev.Addr}
+	}
+	return res, events, nil
+}
+
+// TestHotPathDifferentialMatrix is the headline equivalence proof for the
+// plan dispatcher: for random programs the oracle dispatcher's trace and
+// execution summary equal the plan's, and for every loop, every worker
+// count, and both tile widths the fused live pipeline returns an execution
+// summary and RegionReports deeply equal to the sequential analysis of the
+// oracle's trace.
 func TestHotPathDifferentialMatrix(t *testing.T) {
 	workerAxis := []int{1, 4, runtime.GOMAXPROCS(0)}
 	tileAxis := []int{1, 64}
@@ -66,42 +77,47 @@ func TestHotPathDifferentialMatrix(t *testing.T) {
 	for seed := int64(900); seed < 900+programs; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			src := generateProgram(seed)
+			src := testprog.Random(seed)
 			mod, err := pipeline.Compile(fmt.Sprintf("hot%d.c", seed), src)
 			if err != nil {
 				t.Fatalf("compile failed:\n%s\nerror: %v", src, err)
 			}
+			ores, oevents, err := oracleTrace(context.Background(), mod, core.Budget{})
+			if err != nil {
+				t.Fatalf("oracle dispatch failed: %v", err)
+			}
+			pres, ptr, err := pipeline.TraceCtxOpts(context.Background(), mod, core.Budget{}, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(pres, ores) || !reflect.DeepEqual(ptr.Events, oevents) {
+				t.Fatalf("plan dispatch trace or execution summary diverges from the oracle\nprogram:\n%s", src)
+			}
 			dopts := ddg.Options{}
-			for _, line := range loopLines(mod) {
-				oopts := core.Options{OracleDispatch: true, MapShadow: true, Workers: 1, TileSize: 1}
-				ores, oregs, err := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, line, dopts, oopts, core.Budget{})
+			for _, line := range testprog.LoopLines(mod) {
+				oopts := core.Options{Workers: 1, TileSize: 1}
+				oregs, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod,
+					&trace.SliceSource{Events: oevents}, line, dopts, oopts)
 				if err != nil {
-					t.Fatalf("line %d: legacy oracle failed: %v", line, err)
+					t.Fatalf("line %d: oracle-trace analysis failed: %v", line, err)
 				}
 				golden := renderHotRegions(oregs)
-				for _, combo := range hotPathCombos {
-					for _, workers := range workerAxis {
-						for _, tile := range tileAxis {
-							copts := core.Options{
-								OracleDispatch: combo.oracle,
-								MapShadow:      combo.mapShdw,
-								Workers:        workers,
-								TileSize:       tile,
-							}
-							res, regs, err := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, line, dopts, copts, core.Budget{})
-							label := fmt.Sprintf("line %d %s workers=%d tile=%d", line, combo.name, workers, tile)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							if !reflect.DeepEqual(res, ores) {
-								t.Fatalf("%s: execution summary diverges from the oracle", label)
-							}
-							if !reflect.DeepEqual(regs, oregs) {
-								t.Fatalf("%s: region reports diverge from the oracle\nprogram:\n%s", label, src)
-							}
-							if got := renderHotRegions(regs); got != golden {
-								t.Fatalf("%s: rendered report text diverges from the oracle", label)
-							}
+				for _, workers := range workerAxis {
+					for _, tile := range tileAxis {
+						copts := core.Options{Workers: workers, TileSize: tile}
+						res, regs, err := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, line, dopts, copts, core.Budget{})
+						label := fmt.Sprintf("line %d workers=%d tile=%d", line, workers, tile)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if !reflect.DeepEqual(res, ores) {
+							t.Fatalf("%s: execution summary diverges from the oracle", label)
+						}
+						if !reflect.DeepEqual(regs, oregs) {
+							t.Fatalf("%s: region reports diverge from the oracle\nprogram:\n%s", label, src)
+						}
+						if got := renderHotRegions(regs); got != golden {
+							t.Fatalf("%s: rendered report text diverges from the oracle", label)
 						}
 					}
 				}
@@ -112,75 +128,67 @@ func TestHotPathDifferentialMatrix(t *testing.T) {
 
 // TestHotPathErrorTextParity pins the error surface: a budget exhausted by
 // the interpreter must produce byte-identical error text under both
-// dispatch engines, and a per-region analysis budget failure must produce
-// byte-identical degradation under both shadow implementations.
+// dispatch engines, and a per-region analysis budget failure must degrade
+// byte-identically whichever engine produced the trace.
 func TestHotPathErrorTextParity(t *testing.T) {
-	mod, err := pipeline.Compile("fault.c", faultSrc)
+	mod, err := pipeline.Compile("fault.c", testprog.Fault)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("interp-step-limit", func(t *testing.T) {
 		budget := core.Budget{MaxSteps: 100}
-		var texts []string
-		for _, oracle := range []bool{true, false} {
-			_, _, err := pipeline.TraceCtxOpts(context.Background(), mod, budget,
-				core.Options{OracleDispatch: oracle})
-			if err == nil {
-				t.Fatalf("oracle=%v: step limit of %d not enforced", oracle, budget.MaxSteps)
-			}
-			texts = append(texts, err.Error())
+		_, _, oErr := oracleTrace(context.Background(), mod, budget)
+		_, _, pErr := pipeline.TraceCtxOpts(context.Background(), mod, budget, core.Options{})
+		if oErr == nil || pErr == nil {
+			t.Fatalf("step limit of %d not enforced: oracle %v, plan %v", budget.MaxSteps, oErr, pErr)
 		}
-		if texts[0] != texts[1] {
-			t.Fatalf("step-limit error text differs:\noracle: %s\nplan:   %s", texts[0], texts[1])
+		if oErr.Error() != pErr.Error() {
+			t.Fatalf("step-limit error text differs:\noracle: %s\nplan:   %s", oErr, pErr)
 		}
 	})
 
 	t.Run("analysis-budget", func(t *testing.T) {
-		budget := core.Budget{MaxAnalysisBytes: 256}
-		var rendered []string
-		for _, mapShdw := range []bool{true, false} {
-			copts := core.Options{MapShadow: mapShdw, Workers: 1, Budget: budget}
-			_, regs, err := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod,
-				faultInnerLine, ddg.Options{}, copts, core.Budget{})
-			if err == nil {
-				t.Fatalf("mapShadow=%v: %d-byte analysis budget not enforced", mapShdw, budget.MaxAnalysisBytes)
-			}
-			rendered = append(rendered, renderHotRegions(regs)+"\nsummary: "+err.Error())
+		copts := core.Options{Workers: 1, Budget: core.Budget{MaxAnalysisBytes: 256}}
+		_, oevents, err := oracleTrace(context.Background(), mod, core.Budget{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rendered[0] != rendered[1] {
-			t.Fatalf("budget degradation differs between shadows:\nmap:\n%s\npaged:\n%s", rendered[0], rendered[1])
+		oregs, oErr := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod,
+			&trace.SliceSource{Events: oevents}, testprog.FaultInnerLine, ddg.Options{}, copts)
+		_, pregs, pErr := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod,
+			testprog.FaultInnerLine, ddg.Options{}, copts, core.Budget{})
+		if oErr == nil || pErr == nil {
+			t.Fatalf("%d-byte analysis budget not enforced: oracle %v, plan %v", copts.Budget.MaxAnalysisBytes, oErr, pErr)
+		}
+		oracle := renderHotRegions(oregs) + "\nsummary: " + oErr.Error()
+		plan := renderHotRegions(pregs) + "\nsummary: " + pErr.Error()
+		if oracle != plan {
+			t.Fatalf("budget degradation differs between dispatchers:\noracle:\n%s\nplan:\n%s", oracle, plan)
 		}
 	})
 }
 
-// TestHotPathCounterContract runs the fused live pipeline under fresh
-// recorders for the all-new and all-legacy engines and checks (a) the
-// shared RunStats counters — region lifecycle, graph size, analysis output,
-// interpreter steps — are identical, and (b) the engine-specific counters
-// diverge exactly as documented: interp_batched_events and
-// shadow_pages_touched are positive on the new engines and zero on the
-// legacy ones.
+// TestHotPathCounterContract runs both dispatchers under fresh recorders
+// and checks (a) the counters they share — interpreter steps and stack
+// high-water mark — are identical, and (b) interp_batched_events diverges
+// exactly as documented: positive on the plan dispatcher, zero on the
+// oracle.
 func TestHotPathCounterContract(t *testing.T) {
-	mod, err := pipeline.Compile("fault.c", faultSrc)
+	mod, err := pipeline.Compile("fault.c", testprog.Fault)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(copts core.Options) *obs.Recorder {
-		rec := obs.New()
-		ctx := obs.WithRecorder(context.Background(), rec)
-		if _, _, err := pipeline.AnalyzeLoopRegionsLiveCtx(ctx, mod, faultInnerLine, ddg.Options{}, copts, core.Budget{}); err != nil {
-			t.Fatal(err)
-		}
-		return rec
+	oldRec, newRec := obs.New(), obs.New()
+	if _, _, err := oracleTrace(obs.WithRecorder(context.Background(), oldRec), mod, core.Budget{}); err != nil {
+		t.Fatal(err)
 	}
-	newRec := run(core.Options{Workers: 2})
-	oldRec := run(core.Options{OracleDispatch: true, MapShadow: true, Workers: 2})
-
-	parity := append([]obs.Counter{obs.InterpSteps}, diffCounterParity...)
-	for _, ctr := range parity {
+	if _, _, err := pipeline.TraceCtxOpts(obs.WithRecorder(context.Background(), newRec), mod, core.Budget{}, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ctr := range []obs.Counter{obs.InterpSteps, obs.InterpStackBytes} {
 		if n, o := newRec.Get(ctr), oldRec.Get(ctr); n != o {
-			t.Errorf("counter %s: new engines %d, legacy %d", ctr.Name(), n, o)
+			t.Errorf("counter %s: plan dispatch %d, oracle %d", ctr.Name(), n, o)
 		}
 	}
 	if got := newRec.Get(obs.InterpBatchedEvents); got == 0 {
@@ -189,12 +197,6 @@ func TestHotPathCounterContract(t *testing.T) {
 	if got := oldRec.Get(obs.InterpBatchedEvents); got != 0 {
 		t.Errorf("oracle dispatch recorded %d batched events, want 0", got)
 	}
-	if got := newRec.Get(obs.ShadowPagesTouched); got == 0 {
-		t.Error("paged shadow touched no pages")
-	}
-	if got := oldRec.Get(obs.ShadowPagesTouched); got != 0 {
-		t.Errorf("map shadow recorded %d touched pages, want 0", got)
-	}
 }
 
 // TestHotPathPlanReuseAcrossPipeline checks the plan cache contract at the
@@ -202,7 +204,7 @@ func TestHotPathCounterContract(t *testing.T) {
 // event (the second run reuses the module's compiled plan and the pooled
 // TraceSink backing).
 func TestHotPathPlanReuseAcrossPipeline(t *testing.T) {
-	mod, err := pipeline.Compile("fault.c", faultSrc)
+	mod, err := pipeline.Compile("fault.c", testprog.Fault)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package pipeline_test
 
 // Differential observability tests: attaching an obs.Recorder to the
 // context must not change a single byte of the analysis output — same
-// reports, same errors — for both the in-memory and streaming paths, across
-// worker counts and tile widths. Separately, the counters the hooks feed
+// reports, same errors — for both resident and decoded event sources,
+// across worker counts, tile widths, and the relaxed-reduction graph route. Separately, the counters the hooks feed
 // must cohere with the returned reports (every region started is completed
 // or failed, DDG totals match the graphs, stage spans are present).
 
@@ -18,6 +18,7 @@ import (
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
@@ -41,10 +42,10 @@ func renderRegions(regs []pipeline.RegionReport, err error) string {
 
 // TestObservedOutputIdentical is the tentpole's differential guarantee:
 // with and without a recorder, in-memory and streaming, workers {1, 4},
-// tiles {0, 2, -1} — one rendered artifact.
+// tiles {0, 2} plus the RelaxReductions graph route — one rendered artifact.
 func TestObservedOutputIdentical(t *testing.T) {
 	const srcName = "obsdiff.c"
-	src := generateProgram(3)
+	src := testprog.Random(3)
 	mod, _, tr, err := pipeline.CompileAndTrace(srcName, src)
 	if err != nil {
 		t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
@@ -53,16 +54,19 @@ func TestObservedOutputIdentical(t *testing.T) {
 	dopts := ddg.Options{}
 	for _, lm := range mod.Loops {
 		for _, workers := range []int{1, 4} {
-			for _, tile := range []int{0, 2, -1} {
-				copts := core.Options{Workers: workers, TileSize: tile}
-				name := fmt.Sprintf("line%d/w%d/t%d", lm.Line, workers, tile)
+			for _, copts := range []core.Options{{TileSize: 0}, {TileSize: 2}, {RelaxReductions: true}} {
+				copts.Workers = workers
+				name := fmt.Sprintf("line%d/w%d/t%d/relax=%v", lm.Line, workers, copts.TileSize, copts.RelaxReductions)
+				inMemory := func(ctx context.Context) ([]pipeline.RegionReport, error) {
+					return pipeline.AnalyzeLoopRegionsStreamCtx(ctx, mod, &trace.SliceSource{Events: tr.Events}, lm.Line, dopts, copts)
+				}
 
-				plainRegs, plainErr := pipeline.AnalyzeLoopRegionsCtx(context.Background(), tr, lm.Line, dopts, copts)
+				plainRegs, plainErr := inMemory(context.Background())
 				plain := renderRegions(plainRegs, plainErr)
 
 				rec := obs.New()
 				ctx := obs.WithRecorder(context.Background(), rec)
-				obsRegs, obsErr := pipeline.AnalyzeLoopRegionsCtx(ctx, tr, lm.Line, dopts, copts)
+				obsRegs, obsErr := inMemory(ctx)
 				observed := renderRegions(obsRegs, obsErr)
 				if plain != observed {
 					t.Fatalf("%s: in-memory output differs with recorder attached:\n--- plain ---\n%s--- observed ---\n%s",
@@ -99,7 +103,7 @@ func TestObservedOutputIdentical(t *testing.T) {
 // aggregates name the expected stages, and the streaming gauges return to
 // zero.
 func TestObservedCountersCohere(t *testing.T) {
-	src := generateProgram(5)
+	src := testprog.Random(5)
 	mod, _, tr, err := pipeline.CompileAndTrace("obscount.c", src)
 	if err != nil {
 		t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
@@ -194,7 +198,7 @@ func keys(m map[string]obs.SpanAgg) []string {
 // checks the failure side of the schema: the corrupt byte offset lands in
 // the stats document and intact regions still analyze identically.
 func TestObservedFailurePath(t *testing.T) {
-	src := generateProgram(7)
+	src := testprog.Random(7)
 	mod, _, tr, err := pipeline.CompileAndTrace("obsfail.c", src)
 	if err != nil {
 		t.Fatalf("pipeline failed: %v", err)

@@ -1,14 +1,15 @@
 package pipeline_test
 
 // Differential and resource-behavior tests of the one-pass fused
-// ingest→analyze path against the materialized-graph oracle
-// (core.Options.Materialize). Three levels are covered: AnalyzeLoopRegions
-// (in-memory region slices), AnalyzeLoopRegionsStream (decoder-fed), and
-// AnalyzeLoopRegionsLive (interpreter-fed, no trace anywhere) — all must be
-// byte-identical to the oracle for every worker count and tile width.
+// ingest→analyze path against the materialized-graph reference
+// (referenceRegions). Both event inputs are covered:
+// AnalyzeLoopRegionsStreamCtx (decoder-fed) and AnalyzeLoopRegionsLiveCtx
+// (interpreter-fed, no trace anywhere) — both must be byte-identical to the
+// reference for every worker count and tile width.
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -20,17 +21,18 @@ import (
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
 // TestOnePassMatchesMaterializedOracle: for random programs, every loop,
-// worker counts × tile widths {1, 7, 64}, the default one-pass route must
-// equal the Materialize route report-for-report, in memory and streaming.
+// worker counts × tile widths {1, 7, 64}, the one-pass entry points must equal
+// the materialized reference report-for-report, live and streaming.
 func TestOnePassMatchesMaterializedOracle(t *testing.T) {
 	workerCounts := []int{1, 3, 8}
 	tileSizes := []int{1, 7, 64}
 	for seed := int64(0); seed < 8; seed++ {
-		src := generateProgram(seed)
+		src := testprog.Random(seed)
 		mod, _, tr, err := pipeline.CompileAndTrace(fmt.Sprintf("op%d.c", seed), src)
 		if err != nil {
 			t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
@@ -41,22 +43,20 @@ func TestOnePassMatchesMaterializedOracle(t *testing.T) {
 			for wi, w := range workerCounts {
 				tile := tileSizes[(int(seed)+wi)%len(tileSizes)]
 				onePass := core.Options{Workers: w, TileSize: tile}
-				oracle := onePass
-				oracle.Materialize = true
 
-				want, wantErr := pipeline.AnalyzeLoopRegions(tr, lm.Line, dopts, oracle)
-				got, gotErr := pipeline.AnalyzeLoopRegions(tr, lm.Line, dopts, onePass)
+				want, wantErr := referenceRegions(tr, lm.Line, dopts, onePass)
+				_, got, gotErr := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, lm.Line, dopts, onePass, core.Budget{})
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("seed %d loop %d tile %d: oracle err %v, one-pass err %v",
 						seed, lm.Line, tile, wantErr, gotErr)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d loop %d tile %d workers %d: in-memory one-pass differs from materialized oracle\nprogram:\n%s",
+					t.Fatalf("seed %d loop %d tile %d workers %d: live one-pass differs from materialized oracle\nprogram:\n%s",
 						seed, lm.Line, tile, w, src)
 				}
 
 				dec := trace.NewDecoder(bytes.NewReader(encoded))
-				sgot, sgotErr := pipeline.AnalyzeLoopRegionsStream(mod, dec, lm.Line, dopts, onePass)
+				sgot, sgotErr := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, dec, lm.Line, dopts, onePass)
 				if (wantErr == nil) != (sgotErr == nil) {
 					t.Fatalf("seed %d loop %d tile %d: oracle err %v, streaming one-pass err %v",
 						seed, lm.Line, tile, wantErr, sgotErr)
@@ -71,12 +71,12 @@ func TestOnePassMatchesMaterializedOracle(t *testing.T) {
 }
 
 // TestAnalyzeLoopRegionsLiveParity: the fully fused live entry (interpreter
-// events straight into the kernels, no trace at any layer) matches
-// trace-then-analyze, on both the one-pass default and the materialized
-// fallback.
+// events straight into the per-region workers, no trace at any layer)
+// matches the trace-then-analyze reference, both on the one-pass kernel and
+// under RelaxReductions, where each worker builds its region's graph.
 func TestAnalyzeLoopRegionsLiveParity(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		src := generateProgram(seed)
+		src := testprog.Random(seed)
 		mod, err := pipeline.Compile(fmt.Sprintf("live%d.c", seed), src)
 		if err != nil {
 			t.Fatalf("compile failed:\n%s\nerror: %v", src, err)
@@ -88,42 +88,22 @@ func TestAnalyzeLoopRegionsLiveParity(t *testing.T) {
 		for _, lm := range mod.Loops {
 			for _, copts := range []core.Options{
 				{Workers: 2},
-				{Workers: 2, Materialize: true},
+				{Workers: 2, RelaxReductions: true},
 			} {
-				want, wantErr := pipeline.AnalyzeLoopRegions(tr, lm.Line, ddg.Options{}, copts)
-				_, got, gotErr := pipeline.AnalyzeLoopRegionsLive(mod, lm.Line, ddg.Options{}, copts, core.Budget{})
+				want, wantErr := referenceRegions(tr, lm.Line, ddg.Options{}, copts)
+				_, got, gotErr := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, lm.Line, ddg.Options{}, copts, core.Budget{})
 				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("seed %d loop %d materialize=%v: trace-first err %v, live err %v",
-						seed, lm.Line, copts.Materialize, wantErr, gotErr)
+					t.Fatalf("seed %d loop %d relax=%v: trace-first err %v, live err %v",
+						seed, lm.Line, copts.RelaxReductions, wantErr, gotErr)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d loop %d materialize=%v: live reports differ from trace-first\nprogram:\n%s",
-						seed, lm.Line, copts.Materialize, src)
+					t.Fatalf("seed %d loop %d relax=%v: live reports differ from trace-first\nprogram:\n%s",
+						seed, lm.Line, copts.RelaxReductions, src)
 				}
 			}
 		}
 	}
 }
-
-// budgetDemoKernel: one dynamic region of the analyzed loop (line 5) whose
-// event count is dominated by an integer repetition loop — the region is
-// long (≈events × reps) while its candidate instances and live addresses
-// stay constant. The shape the one-pass path is built for.
-func budgetDemoKernel(reps int) string {
-	return fmt.Sprintf(`
-double a[8];
-int junk;
-void main() {
-  int t; int r; int i;
-  for (t = 0; t < 1; t++) {
-    for (r = 0; r < %d; r++) { junk = junk + r; }
-    for (i = 1; i < 8; i++) { a[i] = a[i-1] * 0.5 + 0.25; }
-  }
-}
-`, reps)
-}
-
-const budgetDemoLoopLine = 6
 
 // TestOnePassFitsWhereMaterializedExceedsBudget is the headline memory
 // property: a region long enough that the materialized path's O(events)
@@ -131,7 +111,7 @@ const budgetDemoLoopLine = 6
 // one-pass path, whose working set scales with live addresses × candidate
 // instances instead of region length.
 func TestOnePassFitsWhereMaterializedExceedsBudget(t *testing.T) {
-	_, _, tr, err := pipeline.CompileAndTrace("budget.c", budgetDemoKernel(12000))
+	_, _, tr, err := pipeline.CompileAndTrace("budget.c", testprog.BudgetDemo(12000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,15 +120,15 @@ func TestOnePassFitsWhereMaterializedExceedsBudget(t *testing.T) {
 	}
 	budget := core.Budget{MaxAnalysisBytes: 256 << 10}
 
-	oracle := core.Options{Workers: 1, Materialize: true, Budget: budget}
-	_, matErr := pipeline.AnalyzeLoopRegions(tr, budgetDemoLoopLine, ddg.Options{}, oracle)
+	_, matErr := referenceRegions(tr, testprog.BudgetDemoLoopLine, ddg.Options{}, core.Options{Workers: 1, Budget: budget})
 	if !errors.Is(matErr, core.ErrResourceLimit) {
 		t.Fatalf("materialized path should exceed the %d-byte budget on a %d-event region, got %v",
 			budget.MaxAnalysisBytes, len(tr.Events), matErr)
 	}
 
 	onePass := core.Options{Workers: 1, Budget: budget}
-	regs, opErr := pipeline.AnalyzeLoopRegions(tr, budgetDemoLoopLine, ddg.Options{}, onePass)
+	regs, opErr := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), tr.Module, &trace.SliceSource{Events: tr.Events},
+		testprog.BudgetDemoLoopLine, ddg.Options{}, onePass)
 	if opErr != nil {
 		t.Fatalf("one-pass path should fit in the same budget: %v", opErr)
 	}
@@ -226,14 +206,14 @@ void main() {
 	if started != 3 || completed != 2 || recFailed != 1 {
 		t.Fatalf("lifecycle counters started=%d completed=%d failed=%d, want 3/2/1", started, completed, recFailed)
 	}
-	// The in-memory one-pass route degrades identically (same region, same cause).
-	mregs, merr := pipeline.AnalyzeLoopRegions(tr, loopLine, ddg.Options{}, copts)
+	// The live route degrades identically (same region, same cause).
+	_, mregs, merr := pipeline.AnalyzeLoopRegionsLiveCtx(t.Context(), mod, loopLine, ddg.Options{}, copts, core.Budget{})
 	if !errors.Is(merr, core.ErrResourceLimit) || len(mregs) != 3 {
-		t.Fatalf("in-memory one-pass: err %v over %d regions", merr, len(mregs))
+		t.Fatalf("live one-pass: err %v over %d regions", merr, len(mregs))
 	}
 	for i := range regs {
 		if (regs[i].Err == nil) != (mregs[i].Err == nil) {
-			t.Fatalf("region %d: streaming err %v, in-memory err %v", i, regs[i].Err, mregs[i].Err)
+			t.Fatalf("region %d: streaming err %v, live err %v", i, regs[i].Err, mregs[i].Err)
 		}
 		if regs[i].Err != nil && regs[i].Err.Error() != mregs[i].Err.Error() {
 			t.Fatalf("region %d: error text differs:\n%q\n%q", i, regs[i].Err, mregs[i].Err)
@@ -251,7 +231,8 @@ func TestOnePassPoolAndFootprintCounters(t *testing.T) {
 	}
 	rec := obs.New()
 	ctx := obs.WithRecorder(t.Context(), rec)
-	if _, err := pipeline.AnalyzeLoopRegionsCtx(ctx, tr, repeatedKernelLoopLine, ddg.Options{}, core.Options{Workers: 2}); err != nil {
+	if _, err := pipeline.AnalyzeLoopRegionsStreamCtx(ctx, tr.Module, &trace.SliceSource{Events: tr.Events},
+		repeatedKernelLoopLine, ddg.Options{}, core.Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := rec.Get(obs.StreamPoolHits), rec.Get(obs.StreamPoolMisses)
@@ -266,6 +247,43 @@ func TestOnePassPoolAndFootprintCounters(t *testing.T) {
 	}
 	if rec.Get(obs.AnalysisFootprintBytes) == 0 {
 		t.Fatal("AnalysisFootprintBytes stayed zero on the one-pass path")
+	}
+}
+
+// TestRelaxReductionsRetainsPerRegion pins the memory bound of the one
+// route that holds region events: under RelaxReductions each region worker
+// keeps its region's events to build that region's graph, so an
+// all-regions live analysis retains at most workers × the longest region —
+// never the trace. ScanPeakRetainedEvents counts every held event plus the
+// chunks in flight to the workers.
+func TestRelaxReductionsRetainsPerRegion(t *testing.T) {
+	const workers = 2
+	mod, _, tr, err := pipeline.CompileAndTrace("relax.c", repeatedKernel(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New()
+	ctx := obs.WithRecorder(t.Context(), rec)
+	copts := core.Options{Workers: workers, RelaxReductions: true}
+	_, regs, err := pipeline.AnalyzeLoopRegionsLiveCtx(ctx, mod, repeatedKernelLoopLine, ddg.Options{}, copts, core.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	longest := 0
+	for _, rr := range regs {
+		longest = max(longest, rr.Events)
+	}
+	bound := int64(workers * longest)
+	if n := int64(len(tr.Events)); n < 4*bound {
+		t.Fatalf("trace of %d events too short against the %d-event bound to make the point", n, bound)
+	}
+	peak := rec.Get(obs.ScanPeakRetainedEvents)
+	t.Logf("regions=%d longest=%d trace=%d peak retained=%d bound=%d", len(regs), longest, len(tr.Events), peak, bound)
+	if peak == 0 {
+		t.Fatal("ScanPeakRetainedEvents never recorded")
+	}
+	if peak > bound {
+		t.Fatalf("retained %d events, beyond workers × longest region = %d", peak, bound)
 	}
 }
 
@@ -289,19 +307,28 @@ func TestOnePassPeakMemoryVsMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	const loopLine = 5
-	run := func(copts core.Options) uint64 {
+	copts := core.Options{Workers: 1}
+	runOnePass := func() uint64 {
 		return peakLiveBytes(func() {
-			if _, err := pipeline.AnalyzeLoopRegions(tr, loopLine, ddg.Options{}, copts); err != nil {
+			if _, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), tr.Module,
+				&trace.SliceSource{Events: tr.Events}, loopLine, ddg.Options{}, copts); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	runMaterialized := func() uint64 {
+		return peakLiveBytes(func() {
+			if _, err := referenceRegions(tr, loopLine, ddg.Options{}, copts); err != nil {
 				t.Error(err)
 			}
 		})
 	}
 	// Warm both routes once so pools and lazily-built tables don't skew the
 	// measured run, then measure.
-	run(core.Options{Workers: 1})
-	run(core.Options{Workers: 1, Materialize: true})
-	onePass := run(core.Options{Workers: 1})
-	materializedPeak := run(core.Options{Workers: 1, Materialize: true})
+	runOnePass()
+	runMaterialized()
+	onePass := runOnePass()
+	materializedPeak := runMaterialized()
 	t.Logf("events=%d one-pass peak=%d materialized peak=%d ratio=%.1f",
 		len(tr.Events), onePass, materializedPeak, float64(materializedPeak)/float64(onePass))
 	if onePass == 0 {
@@ -324,7 +351,7 @@ func TestOnePassAllocsSubLinearInRegionLength(t *testing.T) {
 		t.Skip("set VECTRACE_MEM_SMOKE=1 to run the memory-regression smoke")
 	}
 	measure := func(reps int) float64 {
-		mod, err := pipeline.Compile("smoke.c", budgetDemoKernel(reps))
+		mod, err := pipeline.Compile("smoke.c", testprog.BudgetDemo(reps))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +364,7 @@ func TestOnePassAllocsSubLinearInRegionLength(t *testing.T) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				dec := trace.NewDecoder(bytes.NewReader(encoded))
-				if _, err := pipeline.AnalyzeLoopRegionsStream(mod, dec, budgetDemoLoopLine, ddg.Options{}, core.Options{Workers: 1}); err != nil {
+				if _, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, dec, testprog.BudgetDemoLoopLine, ddg.Options{}, core.Options{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -353,47 +380,5 @@ func TestOnePassAllocsSubLinearInRegionLength(t *testing.T) {
 	if large >= 4*small {
 		t.Fatalf("allocated bytes grew %.2f× for 8× region length — one-pass path is no longer O(live set): %.0f vs %.0f B/op",
 			large/small, large, small)
-	}
-}
-
-// TestPagedShadowAllocsBeatMap extends the VECTRACE_MEM_SMOKE gate to the
-// paged shadow memory: on the same streamed analysis, the paged path (whose
-// pages are epoch-reset and pooled across regions) must not allocate more
-// bytes per run than the legacy map shadow, which rebuilds its buckets
-// every region. A paged-shadow change that quietly loses the freelist or
-// re-zeroes pages per region shows up as an allocation regression here.
-func TestPagedShadowAllocsBeatMap(t *testing.T) {
-	if os.Getenv("VECTRACE_MEM_SMOKE") == "" {
-		t.Skip("set VECTRACE_MEM_SMOKE=1 to run the memory-regression smoke")
-	}
-	mod, err := pipeline.Compile("smoke.c", budgetDemoKernel(16000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := pipeline.Record(mod, &buf); err != nil {
-		t.Fatal(err)
-	}
-	encoded := buf.Bytes()
-	measure := func(copts core.Options) float64 {
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				dec := trace.NewDecoder(bytes.NewReader(encoded))
-				if _, err := pipeline.AnalyzeLoopRegionsStream(mod, dec, budgetDemoLoopLine, ddg.Options{}, copts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		return float64(res.AllocedBytesPerOp())
-	}
-	paged := measure(core.Options{Workers: 1})
-	mapped := measure(core.Options{Workers: 1, MapShadow: true})
-	t.Logf("alloc B/op: paged %.0f, map %.0f (%.2f×)", paged, mapped, paged/mapped)
-	// 10% headroom absorbs benchmark jitter; the expected steady state is
-	// paged ≤ map (pages are pooled, map buckets are not).
-	if paged > 1.1*mapped {
-		t.Fatalf("paged shadow allocates %.2f× the map shadow (%.0f vs %.0f B/op) — page pooling regressed",
-			paged/mapped, paged, mapped)
 	}
 }

@@ -3,9 +3,11 @@ package pipeline_test
 // Randomized determinism testing of the concurrent analysis scheduler:
 // across ≥50 generated programs, the parallel Analyze must deep-equal the
 // sequential (Workers=1) oracle for every worker count, and region-level
-// fan-out (AnalyzeLoopRegions) must match a hand-rolled sequential sweep.
+// fan-out (AnalyzeLoopRegionsLiveCtx) must match a hand-rolled sequential
+// sweep.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 )
 
 // TestRandomProgramsParallelDeterminism is the scheduler's property test:
@@ -24,7 +27,7 @@ func TestRandomProgramsParallelDeterminism(t *testing.T) {
 	for seed := int64(1000); seed < 1000+programs; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			src := generateProgram(seed)
+			src := testprog.Random(seed)
 			_, _, tr, err := pipeline.CompileAndTrace(fmt.Sprintf("par%d.c", seed), src)
 			if err != nil {
 				t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
@@ -68,12 +71,12 @@ void main() {
   print(s);
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("regions.c", src)
+	mod, _, tr, err := pipeline.CompileAndTrace("regions.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const innerLine = 13 // for (j = 1; ...) keyword line
-	got, err := pipeline.AnalyzeLoopRegions(tr, innerLine, ddg.Options{}, core.Options{Workers: 4})
+	_, got, err := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, innerLine, ddg.Options{}, core.Options{Workers: 4}, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

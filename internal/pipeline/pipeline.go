@@ -22,17 +22,14 @@ import (
 )
 
 // interpConfig maps a core.Budget onto the interpreter's execution limits,
-// leaving the interpreter defaults in place for unset fields. oracle selects
-// the legacy switch-loop dispatcher instead of the precompiled plan (see
-// core.Options.OracleDispatch); output is bit-for-bit identical either way.
-func interpConfig(b core.Budget, tracer interp.Tracer, countLoops, oracle bool) interp.Config {
+// leaving the interpreter defaults in place for unset fields.
+func interpConfig(b core.Budget, tracer interp.Tracer, countLoops bool) interp.Config {
 	return interp.Config{
 		Tracer:          tracer,
 		CountLoopCycles: countLoops,
 		MaxSteps:        b.MaxSteps,
 		MaxDepth:        b.MaxDepth,
 		StackSize:       b.MaxStackBytes,
-		Oracle:          oracle,
 	}
 }
 
@@ -80,20 +77,14 @@ func Run(mod *ir.Module, countLoops bool) (*interp.Result, error) {
 func RunCtx(ctx context.Context, mod *ir.Module, countLoops bool, budget core.Budget) (*interp.Result, error) {
 	ctx, sp := obs.StartSpan(ctx, "interp")
 	defer sp.End()
-	m := interp.New(mod, interpConfig(budget, nil, countLoops, false))
+	m := interp.New(mod, interpConfig(budget, nil, countLoops))
 	return m.RunContext(ctx, "main")
 }
 
 // Trace executes the module's main function under full instrumentation and
 // returns both the execution summary and the captured trace.
 func Trace(mod *ir.Module) (*interp.Result, *trace.Trace, error) {
-	return TraceCtx(context.Background(), mod, core.Budget{})
-}
-
-// TraceCtx is Trace with cooperative cancellation and the budget's
-// interpreter limits applied.
-func TraceCtx(ctx context.Context, mod *ir.Module, budget core.Budget) (*interp.Result, *trace.Trace, error) {
-	return TraceCtxOpts(ctx, mod, budget, core.Options{})
+	return TraceCtxOpts(context.Background(), mod, core.Budget{}, core.Options{})
 }
 
 // sinkPool recycles TraceSinks (and so their event backing arrays) across
@@ -101,17 +92,17 @@ func TraceCtx(ctx context.Context, mod *ir.Module, budget core.Budget) (*interp.
 // programs allocates no event storage at all.
 var sinkPool = sync.Pool{New: func() any { return new(interp.TraceSink) }}
 
-// TraceCtxOpts is TraceCtx honoring the analysis options that affect
-// execution: copts.OracleDispatch selects the interpreter's legacy switch
-// loop instead of the precompiled plan. The captured trace is bit-for-bit
-// identical either way.
-func TraceCtxOpts(ctx context.Context, mod *ir.Module, budget core.Budget, copts core.Options) (*interp.Result, *trace.Trace, error) {
+// TraceCtxOpts is Trace with cooperative cancellation and the budget's
+// interpreter limits applied. No analysis option changes what the
+// interpreter records, so the core.Options parameter is ignored; it keeps
+// the call shape of the analysis entry points.
+func TraceCtxOpts(ctx context.Context, mod *ir.Module, budget core.Budget, _ core.Options) (*interp.Result, *trace.Trace, error) {
 	ctx, sp := obs.StartSpan(ctx, "interp")
 	defer sp.End()
 	sink := sinkPool.Get().(*interp.TraceSink)
 	sink.Reset()
 	defer sinkPool.Put(sink)
-	m := interp.New(mod, interpConfig(budget, sink, true, copts.OracleDispatch))
+	m := interp.New(mod, interpConfig(budget, sink, true))
 	res, err := m.RunContext(ctx, "main")
 	if err != nil {
 		return nil, nil, err
@@ -161,53 +152,44 @@ type RegionReport struct {
 	Elapsed time.Duration
 }
 
-// useOnePass reports whether the region-analysis paths run the default
-// one-pass stream kernel (ingest→analyze fused, no materialized graph) or
-// fall back to building the full per-region ddg.Graph. The fallback covers
-// the cases that genuinely need the whole graph — RelaxReductions
-// re-timestamps with graph-wide reduction cuts, and the negative-TileSize
-// legacy oracle — plus an explicit opts.Materialize request (the
-// differential-testing oracle). Output is byte-identical on both routes.
-func useOnePass(copts core.Options) bool {
-	return !copts.Materialize && !copts.RelaxReductions && copts.TileSize >= 0
-}
-
-// analyzeRegionOnePass runs one region's events through a pooled stream
-// kernel: the fused ingest→analyze pass. Cancellation is polled at the
-// scanner's granularity, but only from the second poll window on — regions
-// shorter than the poll interval behave exactly like the materialized
-// AnalyzeCtx, which for a candidate-free region succeeds even on a canceled
-// context.
-func analyzeRegionOnePass(ctx context.Context, mod *ir.Module, events []trace.Event, dopts ddg.Options, copts core.Options, rec *obs.Recorder) (*core.Report, error) {
-	k := core.AcquireStreamKernel(mod, dopts, copts, rec)
+// AnalyzeRegion analyzes one region sub-trace: its events run through a
+// pooled one-pass stream kernel (the fused ingest→analyze pass, no graph),
+// except under RelaxReductions, whose graph-wide reduction cuts need the
+// region's materialized ddg.Graph. It is the single-region building block
+// behind the single-instance entry points and the report package's
+// representative-region sampling. Cancellation is polled at the scanner's
+// granularity, but only from the second poll window on — regions shorter
+// than the poll interval behave exactly like AnalyzeCtx on the graph, which
+// for a candidate-free region succeeds even on a canceled context.
+func AnalyzeRegion(ctx context.Context, sub *trace.Trace, dopts ddg.Options, copts core.Options) (*core.Report, error) {
+	if copts.RelaxReductions {
+		return analyzeGraph(ctx, sub, dopts, copts)
+	}
+	rec := obs.FromContext(ctx)
+	k := core.AcquireStreamKernel(sub.Module, dopts, copts, rec)
 	defer k.Release()
 	sw := rec.StartTimer("tile-sweep")
-	for i, ev := range events {
+	var err error
+	for i, ev := range sub.Events {
 		if i%4096 == 4095 {
-			if err := core.Canceled(ctx); err != nil {
-				sw.Stop()
-				return nil, err
+			if err = core.Canceled(ctx); err != nil {
+				break
 			}
 		}
-		if err := k.Feed(ev.ID, ev.Addr); err != nil {
-			sw.Stop()
-			return nil, err
+		if err = k.Feed(ev.ID, ev.Addr); err != nil {
+			break
 		}
 	}
 	sw.Stop()
+	if err != nil {
+		return nil, err
+	}
 	return k.Finish(ctx)
 }
 
-// AnalyzeRegion analyzes one region sub-trace through the default route:
-// the one-pass stream kernel when copts allows it (see useOnePass), the
-// materialized ddg.Graph otherwise. It is the single-region building block
-// behind the region fan-outs here and the report package's
-// representative-region sampling; both routes produce byte-identical
-// reports.
-func AnalyzeRegion(ctx context.Context, sub *trace.Trace, dopts ddg.Options, copts core.Options) (*core.Report, error) {
-	if useOnePass(copts) {
-		return analyzeRegionOnePass(ctx, sub.Module, sub.Events, dopts, copts, obs.FromContext(ctx))
-	}
+// analyzeGraph is the materialized route: build the region's ddg.Graph and
+// run the §3 analysis over it.
+func analyzeGraph(ctx context.Context, sub *trace.Trace, dopts ddg.Options, copts core.Options) (*core.Report, error) {
 	g, err := ddg.BuildOpts(sub, dopts)
 	if err != nil {
 		return nil, err
@@ -215,110 +197,23 @@ func AnalyzeRegion(ctx context.Context, sub *trace.Trace, dopts ddg.Options, cop
 	return core.AnalyzeCtx(ctx, g, copts)
 }
 
-// labelRegionErrors attributes ParallelFor unit failures (recovered panics)
-// to their region slots: each recovered *UnitError gains the "region" label
-// and lands in its region's Err field unless a more specific error is
-// already recorded there.
-func labelRegionErrors(err error, out []RegionReport) {
-	for _, ue := range core.UnitErrors(err) {
-		if ue.Kind == "" {
-			ue.Kind = "region"
-			ue.ID = int64(ue.Unit)
-		}
-		if ue.Unit < len(out) && out[ue.Unit].Err == nil {
-			out[ue.Unit].Err = ue
-		}
-	}
-}
-
-// AnalyzeLoopRegions analyzes every dynamic execution (sub-trace region) of
-// the loop whose "for"/"while" keyword is on the given source line. By
-// default each region's events run straight through the one-pass stream
-// kernel (no per-region graph is materialized); the materialized-graph
-// route remains selectable via copts (see useOnePass) and produces
-// byte-identical output. Regions are independent, so their analysis fans
-// out across copts.WorkerCount() workers. Region-level
-// parallelism outranks instruction-level parallelism (regions are the
-// coarser independent unit), so each region's Analyze runs with Workers=1;
-// the remaining copts — including TileSize, so each region's sweep runs
-// through the fused tiled kernel — pass through unchanged. Results land in
-// index-addressed slots, making the output deterministic and identical to
-// a sequential region-by-region run.
-func AnalyzeLoopRegions(tr *trace.Trace, line int, dopts ddg.Options, copts core.Options) ([]RegionReport, error) {
-	return AnalyzeLoopRegionsCtx(context.Background(), tr, line, dopts, copts)
-}
-
-// AnalyzeLoopRegionsCtx is AnalyzeLoopRegions with cooperative cancellation
-// and degrade-gracefully error handling: a region whose DDG construction or
-// analysis fails records its error in its own RegionReport.Err slot while
-// every other region is still analyzed, and the joined per-region errors
-// come back as the summary error. Cancellation stops dispatching further
-// regions and the summary error wraps core.ErrCanceled.
-func AnalyzeLoopRegionsCtx(ctx context.Context, tr *trace.Trace, line int, dopts ddg.Options, copts core.Options) ([]RegionReport, error) {
-	lm := tr.Module.LoopByLine(line)
+// findLoop resolves the loop whose "for"/"while" keyword is on the given
+// source line.
+func findLoop(mod *ir.Module, line int) (*ir.LoopMeta, error) {
+	lm := mod.LoopByLine(line)
 	if lm == nil {
 		return nil, fmt.Errorf("pipeline: no loop on line %d", line)
 	}
-	regions := tr.Regions(lm.ID)
-	if len(regions) == 0 {
-		return nil, fmt.Errorf("pipeline: loop on line %d never executed", line)
-	}
-	out := make([]RegionReport, len(regions))
-	inner := copts
-	inner.Workers = 1
-	ctx, span := obs.StartSpan(ctx, "region-analyze")
-	defer span.End()
-	rec := obs.FromContext(ctx)
-	err := core.ParallelFor(ctx, len(regions), copts.WorkerCount(), func(i int) error {
-		if rec != nil {
-			start := time.Now()
-			defer func() { out[i].Elapsed = time.Since(start) }()
-			rec.Add(obs.RegionsStarted, 1)
-		}
-		rt := rec.StartTimer("region")
-		defer rt.Stop()
-		sub := tr.Slice(regions[i])
-		out[i] = RegionReport{Index: i, Events: sub.Len()}
-		fail := func(err error) error {
-			out[i].Err = fmt.Errorf("pipeline: region %d: %w", i, err)
-			if rec != nil {
-				rec.Add(obs.RegionsFailed, 1)
-				rec.RecordRegionFailure(out[i].Err.Error())
-			}
-			return out[i].Err
-		}
-		var rep *core.Report
-		var err error
-		if useOnePass(inner) {
-			rep, err = analyzeRegionOnePass(ctx, tr.Module, sub.Events, dopts, inner, rec)
-		} else {
-			var g *ddg.Graph
-			g, err = ddg.BuildOpts(sub, dopts)
-			if err != nil {
-				return fail(err)
-			}
-			rep, err = core.AnalyzeCtx(ctx, g, inner)
-		}
-		out[i].Report = rep
-		if err != nil {
-			return fail(err)
-		}
-		if rec != nil {
-			rec.Add(obs.RegionsCompleted, 1)
-		}
-		return nil
-	})
-	labelRegionErrors(err, out)
-	return out, err
+	return lm, nil
 }
 
 // LoopRegion returns the idx-th dynamic sub-trace of the source loop whose
 // "for"/"while" keyword is on the given source line. It returns an error if
 // the loop or region does not exist — e.g. when the loop never executed.
 func LoopRegion(tr *trace.Trace, line, idx int) (*trace.Trace, error) {
-	lm := tr.Module.LoopByLine(line)
-	if lm == nil {
-		return nil, fmt.Errorf("pipeline: no loop on line %d", line)
+	lm, err := findLoop(tr.Module, line)
+	if err != nil {
+		return nil, err
 	}
 	regions := tr.Regions(lm.ID)
 	if idx < 0 || idx >= len(regions) {

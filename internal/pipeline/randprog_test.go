@@ -9,8 +9,6 @@ package pipeline_test
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 
 	"github.com/example/vectrace/internal/baseline"
@@ -18,128 +16,16 @@ import (
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/opt"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
-
-// progGen generates random MiniC programs.
-type progGen struct {
-	rng    *rand.Rand
-	b      strings.Builder
-	arrays []string
-	n      int // array length
-	depth  int
-	loopVs []string
-}
-
-func generateProgram(seed int64) string {
-	g := &progGen{rng: rand.New(rand.NewSource(seed)), n: 8 + rand.New(rand.NewSource(seed)).Intn(5)}
-	numArrays := 2 + g.rng.Intn(3)
-	for i := 0; i < numArrays; i++ {
-		name := fmt.Sprintf("A%d", i)
-		g.arrays = append(g.arrays, name)
-		fmt.Fprintf(&g.b, "double %s[%d];\n", name, g.n)
-	}
-	g.b.WriteString("double acc;\n\nvoid main() {\n  int i;\n  int j;\n  double s;\n  s = 0.5;\n")
-	// Initialization loop so loads never see uninitialized zeros only.
-	fmt.Fprintf(&g.b, "  for (i = 0; i < %d; i++) {\n", g.n)
-	for _, a := range g.arrays {
-		fmt.Fprintf(&g.b, "    %s[i] = %s + 0.25 * i;\n", a, g.constant())
-	}
-	g.b.WriteString("  }\n")
-
-	stmts := 1 + g.rng.Intn(3)
-	for i := 0; i < stmts; i++ {
-		g.loop("i")
-	}
-	g.b.WriteString("  print(s);\n  print(acc);\n")
-	for _, a := range g.arrays {
-		fmt.Fprintf(&g.b, "  print(%s[%d]);\n", a, g.rng.Intn(g.n))
-	}
-	g.b.WriteString("}\n")
-	return g.b.String()
-}
-
-func (g *progGen) constant() string {
-	return fmt.Sprintf("%.3f", 0.1+g.rng.Float64())
-}
-
-// index produces an in-bounds affine index for a loop running [1, n-1).
-func (g *progGen) index(v string) string {
-	switch g.rng.Intn(4) {
-	case 0:
-		return v + " - 1"
-	case 1:
-		return v + " + 1"
-	default:
-		return v
-	}
-}
-
-func (g *progGen) indent() string { return strings.Repeat("  ", g.depth+1) }
-
-func (g *progGen) loop(v string) {
-	// All loops run 1..n-1 so index offsets ±1 stay in bounds.
-	fmt.Fprintf(&g.b, "%sfor (%s = 1; %s < %d; %s++) {\n", g.indent(), v, v, g.n-1, v)
-	g.depth++
-	g.loopVs = append(g.loopVs, v)
-
-	body := 1 + g.rng.Intn(3)
-	for k := 0; k < body; k++ {
-		switch g.rng.Intn(6) {
-		case 0: // array-to-array statement
-			dst := g.arrays[g.rng.Intn(len(g.arrays))]
-			fmt.Fprintf(&g.b, "%s%s[%s] = %s;\n", g.indent(), dst, v, g.expr(v, 2))
-		case 1: // recurrence on the destination array
-			dst := g.arrays[g.rng.Intn(len(g.arrays))]
-			fmt.Fprintf(&g.b, "%s%s[%s] = %s[%s - 1] * %s + %s;\n",
-				g.indent(), dst, v, dst, v, g.constant(), g.expr(v, 1))
-		case 2: // scalar reduction
-			fmt.Fprintf(&g.b, "%ss = s + %s;\n", g.indent(), g.expr(v, 1))
-		case 3: // global accumulator
-			fmt.Fprintf(&g.b, "%sacc = acc + %s;\n", g.indent(), g.expr(v, 1))
-		case 4: // conditional store
-			dst := g.arrays[g.rng.Intn(len(g.arrays))]
-			fmt.Fprintf(&g.b, "%sif (%s[%s] > %s) { %s[%s] = %s; }\n",
-				g.indent(), g.arrays[g.rng.Intn(len(g.arrays))], v, g.constant(),
-				dst, v, g.expr(v, 1))
-		case 5: // nested loop over j (only once, only from an i loop)
-			if v == "i" && g.depth < 2 {
-				g.loop("j")
-			} else {
-				fmt.Fprintf(&g.b, "%ss = s * %s;\n", g.indent(), g.constant())
-			}
-		}
-	}
-	g.loopVs = g.loopVs[:len(g.loopVs)-1]
-	g.depth--
-	fmt.Fprintf(&g.b, "%s}\n", g.indent())
-}
-
-// expr builds a random arithmetic expression over array loads, loop
-// variables, and constants.
-func (g *progGen) expr(v string, depth int) string {
-	if depth <= 0 || g.rng.Intn(3) == 0 {
-		switch g.rng.Intn(4) {
-		case 0:
-			return g.constant()
-		case 1:
-			return "s"
-		default:
-			a := g.arrays[g.rng.Intn(len(g.arrays))]
-			return fmt.Sprintf("%s[%s]", a, g.index(v))
-		}
-	}
-	ops := []string{"+", "-", "*"}
-	op := ops[g.rng.Intn(len(ops))]
-	return fmt.Sprintf("(%s %s %s)", g.expr(v, depth-1), op, g.expr(v, depth-1))
-}
 
 func TestRandomProgramsInvariants(t *testing.T) {
 	const programs = 30
 	for seed := int64(0); seed < programs; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			src := generateProgram(seed)
+			src := testprog.Random(seed)
 			mod, res, tr, err := pipeline.CompileAndTrace(fmt.Sprintf("rand%d.c", seed), src)
 			if err != nil {
 				t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
@@ -250,7 +136,7 @@ func TestRandomProgramsInvariants(t *testing.T) {
 // outputs on arbitrary generated programs and never add work.
 func TestRandomProgramsOptimizerEquivalence(t *testing.T) {
 	for seed := int64(200); seed < 220; seed++ {
-		src := generateProgram(seed)
+		src := testprog.Random(seed)
 		mod, err := pipeline.Compile("p.c", src)
 		if err != nil {
 			t.Fatal(err)
@@ -289,7 +175,7 @@ func TestRandomProgramsOptimizerEquivalence(t *testing.T) {
 // only merge partitions (never split them) for every candidate instruction.
 func TestRandomProgramsRelaxationMonotone(t *testing.T) {
 	for seed := int64(100); seed < 115; seed++ {
-		src := generateProgram(seed)
+		src := testprog.Random(seed)
 		_, _, tr, err := pipeline.CompileAndTrace("r.c", src)
 		if err != nil {
 			t.Fatal(err)

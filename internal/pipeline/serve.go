@@ -1,12 +1,11 @@
 package pipeline
 
-// Job-scoped entry points for the vectraced service: one call that takes a
-// tenant's raw submission (MiniC source text, optionally with a recorded
-// trace) and produces region reports under the job's budget and context.
-// They compose the existing pieces — CompileCtx, the live one-pass
-// analysis, and the format-sniffing trace open with its indexed or
-// sequential region scans — without adding any new analysis semantics, so
-// the reports are byte-identical to the corresponding CLI invocations.
+// Job-scoped entry points: one call that takes a raw submission (MiniC
+// source text, optionally with a recorded trace) and produces region
+// reports under the job's budget and context. The vectraced service and
+// `vectrace analyze` both reach regions through them (or, for trace files
+// on disk, through the same functions AnalyzeTraceBytesCtx composes), so
+// their reports are byte-identical by construction.
 
 import (
 	"bytes"
@@ -21,9 +20,9 @@ import (
 
 // AnalyzeSourceCtx compiles src, executes it under the budget's
 // interpreter limits, and analyzes every dynamic region of the loop on the
-// given source line (instance < 0), or just the requested region. It is
-// the job-scoped equivalent of `vectrace analyze file.c -line N`: same
-// pipeline calls, same error texts, byte-identical reports.
+// given source line (instance < 0) live, without holding the trace, or
+// just the requested region. It backs `vectrace analyze file.c -line N`
+// and the service's source-only jobs alike.
 func AnalyzeSourceCtx(ctx context.Context, filename, src string, line, instance int, dopts ddg.Options, copts core.Options, budget core.Budget) ([]RegionReport, error) {
 	mod, err := CompileCtx(ctx, filename, src)
 	if err != nil {
@@ -41,13 +40,7 @@ func AnalyzeSourceCtx(ctx context.Context, filename, src string, line, instance 
 	if err != nil {
 		return nil, err
 	}
-	rep, err := AnalyzeRegion(ctx, sub, dopts, copts)
-	rr := RegionReport{Index: instance, Events: sub.Len(), Report: rep}
-	if err != nil {
-		rr.Err = fmt.Errorf("pipeline: region %d: %w", instance, err)
-		return []RegionReport{rr}, rr.Err
-	}
-	return []RegionReport{rr}, nil
+	return analyzeInstance(ctx, sub, instance, dopts, copts)
 }
 
 // AnalyzeTraceBytesCtx analyzes a previously recorded trace delivered as a
@@ -75,11 +68,17 @@ func AnalyzeTraceBytesCtx(ctx context.Context, filename, src string, payload []b
 	if err != nil {
 		return nil, err
 	}
+	return analyzeInstance(ctx, sub, instance, dopts, copts)
+}
+
+// analyzeInstance is the single-instance tail of both job entry points:
+// the region's report, with a failure under the "pipeline: region N"
+// prefix the fan-outs use.
+func analyzeInstance(ctx context.Context, sub *trace.Trace, instance int, dopts ddg.Options, copts core.Options) ([]RegionReport, error) {
 	rep, err := AnalyzeRegion(ctx, sub, dopts, copts)
 	rr := RegionReport{Index: instance, Events: sub.Len(), Report: rep}
 	if err != nil {
 		rr.Err = fmt.Errorf("pipeline: region %d: %w", instance, err)
-		return []RegionReport{rr}, rr.Err
 	}
-	return []RegionReport{rr}, nil
+	return []RegionReport{rr}, rr.Err
 }

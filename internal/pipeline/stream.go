@@ -64,7 +64,7 @@ func RecordCtx(ctx context.Context, mod *ir.Module, w io.Writer, budget core.Bud
 	defer sp.End()
 	enc := trace.NewEncoder(w)
 	sink := &encoderSink{enc: enc}
-	m := interp.New(mod, interpConfig(budget, sink, true, false))
+	m := interp.New(mod, interpConfig(budget, sink, true))
 	res, err := m.RunContext(ctx, "main")
 	if err != nil {
 		return nil, err
@@ -78,169 +78,40 @@ func RecordCtx(ctx context.Context, mod *ir.Module, w io.Writer, budget core.Bud
 	return res, nil
 }
 
-// AnalyzeLoopRegionsStream is the bounded-memory counterpart of
-// AnalyzeLoopRegions: it scans src for the dynamic regions of the loop
-// whose "for"/"while" keyword is on the given source line and runs the full
-// per-region analysis as regions arrive. On the default one-pass route,
-// region events flow straight from the scan into pooled stream kernels in
-// bounded chunks — no region is ever materialized — so peak memory scales
-// with the kernels' live working set (O(live addresses × candidates)), not
-// with region length. On the materialized fallback (see useOnePass), at
-// most 2×copts.WorkerCount() regions are materialized at any moment.
+// AnalyzeLoopRegionsStreamCtx scans src for the dynamic regions of the
+// loop whose "for"/"while" keyword is on the given source line and analyzes
+// them as they arrive. Region events flow straight from the scan into the
+// per-region workers in bounded chunks, so peak memory scales with the
+// kernels' live working set (O(live addresses × candidates)), not with
+// region or trace length; only RelaxReductions holds each in-flight
+// region's events, bounding memory by workers × the longest region. Each
+// region's analysis runs with Workers=1 but otherwise inherits copts, and
+// results land in region-index order, so the output is identical for any
+// worker count and tile width.
 //
-// The per-region computation is byte-for-byte the one AnalyzeLoopRegions
-// performs — each region's analysis runs with Workers=1 but otherwise
-// inherits copts — and results land in region-index order, so the output
-// is identical to the in-memory path for any worker count and tile width.
-func AnalyzeLoopRegionsStream(mod *ir.Module, src trace.EventSource, line int, dopts ddg.Options, copts core.Options) ([]RegionReport, error) {
-	return AnalyzeLoopRegionsStreamCtx(context.Background(), mod, src, line, dopts, copts)
-}
-
-// AnalyzeLoopRegionsStreamCtx is AnalyzeLoopRegionsStream with cooperative
-// cancellation and degrade-gracefully error handling. One poisoned region —
-// a DDG that fails to build, an analysis that exhausts its budget, even a
-// worker panic — records its error in its own RegionReport.Err slot while
-// every subsequent region is still scanned and analyzed. The returned
-// summary error joins the per-region errors in region-index order, followed
-// by the scan error (if the stream itself went bad) and the cancellation
-// error; callers inspect causes with errors.Is/errors.As as usual.
-//
-// A scan failure is not fatal to the analysis either: regions that closed
-// before the stream went bad are analyzed and returned alongside the
-// corruption diagnostic, so a truncated multi-gigabyte trace still yields
-// every intact region.
+// Failures degrade per region. One poisoned region — a budget exhausted
+// mid-feed, a graph that fails to build, even a worker panic — records its
+// error in its own RegionReport.Err slot while every other region is still
+// scanned and analyzed. The returned summary error joins the per-region
+// errors in region-index order, followed by the scan error (if the stream
+// itself went bad) and the cancellation error; callers inspect causes with
+// errors.Is/errors.As as usual. A scan failure is not fatal either: regions
+// that closed before the stream went bad are analyzed and returned
+// alongside the corruption diagnostic, so a truncated multi-gigabyte trace
+// still yields every intact region.
 func AnalyzeLoopRegionsStreamCtx(ctx context.Context, mod *ir.Module, src trace.EventSource, line int, dopts ddg.Options, copts core.Options) ([]RegionReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	lm := mod.LoopByLine(line)
-	if lm == nil {
-		return nil, fmt.Errorf("pipeline: no loop on line %d", line)
-	}
-	ctx, span := obs.StartSpan(ctx, "region-analyze")
-	defer span.End()
-	rec := obs.FromContext(ctx)
-	if useOnePass(copts) {
-		return analyzeRegionsOnePassStream(ctx, rec, mod, lm.ID, line, dopts, copts,
-			func(factory trace.SinkFactory) (int, error) {
-				return trace.FeedRegions(ctx, mod, lm.ID, src, factory)
-			})
-	}
-	sc := trace.NewRegionScannerCtx(ctx, mod, lm.ID, src)
-	workers := copts.WorkerCount()
-	inner := copts
-	inner.Workers = 1
-
-	type job struct {
-		idx int
-		sub *trace.Trace
-	}
-	jobs := make(chan job, workers)
-	var (
-		mu  sync.Mutex
-		out []RegionReport
-	)
-	place := func(rr RegionReport) {
-		mu.Lock()
-		defer mu.Unlock()
-		for len(out) <= rr.Index {
-			out = append(out, RegionReport{})
-		}
-		out[rr.Index] = rr
-	}
-	analyzeOne := func(j job) {
-		var start time.Time
-		if rec != nil {
-			start = time.Now()
-			rec.Add(obs.RegionsStarted, 1)
-		}
-		rt := rec.StartTimer("region")
-		rr := RegionReport{Index: j.idx, Events: j.sub.Len()}
-		err := core.Guard(j.idx, "region", int64(j.idx), func() error {
-			g, err := ddg.BuildOpts(j.sub, dopts)
-			if err != nil {
-				return err
-			}
-			rep, err := core.AnalyzeCtx(ctx, g, inner)
-			rr.Report = rep
-			return err
+	return analyzeRegionsOnePassStream(ctx, mod, line, dopts, copts,
+		func(ctx context.Context, loopID int, factory trace.SinkFactory) (int, error) {
+			return trace.FeedRegions(ctx, mod, loopID, src, factory)
 		})
-		if err != nil {
-			rr.Err = fmt.Errorf("pipeline: region %d: %w", j.idx, err)
-			if rec != nil {
-				rec.Add(obs.RegionsFailed, 1)
-				rec.RecordRegionFailure(rr.Err.Error())
-			}
-		} else if rec != nil {
-			rec.Add(obs.RegionsCompleted, 1)
-		}
-		rt.Stop()
-		if rec != nil {
-			rr.Elapsed = time.Since(start)
-			rec.GaugeDec(obs.ResidentRegions)
-		}
-		place(rr)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				analyzeOne(j)
-			}
-		}()
-	}
-	n := 0
-	var scanErr error
-	for {
-		sub, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			scanErr = err
-			if off, ok := trace.CorruptOffset(err); ok {
-				rec.SetCorruptByte(off)
-			}
-			break
-		}
-		select {
-		case jobs <- job{idx: n, sub: sub}:
-			rec.GaugeInc(obs.ResidentRegions, obs.PeakResidentRegions)
-		case <-ctx.Done():
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		n++
-	}
-	close(jobs)
-	wg.Wait()
-	if n == 0 && scanErr == nil && ctx.Err() == nil {
-		return nil, fmt.Errorf("pipeline: loop on line %d never executed", line)
-	}
-	errs := make([]error, 0, 3)
-	for i := range out {
-		if out[i].Err != nil {
-			errs = append(errs, out[i].Err)
-		}
-	}
-	if scanErr != nil {
-		errs = append(errs, scanErr)
-	}
-	if err := core.Canceled(ctx); err != nil {
-		errs = append(errs, err)
-	}
-	return out, errors.Join(errs...)
 }
 
 // streamChunkEvents is the event granularity at which the feed goroutine
 // hands region events to a kernel worker; streamChunkQueue bounds the
-// chunks buffered per in-flight region. Together they are the one-pass
-// path's only event retention — a few thousand events per resident region,
-// independent of region length — and the backpressure that stops the scan
-// from outrunning the kernels.
+// chunks buffered per in-flight region. Together they are the dispatcher's
+// only event retention outside RelaxReductions — a few thousand events per
+// resident region, independent of region length — and the backpressure
+// that stops the scan from outrunning the workers.
 const (
 	streamChunkEvents = 1024
 	streamChunkQueue  = 4
@@ -336,14 +207,26 @@ func (s *onePassSink) Abort() {
 	s.d.open--
 }
 
-// analyzeRegionsOnePassStream is the streaming dispatcher of the one-pass
-// path: drive pushes the trace through a RegionFeed whose sinks hand each
-// open region's events to a dedicated kernel worker. Workers are bounded by
+// analyzeRegionsOnePassStream is the region dispatcher behind every
+// region fan-out: drive pushes the trace through a RegionFeed whose sinks
+// hand each open region's events to a dedicated per-region worker. A worker
+// feeds a pooled StreamKernel; only under RelaxReductions, whose reduction
+// cuts need the whole graph, does it hold the region's events and build
+// that one region's ddg.Graph at close. Workers are bounded by
 // copts.WorkerCount(); nested target regions (recursion into the analyzed
 // loop) oversubscribe the pool rather than block the feed, since an open
 // outer region can only drain while the feed advances.
-func analyzeRegionsOnePassStream(ctx context.Context, rec *obs.Recorder, mod *ir.Module, loopID, line int, dopts ddg.Options, copts core.Options, drive func(trace.SinkFactory) (int, error)) ([]RegionReport, error) {
-	workers := copts.WorkerCount()
+func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line int, dopts ddg.Options, copts core.Options, drive func(context.Context, int, trace.SinkFactory) (int, error)) ([]RegionReport, error) {
+	lm, err := findLoop(mod, line)
+	if err != nil {
+		return nil, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, span := obs.StartSpan(ctx, "region-analyze")
+	defer span.End()
+	rec := obs.FromContext(ctx)
 	inner := copts
 	inner.Workers = 1
 
@@ -361,24 +244,27 @@ func analyzeRegionsOnePassStream(ctx context.Context, rec *obs.Recorder, mod *ir
 	}
 
 	d := &onePassDispatch{rec: rec}
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, copts.WorkerCount())
 	var wg sync.WaitGroup
 
 	run := func(s *onePassSink) {
 		defer wg.Done()
-		var start time.Time
-		if rec != nil {
-			start = time.Now()
-			rec.Add(obs.RegionsStarted, 1)
+		life := startRegion(rec)
+		var k *core.StreamKernel
+		var held []trace.Event // RelaxReductions: the region's events, for its graph
+		if !inner.RelaxReductions {
+			k = core.AcquireStreamKernel(mod, dopts, inner, rec)
 		}
-		rt := rec.StartTimer("region")
-		k := core.AcquireStreamKernel(mod, dopts, inner, rec)
 		events := 0
 		var feedErr error
 		for chunk := range s.ch {
-			// Chunks keep draining after a feed error (the region is
-			// degraded, not the stream): stopping would deadlock the feed.
-			if feedErr == nil {
+			switch {
+			case k == nil:
+				// Held events stay counted as retained until the region ends.
+				held = append(held, chunk...)
+			case feedErr == nil:
+				// Chunks keep draining after a feed error (the region is
+				// degraded, not the stream): stopping would deadlock the feed.
 				sw := rec.StartTimer("tile-sweep")
 				feedErr = core.Guard(0, "region", -1, func() error {
 					for _, ev := range chunk {
@@ -390,60 +276,49 @@ func analyzeRegionsOnePassStream(ctx context.Context, rec *obs.Recorder, mod *ir
 				})
 				sw.Stop()
 			}
+			if k != nil {
+				d.outstanding.Add(-int64(len(chunk)))
+			}
 			events += len(chunk)
-			d.outstanding.Add(-int64(len(chunk)))
 			d.putChunk(chunk)
 		}
-		if s.aborted {
-			// The stream failed or was canceled while this region was open:
-			// it has no close index and no report slot. Counting it failed
-			// keeps the lifecycle balance started == completed + failed.
-			k.Release()
-			rt.Stop()
-			if rec != nil {
-				rec.Add(obs.RegionsFailed, 1)
-				rec.GaugeDec(obs.ResidentRegions)
-			}
-			if s.hasSem {
-				<-sem
-			}
-			return
-		}
-		idx := s.idx
-		rr := RegionReport{Index: idx, Events: events}
+		rr := RegionReport{Index: s.idx, Events: events}
 		err := feedErr
-		if err == nil {
-			err = core.Guard(idx, "region", int64(idx), func() error {
-				rep, ferr := k.Finish(ctx)
-				rr.Report = rep
+		switch {
+		case s.aborted:
+			// The stream failed or was canceled while this region was open:
+			// it has no close index and no report slot.
+		case err == nil:
+			err = core.Guard(s.idx, "region", int64(s.idx), func() error {
+				var ferr error
+				if k != nil {
+					rr.Report, ferr = k.Finish(ctx)
+				} else {
+					rr.Report, ferr = analyzeGraph(ctx, &trace.Trace{Module: mod, Events: held}, dopts, inner)
+				}
 				return ferr
 			})
-		} else {
+		default:
 			// The feed ran before the close index existed; patch the
 			// placeholder labels of any recovered panic.
 			for _, ue := range core.UnitErrors(err) {
 				if ue.Kind == "region" && ue.ID == -1 {
-					ue.Unit = idx
-					ue.ID = int64(idx)
+					ue.Unit = s.idx
+					ue.ID = int64(s.idx)
 				}
 			}
 		}
-		k.Release()
-		if err != nil {
-			rr.Err = fmt.Errorf("pipeline: region %d: %w", idx, err)
-			if rec != nil {
-				rec.Add(obs.RegionsFailed, 1)
-				rec.RecordRegionFailure(rr.Err.Error())
-			}
-		} else if rec != nil {
-			rec.Add(obs.RegionsCompleted, 1)
+		if k != nil {
+			k.Release()
 		}
-		rt.Stop()
-		if rec != nil {
-			rr.Elapsed = time.Since(start)
-			rec.GaugeDec(obs.ResidentRegions)
+		d.outstanding.Add(-int64(len(held)))
+		if s.aborted {
+			life.abort()
+		} else {
+			life.finish(&rr, err)
+			place(rr)
 		}
-		place(rr)
+		rec.GaugeDec(obs.ResidentRegions)
 		if s.hasSem {
 			<-sem
 		}
@@ -479,20 +354,68 @@ func analyzeRegionsOnePassStream(ctx context.Context, rec *obs.Recorder, mod *ir
 		return s
 	}
 
-	closed, scanErr := drive(factory)
+	closed, scanErr := drive(ctx, lm.ID, factory)
 	wg.Wait()
-	if scanErr != nil {
-		if off, ok := trace.CorruptOffset(scanErr); ok {
-			rec.SetCorruptByte(off)
-		}
+	if off, ok := trace.CorruptOffset(scanErr); ok {
+		rec.SetCorruptByte(off)
 	}
 	if closed == 0 && scanErr == nil && ctx.Err() == nil {
 		return nil, fmt.Errorf("pipeline: loop on line %d never executed", line)
 	}
+	return collectRegions(ctx, out, scanErr)
+}
+
+// regionRun is one region's lifecycle bookkeeping, shared by the streaming
+// dispatcher and the indexed scan: the started/completed/failed counters,
+// the "region" stage timer, the first-failure record, and Elapsed.
+type regionRun struct {
+	rec   *obs.Recorder
+	timer obs.Timer
+	start time.Time
+}
+
+func startRegion(rec *obs.Recorder) regionRun {
+	r := regionRun{rec: rec}
+	if rec != nil {
+		r.start = time.Now()
+		rec.Add(obs.RegionsStarted, 1)
+	}
+	r.timer = rec.StartTimer("region")
+	return r
+}
+
+// finish settles rr with the region's outcome: a non-nil err lands in
+// rr.Err under the "pipeline: region N" prefix and counts as a failure.
+func (r regionRun) finish(rr *RegionReport, err error) {
+	if err != nil {
+		rr.Err = fmt.Errorf("pipeline: region %d: %w", rr.Index, err)
+		if r.rec != nil {
+			r.rec.Add(obs.RegionsFailed, 1)
+			r.rec.RecordRegionFailure(rr.Err.Error())
+		}
+	} else if r.rec != nil {
+		r.rec.Add(obs.RegionsCompleted, 1)
+	}
+	r.timer.Stop()
+	if r.rec != nil {
+		rr.Elapsed = time.Since(r.start)
+	}
+}
+
+// abort settles a region that never closed (the stream failed or was
+// canceled while it was open). Counting it failed keeps the lifecycle
+// balance started == completed + failed.
+func (r regionRun) abort() {
+	r.timer.Stop()
+	r.rec.Add(obs.RegionsFailed, 1)
+}
+
+// collectRegions finishes a region fan-out: on cancellation the reports are
+// truncated at the first unfilled slot, so the returned prefix is dense,
+// and the summary error joins the per-region errors in index order, then
+// scanErr, then the cancellation error.
+func collectRegions(ctx context.Context, out []RegionReport, scanErr error) ([]RegionReport, error) {
 	if ctx.Err() != nil {
-		// Inert sinks (cancellation during worker-slot wait) consume a close
-		// index without placing a report; truncate at the first hole so the
-		// returned prefix is dense.
 		for i := range out {
 			if out[i].Report == nil && out[i].Err == nil {
 				out = out[:i]
@@ -543,45 +466,19 @@ func (s *feedTracer) ExecBatch(events []interp.Event) {
 	}
 }
 
-// AnalyzeLoopRegionsLive executes the module's main function and analyzes
-// the dynamic regions of the loop on the given source line as the program
-// runs: the fully fused record→scan→analyze pipeline with no trace
-// materialized at any layer.
-func AnalyzeLoopRegionsLive(mod *ir.Module, line int, dopts ddg.Options, copts core.Options, budget core.Budget) (*interp.Result, []RegionReport, error) {
-	return AnalyzeLoopRegionsLiveCtx(context.Background(), mod, line, dopts, copts, budget)
-}
-
-// AnalyzeLoopRegionsLiveCtx is AnalyzeLoopRegionsLive with cooperative
-// cancellation. Region reports are byte-identical to tracing first and
-// running AnalyzeLoopRegionsCtx over the captured trace. When copts selects
-// the materialized fallback (see useOnePass), the trace is captured
-// in-memory first — the graph-based analyses need it anyway.
+// AnalyzeLoopRegionsLiveCtx executes the module's main function and
+// analyzes the dynamic regions of the loop on the given source line as the
+// program runs: the fully fused record→scan→analyze pipeline, with no
+// trace materialized at any layer. Region reports are byte-identical to
+// recording the trace and running AnalyzeLoopRegionsStreamCtx over it.
 func AnalyzeLoopRegionsLiveCtx(ctx context.Context, mod *ir.Module, line int, dopts ddg.Options, copts core.Options, budget core.Budget) (*interp.Result, []RegionReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if !useOnePass(copts) {
-		res, tr, err := TraceCtxOpts(ctx, mod, budget, copts)
-		if err != nil {
-			return nil, nil, err
-		}
-		regs, err := AnalyzeLoopRegionsCtx(ctx, tr, line, dopts, copts)
-		return res, regs, err
-	}
-	lm := mod.LoopByLine(line)
-	if lm == nil {
-		return nil, nil, fmt.Errorf("pipeline: no loop on line %d", line)
-	}
-	ctx, span := obs.StartSpan(ctx, "region-analyze")
-	defer span.End()
-	rec := obs.FromContext(ctx)
 	var res *interp.Result
-	regs, err := analyzeRegionsOnePassStream(ctx, rec, mod, lm.ID, line, dopts, copts,
-		func(factory trace.SinkFactory) (int, error) {
-			feed := trace.NewRegionFeed(ctx, mod, lm.ID, factory)
+	regs, err := analyzeRegionsOnePassStream(ctx, mod, line, dopts, copts,
+		func(ctx context.Context, loopID int, factory trace.SinkFactory) (int, error) {
+			feed := trace.NewRegionFeed(ctx, mod, loopID, factory)
 			sink := &feedTracer{feed: feed}
 			ictx, sp := obs.StartSpan(ctx, "interp")
-			m := interp.New(mod, interpConfig(budget, sink, true, copts.OracleDispatch))
+			m := interp.New(mod, interpConfig(budget, sink, true))
 			r, rerr := m.RunContext(ictx, "main")
 			sp.End()
 			res = r
@@ -601,9 +498,9 @@ func AnalyzeLoopRegionsLiveCtx(ctx context.Context, mod *ir.Module, line int, do
 // much of the stream as needed to materialize it. Memory stays bounded by
 // the largest region even when the requested region is deep into the trace.
 func LoopRegionStream(mod *ir.Module, src trace.EventSource, line, idx int) (*trace.Trace, error) {
-	lm := mod.LoopByLine(line)
-	if lm == nil {
-		return nil, fmt.Errorf("pipeline: no loop on line %d", line)
+	lm, err := findLoop(mod, line)
+	if err != nil {
+		return nil, err
 	}
 	sc := trace.NewRegionScanner(mod, lm.ID, src)
 	n := 0

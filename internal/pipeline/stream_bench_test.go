@@ -8,6 +8,7 @@ package pipeline_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -103,7 +104,7 @@ func BenchmarkStreamingAnalyze(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := peakLiveBytes(func() {
 					dec := trace.NewDecoder(bytes.NewReader(encoded))
-					if _, err := pipeline.AnalyzeLoopRegionsStream(mod, dec, repeatedKernelLoopLine, ddg.Options{}, core.Options{Workers: 1}); err != nil {
+					if _, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, dec, repeatedKernelLoopLine, ddg.Options{}, core.Options{Workers: 1}); err != nil {
 						b.Fatal(err)
 					}
 				})
@@ -133,8 +134,8 @@ func BenchmarkInMemoryAnalyze(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					tr := &trace.Trace{Module: mod, Events: events}
-					if _, err := pipeline.AnalyzeLoopRegions(tr, repeatedKernelLoopLine, ddg.Options{}, core.Options{Workers: 1}); err != nil {
+					if _, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, &trace.SliceSource{Events: events},
+						repeatedKernelLoopLine, ddg.Options{}, core.Options{Workers: 1}); err != nil {
 						b.Fatal(err)
 					}
 				})

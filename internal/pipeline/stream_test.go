@@ -1,14 +1,15 @@
 package pipeline_test
 
-// Streaming-vs-in-memory equivalence: the bounded-memory path through
-// RegionScanner/AnalyzeLoopRegionsStream must produce byte-identical
-// reports to the resident-slice path, for arbitrary generated programs,
-// every loop, and every worker count — and, since per-region analysis runs
-// through the fused tiled kernel, across tile widths (including the legacy
-// per-candidate oracle, TileSize < 0, which both paths must also match).
+// Streaming-vs-in-memory equivalence: the bounded-memory streaming path
+// (AnalyzeLoopRegionsStreamCtx) must produce byte-identical reports to the
+// resident-slice reference (referenceRegions: each region's graph built
+// and analyzed on its own), for arbitrary generated programs, every loop,
+// and every worker count — and across tile widths, each of which must also
+// match the reference at the automatic width.
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
@@ -33,13 +35,13 @@ func TestStreamingMatchesInMemoryRandomPrograms(t *testing.T) {
 	const programs = 12
 	workerCounts := []int{1, 3, 8}
 	// Tile widths cycle with (seed, workers) rather than multiplying the
-	// matrix: every width — auto, the test widths, and the per-candidate
-	// oracle — is exercised against several programs and worker counts.
-	tileSizes := []int{0, 1, 2, 7, 64, -1}
+	// matrix: every width — auto and the test widths — is exercised against
+	// several programs and worker counts.
+	tileSizes := []int{0, 1, 2, 7, 64}
 	for seed := int64(0); seed < programs; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			src := generateProgram(seed)
+			src := testprog.Random(seed)
 			mod, _, tr, err := pipeline.CompileAndTrace(fmt.Sprintf("s%d.c", seed), src)
 			if err != nil {
 				t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
@@ -47,22 +49,21 @@ func TestStreamingMatchesInMemoryRandomPrograms(t *testing.T) {
 			encoded := encodeTrace(t, tr)
 			dopts := ddg.Options{}
 			for _, lm := range mod.Loops {
-				// Region-level oracle: the sequential per-candidate kernel.
-				oracle, oracleErr := pipeline.AnalyzeLoopRegions(tr, lm.Line, dopts,
-					core.Options{Workers: 1, TileSize: -1})
+				// Region-level oracle: the reference at the automatic width.
+				oracle, oracleErr := referenceRegions(tr, lm.Line, dopts, core.Options{Workers: 1})
 				for wi, w := range workerCounts {
 					copts := core.Options{Workers: w, TileSize: tileSizes[(int(seed)+wi)%len(tileSizes)]}
-					want, wantErr := pipeline.AnalyzeLoopRegions(tr, lm.Line, dopts, copts)
+					want, wantErr := referenceRegions(tr, lm.Line, dopts, copts)
 					if (wantErr == nil) != (oracleErr == nil) {
 						t.Fatalf("loop line %d tile %d: oracle err %v, fused err %v",
 							lm.Line, copts.TileSize, oracleErr, wantErr)
 					}
 					if wantErr == nil && !reflect.DeepEqual(want, oracle) {
-						t.Fatalf("loop line %d tile %d workers %d: fused region reports differ from per-candidate oracle",
+						t.Fatalf("loop line %d tile %d workers %d: region reports differ from the automatic-width oracle",
 							lm.Line, copts.TileSize, w)
 					}
 					dec := trace.NewDecoder(bytes.NewReader(encoded))
-					got, gotErr := pipeline.AnalyzeLoopRegionsStream(mod, dec, lm.Line, dopts, copts)
+					got, gotErr := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, dec, lm.Line, dopts, copts)
 					if (wantErr == nil) != (gotErr == nil) {
 						t.Fatalf("loop line %d workers %d: in-memory err %v, streaming err %v",
 							lm.Line, w, wantErr, gotErr)
@@ -100,7 +101,7 @@ func TestStreamingMatchesInMemoryRandomPrograms(t *testing.T) {
 // TestLoopRegionStreamMatches: the single-region streaming lookup agrees
 // with the in-memory one, including error text for out-of-range indices.
 func TestLoopRegionStreamMatches(t *testing.T) {
-	src := generateProgram(42)
+	src := testprog.Random(42)
 	mod, _, tr, err := pipeline.CompileAndTrace("s.c", src)
 	if err != nil {
 		t.Fatal(err)
@@ -169,9 +170,9 @@ void main() {
 	}
 	encoded := encodeTrace(t, tr)
 	for _, lm := range mod.Loops {
-		want, wantErr := pipeline.AnalyzeLoopRegions(tr, lm.Line, ddg.Options{}, core.Options{Workers: 4})
+		want, wantErr := referenceRegions(tr, lm.Line, ddg.Options{}, core.Options{Workers: 4})
 		dec := trace.NewDecoder(bytes.NewReader(encoded))
-		got, gotErr := pipeline.AnalyzeLoopRegionsStream(mod, dec, lm.Line, ddg.Options{}, core.Options{Workers: 4})
+		got, gotErr := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, dec, lm.Line, ddg.Options{}, core.Options{Workers: 4})
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("loop line %d: errors differ: %v vs %v", lm.Line, wantErr, gotErr)
 		}

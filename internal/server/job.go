@@ -78,6 +78,7 @@ type JobSpec struct {
 	Table int `json:"table,omitempty"`
 	// Workers / Tile / ScanWorkers tune the analysis exactly like the CLI
 	// flags of the same names; output bytes are identical for any values.
+	// Tile must not be negative.
 	Workers     int `json:"workers,omitempty"`
 	Tile        int `json:"tile,omitempty"`
 	ScanWorkers int `json:"scan_workers,omitempty"`
@@ -120,6 +121,9 @@ func (sp *JobSpec) validate(hasSource, hasTrace bool) error {
 	}
 	if sp.Filename == "" {
 		sp.Filename = "prog.c"
+	}
+	if sp.Tile < 0 {
+		return fmt.Errorf("config tile must be >= 0 (0 = auto), got %d", sp.Tile)
 	}
 	if sp.TimeoutMs < 0 || sp.MaxSteps < 0 || sp.MaxDepth < 0 || sp.MaxStackBytes < 0 || sp.MaxAnalysisBytes < 0 {
 		return fmt.Errorf("limits must be non-negative")

@@ -721,6 +721,44 @@ func TestUploadGuards(t *testing.T) {
 	}
 }
 
+// TestNegativeTileRejected: "tile" selects the fused kernel's width and has
+// no negative values, so a negative one is a bad request naming the field —
+// and it is rejected before admission, leaving no job and no reserved slot.
+func TestNegativeTileRejected(t *testing.T) {
+	s := newTestServer(t, Config{Queue: 2, Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	ct, body := multipartBody(t, JobSpec{Line: sampleLine, Tile: -1}, sampleProgram, nil)
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", ct, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("tile -1: status %d, want 400", resp.StatusCode)
+	}
+	var doc errorDoc
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(doc.Error, "tile") {
+		t.Fatalf("rejection %q does not name the tile field", doc.Error)
+	}
+	if got := s.rec.Get(obs.JobsAdmitted); got != 0 {
+		t.Fatalf("jobs_admitted = %d after a rejected submission, want 0", got)
+	}
+	s.mu.Lock()
+	registered := len(s.jobs)
+	s.mu.Unlock()
+	if registered != 0 {
+		t.Fatalf("%d jobs registered after a rejected submission, want 0", registered)
+	}
+	if d := s.QueueDepth(); d != 0 {
+		t.Fatalf("queue depth after the rejection = %d, want 0", d)
+	}
+}
+
 // TestCacheSingleFlight pins the single-flight semantics directly on the
 // cache: concurrent identical computations coalesce onto one leader, a
 // failing leader is never cached, and its waiters retry.
