@@ -440,11 +440,12 @@ func analyzeCmd(file, src string, rest []string) error {
 
 		if *line != 0 && (*instance < 0 || !*compare) {
 			// Region analyses go through the entry points vectraced's job
-			// engine uses (pipeline.AnalyzeSourceCtx, and for trace files the
-			// functions pipeline.AnalyzeTraceBytesCtx composes), so the report
-			// bytes match the service's. A program runs live: all-regions
-			// analyses never hold its trace. Trace files stream region by
-			// region, or seek and fan out across -scan-workers when indexed.
+			// engine uses (pipeline.AnalyzeSourceCtx, and for trace files
+			// pipeline.AnalyzeOpened, which pipeline.AnalyzeTraceBytesCtx
+			// wraps), so the report bytes match the service's. A program
+			// runs live and never holds its trace. Trace files stream region
+			// by region, or seek and fan out across -scan-workers when
+			// indexed.
 			regs, err := func() ([]pipeline.RegionReport, error) {
 				if *traceFile == "" {
 					return pipeline.AnalyzeSourceCtx(ctx, file, src, *line, *instance, opts, copts, core.Budget{})
@@ -458,19 +459,7 @@ func analyzeCmd(file, src string, rest []string) error {
 					return nil, err
 				}
 				defer f.Close()
-				if *instance < 0 {
-					return pipeline.AnalyzeLoopRegionsOpened(ctx, o, mod, *line, opts, copts, tf.ScanWorkers)
-				}
-				sub, err := pipeline.LoopRegionOpened(o, mod, *line, *instance)
-				if err != nil {
-					return nil, err
-				}
-				rep, err := pipeline.AnalyzeRegion(ctx, sub, opts, copts)
-				rr := pipeline.RegionReport{Index: *instance, Events: sub.Len(), Report: rep}
-				if err != nil {
-					rr.Err = fmt.Errorf("pipeline: region %d: %w", *instance, err)
-				}
-				return []pipeline.RegionReport{rr}, rr.Err
+				return pipeline.AnalyzeOpened(ctx, o, mod, *line, *instance, opts, copts, tf.ScanWorkers)
 			}()
 			if *instance < 0 {
 				printRegions(regs, err)
@@ -494,7 +483,7 @@ func analyzeCmd(file, src string, rest []string) error {
 			}
 			defer f.Close()
 			if *line != 0 {
-				tr, err = pipeline.LoopRegionOpened(o, mod, *line, *instance)
+				tr, err = pipeline.LoopRegionStream(ctx, mod, o.Source(), *line, *instance)
 			} else {
 				var events []trace.Event
 				events, err = trace.ReadAll(o.Source())

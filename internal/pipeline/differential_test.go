@@ -192,9 +192,9 @@ func TestDifferentialCounterParity(t *testing.T) {
 }
 
 // TestInstanceSeekReadsOnlyCoveringBlocks pins the `analyze -instance K`
-// acceptance criterion at the pipeline layer: materializing one region of a
-// many-block container through the opened-trace path decodes only the
-// blocks its indexed byte range covers.
+// acceptance criterion at the pipeline layer: analyzing one region of a
+// many-block container through the opened-trace entry point decodes only
+// the blocks its indexed byte range covers.
 func TestInstanceSeekReadsOnlyCoveringBlocks(t *testing.T) {
 	mod, err := pipeline.Compile("fault.c", testprog.Fault)
 	if err != nil {
@@ -218,15 +218,15 @@ func TestInstanceSeekReadsOnlyCoveringBlocks(t *testing.T) {
 	if total < 8 {
 		t.Fatalf("want a many-block container, got %d blocks", total)
 	}
-	sub, err := pipeline.LoopRegionOpened(o, mod, testprog.FaultInnerLine, 1)
+	regs, err := pipeline.AnalyzeOpened(context.Background(), o, mod, testprog.FaultInnerLine, 1, ddg.Options{}, core.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sub.Events) == 0 {
-		t.Fatal("seek returned an empty region")
+	if len(regs) != 1 || regs[0].Events == 0 {
+		t.Fatalf("seek returned %d regions (%+v)", len(regs), regs)
 	}
 	read := rec.Get(obs.TraceBlocksRead)
-	covering := int64(len(sub.Events)/8 + 2) // 64-byte blocks hold ≥ 8 single-byte events
+	covering := int64(regs[0].Events/8 + 2) // 64-byte blocks hold ≥ 8 single-byte events
 	if read == 0 || read > covering {
 		t.Fatalf("instance seek read %d blocks, want 1..%d of %d", read, covering, total)
 	}
@@ -234,13 +234,17 @@ func TestInstanceSeekReadsOnlyCoveringBlocks(t *testing.T) {
 		t.Fatalf("region_index_hits = %d, want 1", rec.Get(obs.RegionIndexHits))
 	}
 
-	// The sequential oracle agrees on the region's content.
-	want, err := pipeline.LoopRegionStream(mod, trace.NewBlockSource(bytes.NewReader(data), nil), testprog.FaultInnerLine, 1)
+	// The sequential oracle agrees on the region's content and report.
+	want, err := pipeline.LoopRegionStream(context.Background(), mod, trace.NewBlockSource(bytes.NewReader(data), nil), testprog.FaultInnerLine, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sub.Events, want.Events) {
-		t.Fatal("indexed seek and sequential scan disagree on the region's events")
+	rep, err := pipeline.AnalyzeRegion(context.Background(), want, ddg.Options{}, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regs[0].Events != want.Len() || regs[0].Report.String() != rep.String() {
+		t.Fatal("indexed seek and sequential scan disagree on the region")
 	}
 }
 
@@ -277,11 +281,11 @@ func TestDifferentialCLIErrorTexts(t *testing.T) {
 			return err
 		}},
 		{"bad-instance", func(o *trace.Opened) error {
-			_, err := pipeline.LoopRegionOpened(o, mod, testprog.FaultInnerLine, 99)
+			_, err := pipeline.AnalyzeOpened(context.Background(), o, mod, testprog.FaultInnerLine, 99, ddg.Options{}, core.Options{}, 2)
 			return err
 		}},
 		{"negative-instance", func(o *trace.Opened) error {
-			_, err := pipeline.LoopRegionOpened(o, mod, testprog.FaultInnerLine, -1)
+			_, err := pipeline.LoopRegionStream(context.Background(), mod, o.Source(), testprog.FaultInnerLine, -1)
 			return err
 		}},
 	} {

@@ -19,6 +19,7 @@ import (
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
+	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/testprog"
@@ -380,5 +381,97 @@ func TestOnePassAllocsSubLinearInRegionLength(t *testing.T) {
 	if large >= 4*small {
 		t.Fatalf("allocated bytes grew %.2f× for 8× region length — one-pass path is no longer O(live set): %.0f vs %.0f B/op",
 			large/small, large, small)
+	}
+}
+
+// TestInstanceHeapFlatInProgramLength is the instance-job memory gate the
+// CI job runs (VECTRACE_MEM_SMOKE=1): AnalyzeSourceCtx with instance 0
+// analyzes one i-loop region of GaussSeidel(64,T), so its heap peak must
+// not track the program's length. At 4T the peak must stay within 1.5× of
+// the peak at T; a single-instance path that records the whole program
+// first grows by about 40 bytes per interpreted step and fails at once.
+func TestInstanceHeapFlatInProgramLength(t *testing.T) {
+	if os.Getenv("VECTRACE_MEM_SMOKE") == "" {
+		t.Skip("set VECTRACE_MEM_SMOKE=1 to run the memory-regression smoke")
+	}
+	const steps = 12
+	peak := func(T int) uint64 {
+		k := kernels.GaussSeidel(64, T)
+		line, err := k.FindLine("@i-loop")
+		if err != nil {
+			t.Fatal(err)
+		}
+		analyze := func() {
+			regs, err := pipeline.AnalyzeSourceCtx(context.Background(), k.Name+".c", k.Source, line, 0,
+				ddg.Options{}, core.Options{Workers: 1}, core.Budget{})
+			if err != nil || len(regs) != 1 {
+				t.Fatalf("T=%d: %d regions, err %v", T, len(regs), err)
+			}
+		}
+		analyze() // warm the pools
+		return peakLiveBytes(analyze)
+	}
+	small, large := peak(steps), peak(4*steps)
+	t.Logf("heap peak above baseline: T=%d %d B, T=%d %d B (%.2f×)", steps, small, 4*steps, large, float64(large)/float64(max(small, 1)))
+	if float64(large) > 1.5*float64(small) {
+		t.Fatalf("instance-0 heap peak grew %.2f× for 4× program length: %d B at T=%d vs %d B at T=%d",
+			float64(large)/float64(max(small, 1)), large, 4*steps, small, steps)
+	}
+}
+
+// TestRelaxReductionsHeldEventsCharged: the events RelaxReductions holds
+// for a region's graph are charged to MaxAnalysisBytes chunk by chunk.
+// Under a budget only the long last region exceeds, that region alone
+// fails with ErrResourceLimit before its events are all held, every other
+// region's report is byte-identical to the unbudgeted run, and the
+// retained-event peak stops growing at the budget instead of reaching the
+// long region's length.
+func TestRelaxReductionsHeldEventsCharged(t *testing.T) {
+	const src = `
+double s;
+void main() {
+  int t; int i; int n;
+  for (t = 0; t < 4; t++) {
+    n = 40;
+    if (t == 3) { n = 8000; }
+    for (i = 0; i < n; i++) { s = s * 0.5 + 1.0; }
+  }
+}
+`
+	const loopLine = 8
+	mod, err := pipeline.Compile("held.c", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(budget int64) ([]pipeline.RegionReport, error, int64) {
+		rec := obs.New()
+		copts := core.Options{Workers: 2, RelaxReductions: true, Budget: core.Budget{MaxAnalysisBytes: budget}}
+		_, regs, err := pipeline.AnalyzeLoopRegionsLiveCtx(obs.WithRecorder(context.Background(), rec), mod, loopLine, ddg.Options{}, copts, core.Budget{})
+		return regs, err, rec.Get(obs.ScanPeakRetainedEvents)
+	}
+	free, err, freePeak := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(free) != 4 {
+		t.Fatalf("test setup: %d regions, want 4", len(free))
+	}
+	long := int64(free[3].Events)
+	const budget = 256 << 10 // 4096 held events at 64 bytes each
+	if long*64 < 8*budget || int64(free[2].Events)*64 > budget {
+		t.Fatalf("test setup: regions of %d and %d events against a %d-byte budget", free[2].Events, long, budget)
+	}
+	got, err, peak := run(budget)
+	if !errors.Is(err, core.ErrResourceLimit) || !errors.Is(got[3].Err, core.ErrResourceLimit) {
+		t.Fatalf("summary error %v, last region error %v: want ErrResourceLimit", err, got[3].Err)
+	}
+	for i := 0; i < 3; i++ {
+		if got[i].Err != nil || got[i].Report.String() != free[i].Report.String() {
+			t.Fatalf("region %d changed under the budget (err %v)", i, got[i].Err)
+		}
+	}
+	t.Logf("retained peak: %d events unbudgeted, %d under a %d-byte budget (long region %d events)", freePeak, peak, budget, long)
+	if freePeak < long || peak >= long/2 {
+		t.Fatalf("retained peak %d under the budget (unbudgeted %d) did not stop short of the %d-event region", peak, freePeak, long)
 	}
 }

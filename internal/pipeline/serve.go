@@ -4,13 +4,12 @@ package pipeline
 // source text, optionally with a recorded trace) and produces region
 // reports under the job's budget and context. The vectraced service and
 // `vectrace analyze` both reach regions through them (or, for trace files
-// on disk, through the same functions AnalyzeTraceBytesCtx composes), so
+// on disk, through AnalyzeOpened, which AnalyzeTraceBytesCtx wraps), so
 // their reports are byte-identical by construction.
 
 import (
 	"bytes"
 	"context"
-	"fmt"
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
@@ -19,28 +18,17 @@ import (
 )
 
 // AnalyzeSourceCtx compiles src, executes it under the budget's
-// interpreter limits, and analyzes every dynamic region of the loop on the
-// given source line (instance < 0) live, without holding the trace, or
-// just the requested region. It backs `vectrace analyze file.c -line N`
-// and the service's source-only jobs alike.
+// interpreter limits, and analyzes live, without holding the trace, every
+// dynamic region of the loop on the given source line (instance < 0) or
+// just region `instance`. It backs `vectrace analyze file.c -line N` and
+// the service's source-only jobs alike.
 func AnalyzeSourceCtx(ctx context.Context, filename, src string, line, instance int, dopts ddg.Options, copts core.Options, budget core.Budget) ([]RegionReport, error) {
 	mod, err := CompileCtx(ctx, filename, src)
 	if err != nil {
 		return nil, err
 	}
-	if instance < 0 {
-		_, regs, err := AnalyzeLoopRegionsLiveCtx(ctx, mod, line, dopts, copts, budget)
-		return regs, err
-	}
-	_, tr, err := TraceCtxOpts(ctx, mod, budget, copts)
-	if err != nil {
-		return nil, err
-	}
-	sub, err := LoopRegion(tr, line, instance)
-	if err != nil {
-		return nil, err
-	}
-	return analyzeInstance(ctx, sub, instance, dopts, copts)
+	_, regs, err := analyzeLive(ctx, mod, line, instance, dopts, copts, budget)
+	return regs, err
 }
 
 // AnalyzeTraceBytesCtx analyzes a previously recorded trace delivered as a
@@ -61,24 +49,5 @@ func AnalyzeTraceBytesCtx(ctx context.Context, filename, src string, payload []b
 	if err != nil {
 		return nil, err
 	}
-	if instance < 0 {
-		return AnalyzeLoopRegionsOpened(ctx, o, mod, line, dopts, copts, scanWorkers)
-	}
-	sub, err := LoopRegionOpened(o, mod, line, instance)
-	if err != nil {
-		return nil, err
-	}
-	return analyzeInstance(ctx, sub, instance, dopts, copts)
-}
-
-// analyzeInstance is the single-instance tail of both job entry points:
-// the region's report, with a failure under the "pipeline: region N"
-// prefix the fan-outs use.
-func analyzeInstance(ctx context.Context, sub *trace.Trace, instance int, dopts ddg.Options, copts core.Options) ([]RegionReport, error) {
-	rep, err := AnalyzeRegion(ctx, sub, dopts, copts)
-	rr := RegionReport{Index: instance, Events: sub.Len(), Report: rep}
-	if err != nil {
-		rr.Err = fmt.Errorf("pipeline: region %d: %w", instance, err)
-	}
-	return []RegionReport{rr}, rr.Err
+	return AnalyzeOpened(ctx, o, mod, line, instance, dopts, copts, scanWorkers)
 }

@@ -21,29 +21,32 @@ import (
 // tracer sink unchanged; this line fails to compile if they ever diverge.
 var _ = [1]struct{}{}[interp.NoAddr-trace.NoAddr]
 
-// encoderSink streams events straight into a trace.Encoder as the
-// interpreter executes, so recording never materializes the trace.
-type encoderSink struct {
-	enc *trace.Encoder
+// eventSink adapts an event consumer — a trace encoder, a container
+// writer, a region feed — to the interpreter's Tracer, so events flow from
+// the interpreter without being buffered. The first error latches;
+// subsequent events are dropped (the interpreter finishes or is canceled on
+// its own).
+type eventSink struct {
+	put func(trace.Event) error
 	err error
 }
 
 // Exec implements interp.Tracer.
-func (s *encoderSink) Exec(id int32, addr int64) {
+func (s *eventSink) Exec(id int32, addr int64) {
 	if s.err == nil {
-		s.err = s.enc.Write(trace.Event{ID: id, Addr: addr})
+		s.err = s.put(trace.Event{ID: id, Addr: addr})
 	}
 }
 
 // ExecBatch implements interp.BatchTracer: the plan dispatcher hands events
 // over in recycled ~1K chunks, costing one dynamic dispatch per chunk
 // instead of one per event.
-func (s *encoderSink) ExecBatch(events []interp.Event) {
+func (s *eventSink) ExecBatch(events []interp.Event) {
 	for _, ev := range events {
 		if s.err != nil {
 			return
 		}
-		s.err = s.enc.Write(trace.Event{ID: ev.ID, Addr: ev.Addr})
+		s.err = s.put(trace.Event{ID: ev.ID, Addr: ev.Addr})
 	}
 }
 
@@ -60,20 +63,26 @@ func Record(mod *ir.Module, w io.Writer) (*interp.Result, error) {
 // interpreter limits applied. A write failure on w aborts the run rather
 // than silently dropping tail events.
 func RecordCtx(ctx context.Context, mod *ir.Module, w io.Writer, budget core.Budget) (*interp.Result, error) {
+	enc := trace.NewEncoder(w)
+	return record(ctx, mod, budget, enc.Write, enc.Close)
+}
+
+// record runs the module's main function with every event handed to put,
+// then flushes the writer with done: the body of both recording formats.
+func record(ctx context.Context, mod *ir.Module, budget core.Budget, put func(trace.Event) error, done func() error) (*interp.Result, error) {
 	ctx, sp := obs.StartSpan(ctx, "record")
 	defer sp.End()
-	enc := trace.NewEncoder(w)
-	sink := &encoderSink{enc: enc}
+	sink := &eventSink{put: put}
 	m := interp.New(mod, interpConfig(budget, sink, true))
 	res, err := m.RunContext(ctx, "main")
 	if err != nil {
 		return nil, err
 	}
+	if sink.err == nil {
+		sink.err = done()
+	}
 	if sink.err != nil {
 		return nil, fmt.Errorf("pipeline: recording trace: %w", sink.err)
-	}
-	if err := enc.Close(); err != nil {
-		return nil, fmt.Errorf("pipeline: recording trace: %w", err)
 	}
 	return res, nil
 }
@@ -84,10 +93,10 @@ func RecordCtx(ctx context.Context, mod *ir.Module, w io.Writer, budget core.Bud
 // per-region workers in bounded chunks, so peak memory scales with the
 // kernels' live working set (O(live addresses × candidates)), not with
 // region or trace length; only RelaxReductions holds each in-flight
-// region's events, bounding memory by workers × the longest region. Each
-// region's analysis runs with Workers=1 but otherwise inherits copts, and
-// results land in region-index order, so the output is identical for any
-// worker count and tile width.
+// region's events, charged to copts.Budget.MaxAnalysisBytes. Each region's
+// analysis runs with Workers=1 but otherwise inherits copts, and results
+// land in region-index order, so the output is identical for any worker
+// count and tile width.
 //
 // Failures degrade per region. One poisoned region — a budget exhausted
 // mid-feed, a graph that fails to build, even a worker panic — records its
@@ -100,9 +109,16 @@ func RecordCtx(ctx context.Context, mod *ir.Module, w io.Writer, budget core.Bud
 // alongside the corruption diagnostic, so a truncated multi-gigabyte trace
 // still yields every intact region.
 func AnalyzeLoopRegionsStreamCtx(ctx context.Context, mod *ir.Module, src trace.EventSource, line int, dopts ddg.Options, copts core.Options) ([]RegionReport, error) {
-	return analyzeRegionsOnePassStream(ctx, mod, line, dopts, copts,
+	return analyzeStream(ctx, mod, src, line, -1, dopts, copts)
+}
+
+// analyzeStream is the sequential scan behind AnalyzeLoopRegionsStreamCtx
+// and the unindexed trace files, selecting region want (< 0: every
+// region). A selected scan stops reading once region want closes.
+func analyzeStream(ctx context.Context, mod *ir.Module, src trace.EventSource, line, want int, dopts ddg.Options, copts core.Options) ([]RegionReport, error) {
+	return analyzeRegionsOnePassStream(ctx, mod, line, want, dopts, copts,
 		func(ctx context.Context, loopID int, factory trace.SinkFactory) (int, error) {
-			return trace.FeedRegions(ctx, mod, loopID, src, factory)
+			return trace.FeedRegions(ctx, mod, loopID, want, src, factory)
 		})
 }
 
@@ -207,16 +223,39 @@ func (s *onePassSink) Abort() {
 	s.d.open--
 }
 
+// heldEventBytes is the budget charge of one event RelaxReductions holds:
+// the 16-byte trace.Event plus the 48-byte ddg.Node it becomes when the
+// region's graph is built.
+const heldEventBytes = 64
+
+// chargeHeld checks that n held events, and the graph they will become,
+// fit the analysis budget.
+func chargeHeld(n int, b core.Budget) error {
+	if need := int64(n) * heldEventBytes; b.MaxAnalysisBytes > 0 && need > b.MaxAnalysisBytes {
+		return fmt.Errorf("relaxed-reduction region holds %d events, %d bytes with their graph, budget %d: %w",
+			n, need, b.MaxAnalysisBytes, core.ErrResourceLimit)
+	}
+	return nil
+}
+
 // analyzeRegionsOnePassStream is the region dispatcher behind every
-// region fan-out: drive pushes the trace through a RegionFeed whose sinks
-// hand each open region's events to a dedicated per-region worker. A worker
-// feeds a pooled StreamKernel; only under RelaxReductions, whose reduction
-// cuts need the whole graph, does it hold the region's events and build
-// that one region's ddg.Graph at close. Workers are bounded by
-// copts.WorkerCount(); nested target regions (recursion into the analyzed
-// loop) oversubscribe the pool rather than block the feed, since an open
-// outer region can only drain while the feed advances.
-func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line int, dopts ddg.Options, copts core.Options, drive func(context.Context, int, trace.SinkFactory) (int, error)) ([]RegionReport, error) {
+// streamed region analysis: drive pushes the trace through a RegionFeed
+// whose sinks hand each open region's events to a dedicated per-region
+// worker. A worker feeds a pooled StreamKernel; only under RelaxReductions,
+// whose reduction cuts need the whole graph, does it hold the region's
+// events (charged to the analysis budget chunk by chunk) and build that one
+// region's ddg.Graph at close. Workers are bounded by copts.WorkerCount();
+// nested target regions (recursion into the analyzed loop) oversubscribe
+// the pool rather than block the feed, since an open outer region can only
+// drain while the feed advances.
+//
+// want selects one close-order index (want < 0: every region), following
+// the feed's selection rule: a region that closes with another index, or
+// is aborted once region want has closed, is released without a report
+// and without counting in the region lifecycle. The result is then the one
+// report of region want, or the out-of-range error naming how many
+// regions the loop has.
+func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line, want int, dopts ddg.Options, copts core.Options, drive func(context.Context, int, trace.SinkFactory) (int, error)) ([]RegionReport, error) {
 	lm, err := findLoop(mod, line)
 	if err != nil {
 		return nil, err
@@ -237,10 +276,14 @@ func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line int, 
 	place := func(rr RegionReport) {
 		mu.Lock()
 		defer mu.Unlock()
-		for len(out) <= rr.Index {
+		slot := rr.Index
+		if want >= 0 {
+			slot = 0
+		}
+		for len(out) <= slot {
 			out = append(out, RegionReport{})
 		}
-		out[rr.Index] = rr
+		out[slot] = rr
 	}
 
 	d := &onePassDispatch{rec: rec}
@@ -258,13 +301,21 @@ func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line int, 
 		events := 0
 		var feedErr error
 		for chunk := range s.ch {
+			n := int64(len(chunk))
 			switch {
+			case feedErr != nil:
+				// Chunks keep draining after a failure (the region is
+				// degraded, not the stream): stopping would deadlock the feed.
+				d.outstanding.Add(-n)
 			case k == nil:
 				// Held events stay counted as retained until the region ends.
-				held = append(held, chunk...)
-			case feedErr == nil:
-				// Chunks keep draining after a feed error (the region is
-				// degraded, not the stream): stopping would deadlock the feed.
+				if feedErr = chargeHeld(len(held)+len(chunk), inner.Budget); feedErr != nil {
+					d.outstanding.Add(-int64(len(held)) - n)
+					held = nil
+				} else {
+					held = append(held, chunk...)
+				}
+			default:
 				sw := rec.StartTimer("tile-sweep")
 				feedErr = core.Guard(0, "region", -1, func() error {
 					for _, ev := range chunk {
@@ -275,19 +326,19 @@ func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line int, 
 					return nil
 				})
 				sw.Stop()
-			}
-			if k != nil {
-				d.outstanding.Add(-int64(len(chunk)))
+				d.outstanding.Add(-n)
 			}
 			events += len(chunk)
 			d.putChunk(chunk)
 		}
+		keep := want < 0 || s.idx == want // an aborted sink has idx -1
 		rr := RegionReport{Index: s.idx, Events: events}
 		err := feedErr
 		switch {
-		case s.aborted:
-			// The stream failed or was canceled while this region was open:
-			// it has no close index and no report slot.
+		case s.aborted || !keep:
+			// The stream failed or was canceled while this region was open
+			// (it has no close index and no report slot), or the region is
+			// not the selected one.
 		case err == nil:
 			err = core.Guard(s.idx, "region", int64(s.idx), func() error {
 				var ferr error
@@ -312,9 +363,11 @@ func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line int, 
 			k.Release()
 		}
 		d.outstanding.Add(-int64(len(held)))
-		if s.aborted {
+		switch {
+		case !keep:
+		case s.aborted:
 			life.abort()
-		} else {
+		default:
 			life.finish(&rr, err)
 			place(rr)
 		}
@@ -359,15 +412,27 @@ func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line int, 
 	if off, ok := trace.CorruptOffset(scanErr); ok {
 		rec.SetCorruptByte(off)
 	}
-	if closed == 0 && scanErr == nil && ctx.Err() == nil {
-		return nil, fmt.Errorf("pipeline: loop on line %d never executed", line)
+	if scanErr == nil && ctx.Err() == nil {
+		if want >= 0 && closed <= want {
+			return nil, regionRangeError(line, closed, want)
+		}
+		if closed == 0 {
+			return nil, fmt.Errorf("pipeline: loop on line %d never executed", line)
+		}
 	}
 	return collectRegions(ctx, out, scanErr)
 }
 
+// regionRangeError reports a selected region index the loop never reached.
+func regionRangeError(line, n, want int) error {
+	return fmt.Errorf("pipeline: loop on line %d has %d dynamic regions, want index %d", line, n, want)
+}
+
 // regionRun is one region's lifecycle bookkeeping, shared by the streaming
 // dispatcher and the indexed scan: the started/completed/failed counters,
-// the "region" stage timer, the first-failure record, and Elapsed.
+// the "region" stage timer, the first-failure record, and Elapsed. The
+// counters move only when the region settles, so a region the selection
+// rule releases leaves no trace in them.
 type regionRun struct {
 	rec   *obs.Recorder
 	timer obs.Timer
@@ -378,7 +443,6 @@ func startRegion(rec *obs.Recorder) regionRun {
 	r := regionRun{rec: rec}
 	if rec != nil {
 		r.start = time.Now()
-		rec.Add(obs.RegionsStarted, 1)
 	}
 	r.timer = rec.StartTimer("region")
 	return r
@@ -387,6 +451,7 @@ func startRegion(rec *obs.Recorder) regionRun {
 // finish settles rr with the region's outcome: a non-nil err lands in
 // rr.Err under the "pipeline: region N" prefix and counts as a failure.
 func (r regionRun) finish(rr *RegionReport, err error) {
+	r.rec.Add(obs.RegionsStarted, 1)
 	if err != nil {
 		rr.Err = fmt.Errorf("pipeline: region %d: %w", rr.Index, err)
 		if r.rec != nil {
@@ -407,6 +472,7 @@ func (r regionRun) finish(rr *RegionReport, err error) {
 // balance started == completed + failed.
 func (r regionRun) abort() {
 	r.timer.Stop()
+	r.rec.Add(obs.RegionsStarted, 1)
 	r.rec.Add(obs.RegionsFailed, 1)
 }
 
@@ -438,84 +504,98 @@ func collectRegions(ctx context.Context, out []RegionReport, scanErr error) ([]R
 	return out, errors.Join(errs...)
 }
 
-// feedTracer adapts a RegionFeed to the interpreter's Tracer interface, so
-// a live execution feeds the one-pass kernels directly — trace events flow
-// interpreter → region feed → kernel without ever being buffered, encoded,
-// or written anywhere.
-type feedTracer struct {
-	feed *trace.RegionFeed
-	err  error
-}
-
-// Exec implements interp.Tracer. The first feed error latches; subsequent
-// events are dropped (the interpreter finishes or is canceled on its own).
-func (s *feedTracer) Exec(id int32, addr int64) {
-	if s.err == nil {
-		s.err = s.feed.Push(trace.Event{ID: id, Addr: addr})
-	}
-}
-
-// ExecBatch implements interp.BatchTracer for the fully fused live path:
-// interpreter → region feed → kernel, one fan-out call per chunk.
-func (s *feedTracer) ExecBatch(events []interp.Event) {
-	for _, ev := range events {
-		if s.err != nil {
-			return
-		}
-		s.err = s.feed.Push(trace.Event{ID: ev.ID, Addr: ev.Addr})
-	}
-}
-
 // AnalyzeLoopRegionsLiveCtx executes the module's main function and
 // analyzes the dynamic regions of the loop on the given source line as the
 // program runs: the fully fused record→scan→analyze pipeline, with no
 // trace materialized at any layer. Region reports are byte-identical to
 // recording the trace and running AnalyzeLoopRegionsStreamCtx over it.
 func AnalyzeLoopRegionsLiveCtx(ctx context.Context, mod *ir.Module, line int, dopts ddg.Options, copts core.Options, budget core.Budget) (*interp.Result, []RegionReport, error) {
+	return analyzeLive(ctx, mod, line, -1, dopts, copts, budget)
+}
+
+// analyzeLive is AnalyzeLoopRegionsLiveCtx selecting region want (< 0:
+// every region). The program always runs to completion; a selected run
+// stops feeding kernels once region want closes, and a program failure
+// fails it outright, with no regions and the interpreter's own error.
+func analyzeLive(ctx context.Context, mod *ir.Module, line, want int, dopts ddg.Options, copts core.Options, budget core.Budget) (*interp.Result, []RegionReport, error) {
 	var res *interp.Result
-	regs, err := analyzeRegionsOnePassStream(ctx, mod, line, dopts, copts,
+	var runErr error
+	regs, err := analyzeRegionsOnePassStream(ctx, mod, line, want, dopts, copts,
 		func(ctx context.Context, loopID int, factory trace.SinkFactory) (int, error) {
-			feed := trace.NewRegionFeed(ctx, mod, loopID, factory)
-			sink := &feedTracer{feed: feed}
+			feed := trace.NewRegionFeed(ctx, mod, loopID, want, factory)
+			sink := &eventSink{put: feed.Push}
 			ictx, sp := obs.StartSpan(ctx, "interp")
 			m := interp.New(mod, interpConfig(budget, sink, true))
-			r, rerr := m.RunContext(ictx, "main")
+			res, runErr = m.RunContext(ictx, "main")
 			sp.End()
-			res = r
 			if sink.err != nil {
 				return feed.Closed(), sink.err
 			}
-			if rerr != nil {
-				return feed.Closed(), feed.Fail(rerr)
+			if runErr != nil {
+				return feed.Closed(), feed.Fail(runErr)
 			}
 			return feed.Finish()
 		})
+	if want >= 0 && runErr != nil {
+		return res, nil, runErr
+	}
 	return res, regs, err
 }
 
 // LoopRegionStream returns the idx-th dynamic sub-trace of the source loop
 // whose "for"/"while" keyword is on the given source line, reading only as
-// much of the stream as needed to materialize it. Memory stays bounded by
-// the largest region even when the requested region is deep into the trace.
-func LoopRegionStream(mod *ir.Module, src trace.EventSource, line, idx int) (*trace.Trace, error) {
+// much of the stream as needed to materialize it. It runs the region feed
+// under the dispatcher's selection rule, so memory stays bounded by the
+// regions open at once — one, for a loop that does not recurse into
+// itself — even when the requested region is deep into the trace. Their
+// held events count toward the recorder's scan_peak_retained_events.
+func LoopRegionStream(ctx context.Context, mod *ir.Module, src trace.EventSource, line, idx int) (*trace.Trace, error) {
 	lm, err := findLoop(mod, line)
 	if err != nil {
 		return nil, err
 	}
-	sc := trace.NewRegionScanner(mod, lm.ID, src)
-	n := 0
-	for {
-		sub, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if n == idx {
-			return sub, nil
-		}
-		n++
+	c := &regionCapture{rec: obs.FromContext(ctx), want: idx}
+	n, err := trace.FeedRegions(ctx, mod, lm.ID, idx, src, func() trace.RegionSink { return &captureSink{c: c} })
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("pipeline: loop on line %d has %d dynamic regions, want index %d", line, n, idx)
+	if c.got == nil {
+		return nil, regionRangeError(line, n, idx)
+	}
+	return &trace.Trace{Module: mod, Events: c.got}, nil
+}
+
+// regionCapture is LoopRegionStream's shared state: the selected region's
+// events once it closes, and the events its open sinks hold.
+type regionCapture struct {
+	rec  *obs.Recorder
+	want int
+	live int64
+	got  []trace.Event
+}
+
+// captureSink holds one region's events while the region is open.
+type captureSink struct {
+	c      *regionCapture
+	events []trace.Event
+}
+
+func (s *captureSink) Event(ev trace.Event) {
+	s.events = append(s.events, ev)
+	s.c.live++
+}
+
+func (s *captureSink) Close(index int) {
+	if index == s.c.want {
+		s.c.got = s.events
+	}
+	s.Abort()
+}
+
+// Abort releases the sink's events. Held events only grow between
+// releases, so the retained peak is sampled here.
+func (s *captureSink) Abort() {
+	s.c.rec.Max(obs.ScanPeakRetainedEvents, s.c.live)
+	s.c.live -= int64(len(s.events))
+	s.events = nil
 }

@@ -111,7 +111,7 @@ func TestLoopRegionStreamMatches(t *testing.T) {
 		for idx := 0; idx < 4; idx++ {
 			want, wantErr := pipeline.LoopRegion(tr, lm.Line, idx)
 			dec := trace.NewDecoder(bytes.NewReader(encoded))
-			got, gotErr := pipeline.LoopRegionStream(mod, dec, lm.Line, idx)
+			got, gotErr := pipeline.LoopRegionStream(context.Background(), mod, dec, lm.Line, idx)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("loop line %d idx %d: in-memory err %v, streaming err %v",
 					lm.Line, idx, wantErr, gotErr)

@@ -99,8 +99,9 @@ func TestGoldenTraceFormatParity(t *testing.T) {
 
 // TestGoldenInstanceSeek pins the `analyze -instance K` path: seeking one
 // dynamic region of the S2-inner nest through the VTR2 region index must
-// produce the same analysis as scanning a VTR1 stream to that instance —
-// and the rendered report is pinned as a golden.
+// produce the same analysis as scanning a VTR1 stream to that instance,
+// both through the one opened-trace entry point — and the rendered report
+// is pinned as a golden.
 func TestGoldenInstanceSeek(t *testing.T) {
 	k := kernels.Listing1(12)
 	mod, err := pipeline.Compile(k.Name+".c", k.Source)
@@ -127,23 +128,22 @@ func TestGoldenInstanceSeek(t *testing.T) {
 	if o.Container == nil {
 		t.Fatalf("vtr2 file opened without an index: %v", o.IndexErr)
 	}
-	seek, err := pipeline.LoopRegionOpened(o, mod, line, instance)
+	o1, err := trace.OpenTrace(bytes.NewReader(f1.Bytes()), int64(f1.Len()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := pipeline.LoopRegionStream(mod, trace.NewDecoder(bytes.NewReader(f1.Bytes())), line, instance)
-	if err != nil {
-		t.Fatal(err)
+	analyze := func(o *trace.Opened) *core.Report {
+		t.Helper()
+		regs, err := pipeline.AnalyzeOpened(context.Background(), o, mod, line, instance, ddg.Options{}, core.Options{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(regs) != 1 || regs[0].Index != instance {
+			t.Fatalf("instance %d analysis returned %d regions", instance, len(regs))
+		}
+		return regs[0].Report
 	}
-
-	repSeek, err := pipeline.AnalyzeRegion(context.Background(), seek, ddg.Options{}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repScan, err := pipeline.AnalyzeRegion(context.Background(), scan, ddg.Options{}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	repSeek, repScan := analyze(o), analyze(o1)
 	if repSeek.String() != repScan.String() {
 		t.Errorf("indexed seek and sequential scan render different reports:\nseek:\n%s\nscan:\n%s",
 			repSeek.String(), repScan.String())

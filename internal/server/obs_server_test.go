@@ -199,6 +199,9 @@ func TestObservabilityByteIdentity(t *testing.T) {
 	if !bytes.Equal(repFull, repBare) {
 		t.Error("report bytes change when observability is on — the instrumentation perturbed the analysis")
 	}
+	// The worker logs job_done after the report is out; drain before
+	// reading the shared buffer.
+	full.Close()
 	if logs.Len() == 0 {
 		t.Error("full-observability run emitted no log records")
 	}
@@ -224,11 +227,14 @@ func TestLifecycleObservability(t *testing.T) {
 	spec := JobSpec{Filename: "sample.c", Line: sampleLine, Instance: -1}
 	id := submitHTTP(t, ts, spec, sampleProgram, nil)
 	fetchReport(t, ts, id)
+	// The worker records the job's terminal flight event and log after the
+	// report is out; drain before reading them.
+	s.Close()
 
 	kinds := map[string]bool{}
 	for _, e := range flight.Snapshot() {
 		kinds[e.Kind] = true
-		if e.Job != id {
+		if e.Job != id && e.Kind != "drain" {
 			t.Errorf("flight event %q for job %q, want %q", e.Kind, e.Job, id)
 		}
 	}

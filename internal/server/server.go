@@ -323,11 +323,6 @@ func (s *Server) runJob(j *Job) {
 		s.rec.GaugeDec(obs.QueueDepth)
 		return
 	}
-	var dur time.Duration
-	defer func() {
-		s.queue.release(dur)
-		s.rec.GaugeDec(obs.QueueDepth)
-	}()
 
 	// The queue wait becomes a synthetic span under the job's root: the
 	// trace tree decomposes submit→terminal into admission-wait plus the
@@ -393,6 +388,11 @@ func (s *Server) runJob(j *Job) {
 			state = StateFailed
 		}
 	}
+	// The slot goes back before finish closes done: a client woken by the
+	// report may resubmit at once, and must find the slot free.
+	dur := time.Since(started)
+	s.queue.release(dur)
+	s.rec.GaugeDec(obs.QueueDepth)
 	if j.finish(state, report, err) {
 		switch state {
 		case StateDone:
@@ -403,7 +403,6 @@ func (s *Server) runJob(j *Job) {
 			s.rec.Add(obs.JobsCancelled, 1)
 		}
 	}
-	dur = j.elapsedLocked()
 
 	// Close the trace tree: the root "job" span covers submit→terminal, so
 	// its duration is the sum of admission-wait plus the executed stages
@@ -457,13 +456,6 @@ func (s *Server) dumpFlight() {
 		w = os.Stderr
 	}
 	s.flight.WriteText(w) //nolint:errcheck
-}
-
-// elapsedLocked reads the job's elapsed time under its lock.
-func (j *Job) elapsedLocked() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.elapsed
 }
 
 // startedLocked reads the job's run start time under its lock.

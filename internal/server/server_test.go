@@ -183,6 +183,26 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestSlotFreeWhenReportArrives: a job's queue slot is back before its
+// report is delivered, so a closed-loop client whose count equals the
+// queue depth is never refused. With Queue: 1, one client submits, waits
+// for the report, and must find the queue empty at once — 200 times over,
+// each resubmission admitted.
+func TestSlotFreeWhenReportArrives(t *testing.T) {
+	s := newTestServer(t, Config{Queue: 1, Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := JobSpec{Line: sampleLine, Instance: 0}
+	for i := 0; i < 200; i++ {
+		id := submitHTTP(t, ts, spec, sampleProgram, nil)
+		fetchReport(t, ts, id)
+		if d := s.QueueDepth(); d != 0 {
+			t.Fatalf("job %d: queue depth %d once its report arrived, want 0", i, d)
+		}
+	}
+}
+
 // TestDifferentialConcurrent is the PR's differential proof: 32 concurrent
 // service jobs over the same golden input return byte-identical canonical
 // JSON — both the cache-hit copies and the cache-miss computations — and

@@ -1,14 +1,12 @@
 package trace
 
-// The push-side counterpart of RegionScanner: RegionFeed routes a trace
-// event stream into per-region sinks without buffering region events. Where
-// the scanner materializes each closed region as a sub-trace (retaining its
-// events while open), the feed hands every event to the sink of each open
+// RegionFeed routes a trace event stream into per-region sinks without
+// buffering region events: it hands every event to the sink of each open
 // target region the moment it arrives — the surface the one-pass analysis
 // kernel consumes, and the reason its peak memory is independent of region
-// length. Region-boundary semantics (call-stack-aware closing, nesting,
-// marker exclusion) are the shared regionTracker's, so the feed yields
-// regions in exactly the scanner's order.
+// length. Region boundaries (call-stack-aware closing, nesting, marker
+// exclusion) are the shared regionTracker's, so the feed yields regions in
+// exactly Trace.Regions' close order.
 
 import (
 	"context"
@@ -24,7 +22,9 @@ import (
 // follows the events: Close with the region's index in close order (the
 // index RegionReport carries — unknowable at open time, since nested
 // same-loop regions close before the outer one), or Abort when the stream
-// fails or is canceled while the region is open.
+// fails or is canceled while the region is open, or when the feed's
+// selected region closes first (so the region can never be the selected
+// one).
 type RegionSink interface {
 	Event(ev Event)
 	Close(index int)
@@ -47,32 +47,45 @@ type openSink struct {
 // events to the sinks of open target-loop regions. Errors latch: after a
 // failed Push (or a Fail), open sinks have been aborted and every further
 // call returns the same error.
+//
+// A feed can select one close-order index K. A region that opens after
+// more than K regions have closed can never close as K, and once K closes
+// nothing later can: the feed is then done, aborts the regions still open,
+// and ignores further events. Regions that open before K closes get sinks,
+// so a loop that does not recurse into itself opens at most K+1 of them,
+// one after another.
 type RegionFeed struct {
 	mod    *ir.Module
 	ctx    context.Context
 	loopID int
+	want   int // selected close-order index; < 0 selects every region
 	make   SinkFactory
 	tk     regionTracker
 	open   []openSink
 	idx    int // absolute index of the next event
 	closed int // regions closed so far
 	err    error
-	done   bool
 
 	rec     *obs.Recorder
 	flushed int
 }
 
+// scanCtxCheckInterval is the feed's cancellation-poll granularity: ctx.Err
+// is consulted once per this many pushed events, bounding cancellation
+// latency without a per-event check.
+const scanCtxCheckInterval = 4096
+
 // NewRegionFeed returns a feed dispatching the dynamic regions of the given
-// source loop to sinks from factory, validating events against mod. The
-// context is polled at the scanner's granularity (every scanCtxCheckInterval
-// events); on cancellation open sinks are aborted.
-func NewRegionFeed(ctx context.Context, mod *ir.Module, loopID int, factory SinkFactory) *RegionFeed {
+// source loop to sinks from factory, validating events against mod. want
+// selects one close-order index (want < 0 selects every region). The
+// context is polled every scanCtxCheckInterval events; on cancellation
+// open sinks are aborted.
+func NewRegionFeed(ctx context.Context, mod *ir.Module, loopID, want int, factory SinkFactory) *RegionFeed {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	return &RegionFeed{
-		mod: mod, ctx: ctx, loopID: loopID, make: factory,
+		mod: mod, ctx: ctx, loopID: loopID, want: want, make: factory,
 		tk:  regionTracker{target: loopID},
 		rec: obs.FromContext(ctx),
 	}
@@ -80,6 +93,10 @@ func NewRegionFeed(ctx context.Context, mod *ir.Module, loopID int, factory Sink
 
 // Closed returns the number of target-loop regions closed so far.
 func (f *RegionFeed) Closed() int { return f.closed }
+
+// done reports whether the selected region has closed: the feed then
+// ignores further events, and a pull driver can stop reading.
+func (f *RegionFeed) done() bool { return f.want >= 0 && f.closed > f.want }
 
 // abortOpen aborts every open sink, outermost last, and forgets them.
 func (f *RegionFeed) abortOpen() {
@@ -90,8 +107,8 @@ func (f *RegionFeed) abortOpen() {
 	f.open = f.open[:0]
 }
 
-// failAt latches a scan error with the scanner's region/event context and
-// aborts open sinks.
+// failAt latches a scan error, naming the index of the region being formed
+// and the event where the stream went bad, and aborts open sinks.
 func (f *RegionFeed) failAt(err error) error {
 	f.err = fmt.Errorf("trace: scanning region %d (event %d): %w", f.closed, f.idx, err)
 	f.abortOpen()
@@ -140,7 +157,7 @@ func (f *RegionFeed) closeRegion(r Region) {
 // (its loop.end/return, which belongs to no target region) are dispatched
 // before the event itself reaches any still-open outer region's sink.
 func (f *RegionFeed) Push(ev Event) error {
-	if f.err != nil {
+	if f.err != nil || f.done() {
 		return f.err
 	}
 	if f.idx%scanCtxCheckInterval == 0 {
@@ -157,6 +174,11 @@ func (f *RegionFeed) Push(ev Event) error {
 	for _, r := range f.tk.step(f.idx, in) {
 		f.closeRegion(r)
 	}
+	if f.done() {
+		f.abortOpen()
+		f.flushStats()
+		return nil
+	}
 	if in.Op == ir.OpLoopBegin && int(in.Loop) == f.loopID {
 		// The region's events start at the next index; the marker itself is
 		// excluded (but still feeds any open outer region below).
@@ -172,17 +194,16 @@ func (f *RegionFeed) Push(ev Event) error {
 }
 
 // Finish closes the stream: every still-open region closes at the current
-// index (early-return semantics, matching the scanner), in LIFO order.
+// index (early-return semantics, matching Trace.Regions), in LIFO order.
 // It returns the total number of regions dispatched.
 func (f *RegionFeed) Finish() (int, error) {
-	if f.err != nil {
+	if f.err != nil || f.done() {
 		return f.closed, f.err
 	}
 	for _, r := range f.tk.finish(f.idx) {
 		f.closeRegion(r)
 	}
 	f.flushStats()
-	f.done = true
 	return f.closed, nil
 }
 
@@ -195,13 +216,14 @@ func (f *RegionFeed) Fail(err error) error {
 	return f.failAt(err)
 }
 
-// FeedRegions drains src through a RegionFeed: the pull-driver shape the
-// pipeline uses when the events come from a decoder rather than a live
-// interpreter. Returns the number of regions dispatched and the first
-// error (source failure, corrupt event, or cancellation).
-func FeedRegions(ctx context.Context, mod *ir.Module, loopID int, src EventSource, factory SinkFactory) (int, error) {
-	f := NewRegionFeed(ctx, mod, loopID, factory)
-	for {
+// FeedRegions drains src through a RegionFeed selecting want (< 0: every
+// region): the pull-driver shape the pipeline uses when the events come
+// from a decoder rather than a live interpreter. Reading stops once the
+// selected region closes. Returns the number of regions dispatched and the
+// first error (source failure, corrupt event, or cancellation).
+func FeedRegions(ctx context.Context, mod *ir.Module, loopID, want int, src EventSource, factory SinkFactory) (int, error) {
+	f := NewRegionFeed(ctx, mod, loopID, want, factory)
+	for !f.done() {
 		ev, err := src.Next()
 		if err == io.EOF {
 			return f.Finish()
@@ -213,4 +235,5 @@ func FeedRegions(ctx context.Context, mod *ir.Module, loopID int, src EventSourc
 			return f.closed, err
 		}
 	}
+	return f.Finish()
 }

@@ -1,8 +1,9 @@
 package trace_test
 
-// Differential tests of the push-based RegionFeed against the pull-based
-// RegionScanner: same programs, same loops, same regions in the same close
-// order with the same events — the feed just never buffers them itself.
+// Differential tests of the push-based RegionFeed against the in-memory
+// Trace.Regions split: same programs, same loops, same regions in the same
+// close order with the same events — the feed just never buffers them
+// itself.
 
 import (
 	"context"
@@ -28,8 +29,13 @@ func (s *recSink) Abort()               { s.aborted = true }
 
 // feedAll drives src through FeedRegions, collecting every sink opened.
 func feedAll(ctx context.Context, tr *trace.Trace, loopID int, src trace.EventSource) ([]*recSink, int, error) {
+	return feedSelect(ctx, tr, loopID, -1, src)
+}
+
+// feedSelect is feedAll under a selection of close-order index want.
+func feedSelect(ctx context.Context, tr *trace.Trace, loopID, want int, src trace.EventSource) ([]*recSink, int, error) {
 	var sinks []*recSink
-	n, err := trace.FeedRegions(ctx, tr.Module, loopID, src, func() trace.RegionSink {
+	n, err := trace.FeedRegions(ctx, tr.Module, loopID, want, src, func() trace.RegionSink {
 		s := &recSink{index: -1}
 		sinks = append(sinks, s)
 		return s
@@ -123,8 +129,7 @@ void main() {
 }
 
 // TestRegionFeedCorruptEvent: an out-of-module event aborts open sinks and
-// latches an ErrCorruptTrace-wrapped error with the scanner's region/event
-// context.
+// latches an ErrCorruptTrace-wrapped error naming the region and event.
 func TestRegionFeedCorruptEvent(t *testing.T) {
 	tr := traceFor(t, `
 double g;
@@ -154,7 +159,7 @@ void main() {
 		t.Fatalf("open sink not aborted: %+v", sinks)
 	}
 	// The error latches.
-	f := trace.NewRegionFeed(context.Background(), tr.Module, loopID, func() trace.RegionSink { return &recSink{} })
+	f := trace.NewRegionFeed(context.Background(), tr.Module, loopID, -1, func() trace.RegionSink { return &recSink{} })
 	if perr := f.Push(trace.Event{ID: -1}); perr == nil {
 		t.Fatal("Push of negative ID succeeded")
 	} else if again := f.Push(tr.Events[0]); again == nil || again.Error() != perr.Error() {
@@ -163,7 +168,7 @@ void main() {
 }
 
 // TestRegionFeedCancel: a pre-canceled context fails the first Push, before
-// any sink is opened, with the scanner's cancellation text.
+// any sink is opened, with the feed's cancellation text.
 func TestRegionFeedCancel(t *testing.T) {
 	tr := traceFor(t, `
 double g;
@@ -225,4 +230,77 @@ func (s *failingSource) Next() (trace.Event, error) {
 	ev := s.events[s.pos]
 	s.pos++
 	return ev, nil
+}
+
+// TestRegionFeedSelection pins the selection rule on a loop that recurses
+// into itself, where close order differs from open order: regions opening
+// before region K closes get sinks, exactly one sink closes as K with
+// Trace.Regions' events, the rest close with other indices or are aborted
+// once K closes, and the pull driver stops reading there.
+func TestRegionFeedSelection(t *testing.T) {
+	tr := traceFor(t, `
+double a[64];
+void walk(int d) {
+  int i;
+  for (i = 0; i < 3; i++) {
+    a[d * 8 + i] = a[d * 8 + i] * 0.5 + 1.0;
+    if (i == 1) {
+      if (d < 3) { walk(d + 1); }
+    }
+  }
+}
+void main() { walk(0); walk(2); }
+`)
+	lm := tr.Module.LoopByLine(5)
+	if lm == nil {
+		t.Fatal("no loop on line 5")
+	}
+	want := tr.Regions(lm.ID)
+	if len(want) != 6 {
+		t.Fatalf("test setup: %d regions, want 6", len(want))
+	}
+	for k := 0; k <= len(want); k++ {
+		src := &trace.SliceSource{Events: tr.Events}
+		counted := &countingSource{src: src}
+		sinks, n, err := feedSelect(context.Background(), tr, lm.ID, k, counted)
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		if k == len(want) {
+			if n != len(want) || counted.n != len(tr.Events)+1 {
+				t.Fatalf("K past the end: %d regions after %d reads, want %d after the whole trace", n, counted.n, len(want))
+			}
+			continue
+		}
+		selected := 0
+		for _, s := range sinks {
+			switch {
+			case s.closed && s.index == k:
+				selected++
+				if ref := tr.RegionEvents(want[k]); len(s.events) != len(ref) {
+					t.Fatalf("K=%d: selected sink has %d events, want %d", k, len(s.events), len(ref))
+				}
+			case s.closed, s.aborted:
+			default:
+				t.Fatalf("K=%d: sink neither released nor selected: %+v", k, s)
+			}
+		}
+		if selected != 1 || n != k+1 {
+			t.Fatalf("K=%d: %d selected sinks, %d regions closed", k, selected, n)
+		}
+		if end := want[k].End; counted.n != end+1 {
+			t.Fatalf("K=%d: read %d events, want %d (through region K's close)", k, counted.n, end+1)
+		}
+	}
+}
+
+// countingSource counts the Next calls made on src.
+type countingSource struct {
+	src trace.EventSource
+	n   int
+}
+
+func (c *countingSource) Next() (trace.Event, error) {
+	c.n++
+	return c.src.Next()
 }

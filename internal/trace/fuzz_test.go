@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"strings"
@@ -77,9 +78,9 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// fuzzScannerSrc is the program behind FuzzRegionScanner's seed corpus: an
+// fuzzFeedSrc is the program behind FuzzRegionFeed's seed corpus: an
 // inner loop on line 7 that executes three dynamic regions.
-const fuzzScannerSrc = `
+const fuzzFeedSrc = `
 double a[16];
 double s;
 void main() {
@@ -94,14 +95,14 @@ void main() {
 }
 `
 
-// FuzzRegionScanner drives arbitrary bytes through the streaming decoder and
-// the region scanner. The scanner must never panic or hang: every input
-// either scans to clean io.EOF — in which case it must agree with the
+// FuzzRegionFeed drives arbitrary bytes through the streaming decoder and
+// the region feed. The feed must never panic or hang: every input either
+// scans to clean io.EOF — in which case every region must agree with the
 // in-memory Trace.Regions path — or fails with a typed error wrapping
 // ErrCorruptTrace (a bytes.Reader cannot produce genuine I/O errors, so
 // corruption is the only legitimate failure here).
-func FuzzRegionScanner(f *testing.F) {
-	mod, err := pipeline.Compile("fuzz.c", fuzzScannerSrc)
+func FuzzRegionFeed(f *testing.F) {
+	mod, err := pipeline.Compile("fuzz.c", fuzzFeedSrc)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -134,26 +135,20 @@ func FuzzRegionScanner(f *testing.F) {
 	f.Add(fuzzSeed([]trace.Event{{ID: 1 << 29, Addr: trace.NoAddr}})) // out-of-module ID
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc := trace.NewRegionScanner(mod, loop.ID, trace.NewDecoder(bytes.NewReader(data)))
-		regions := 0
-		for {
-			sub, err := sc.Next()
-			if err == io.EOF {
-				break
+		// Sinks keep an event count and digest, not the events: nested
+		// loop.begin markers make each event reach every open region.
+		var sinks []*digestSink
+		n, err := trace.FeedRegions(context.Background(), mod, loop.ID, -1, trace.NewDecoder(bytes.NewReader(data)),
+			func() trace.RegionSink {
+				s := &digestSink{index: -1}
+				sinks = append(sinks, s)
+				return s
+			})
+		if err != nil {
+			if !errors.Is(err, trace.ErrCorruptTrace) {
+				t.Fatalf("feed error %v does not wrap ErrCorruptTrace", err)
 			}
-			if err != nil {
-				if !errors.Is(err, trace.ErrCorruptTrace) {
-					t.Fatalf("scanner error %v does not wrap ErrCorruptTrace", err)
-				}
-				return
-			}
-			if sub == nil || sub.Module != mod {
-				t.Fatal("scanner yielded a region without the source module")
-			}
-			regions++
-			if regions > 1<<16 {
-				t.Fatalf("runaway scan: %d regions from %d bytes", regions, len(data))
-			}
+			return
 		}
 		// Clean EOF means every event decoded and was module-valid, so the
 		// in-memory path must agree — with one allowed divergence: the
@@ -164,11 +159,37 @@ func FuzzRegionScanner(f *testing.F) {
 			if strings.Contains(err.Error(), "trailing data") {
 				return
 			}
-			t.Fatalf("scanner accepted a stream the one-shot decoder rejects: %v", err)
+			t.Fatalf("feed accepted a stream the one-shot decoder rejects: %v", err)
 		}
 		tr := &trace.Trace{Module: mod, Events: events}
-		if want := len(tr.Regions(loop.ID)); want != regions {
-			t.Fatalf("scanner found %d regions, in-memory path %d", regions, want)
+		want := tr.Regions(loop.ID)
+		if n != len(want) || len(sinks) != len(want) {
+			t.Fatalf("feed closed %d regions over %d sinks, in-memory path found %d", n, len(sinks), len(want))
+		}
+		for _, s := range sinks {
+			var ref digestSink
+			for _, ev := range tr.RegionEvents(want[s.index]) {
+				ref.Event(ev)
+			}
+			if s.events != ref.events || s.sum != ref.sum {
+				t.Fatalf("region %d: feed saw %d events (digest %x), in-memory path %d (%x)",
+					s.index, s.events, s.sum, ref.events, ref.sum)
+			}
 		}
 	})
 }
+
+// digestSink folds one region's events into a count and an order-sensitive
+// digest.
+type digestSink struct {
+	index  int
+	events int
+	sum    uint64
+}
+
+func (s *digestSink) Event(ev trace.Event) {
+	s.events++
+	s.sum = s.sum*1099511628211 ^ uint64(ev.ID)<<32 ^ uint64(ev.Addr)
+}
+func (s *digestSink) Close(index int) { s.index = index }
+func (s *digestSink) Abort()          {}

@@ -16,7 +16,7 @@ import (
 // corpora, recording them through a real module so the writer's region
 // tracker runs too.
 func fuzzContainerSeed(events []trace.Event, opts trace.ContainerOptions) []byte {
-	mod, err := pipeline.Compile("fuzz.c", fuzzScannerSrc)
+	mod, err := pipeline.Compile("fuzz.c", fuzzFeedSrc)
 	if err != nil {
 		panic(err)
 	}
@@ -27,10 +27,10 @@ func fuzzContainerSeed(events []trace.Event, opts trace.ContainerOptions) []byte
 	return buf.Bytes()
 }
 
-// fuzzContainerBytes records fuzzScannerSrc straight into a container.
+// fuzzContainerBytes records fuzzFeedSrc straight into a container.
 func fuzzContainerBytes(tb testing.TB, opts trace.ContainerOptions) []byte {
 	tb.Helper()
-	mod, err := pipeline.Compile("fuzz.c", fuzzScannerSrc)
+	mod, err := pipeline.Compile("fuzz.c", fuzzFeedSrc)
 	if err != nil {
 		tb.Fatal(err)
 	}

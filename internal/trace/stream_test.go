@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/example/vectrace/internal/ir"
+	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/trace"
 )
@@ -165,45 +168,29 @@ func TestDecoderReservedAddrError(t *testing.T) {
 	}
 }
 
-// scanAll drains a RegionScanner over the given source.
-func scanAll(t *testing.T, tr *trace.Trace, loopID int, src trace.EventSource) []*trace.Trace {
+// checkLoopRegionStreamParity asserts the streaming region lookup yields
+// exactly the regions Trace.Regions finds, with identical event content,
+// both from an in-memory source and through a full encode/decode cycle,
+// and the out-of-range error one index past the last region.
+func checkLoopRegionStreamParity(t *testing.T, tr *trace.Trace, lm ir.LoopMeta) {
 	t.Helper()
-	sc := trace.NewRegionScanner(tr.Module, loopID, src)
-	var out []*trace.Trace
-	for {
-		sub, err := sc.Next()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, sub)
-	}
-}
-
-// checkScannerParity asserts the streaming scanner yields exactly the
-// regions Trace.Regions finds, with identical event content, both from an
-// in-memory source and through a full encode/decode cycle.
-func checkScannerParity(t *testing.T, tr *trace.Trace, loopID int) {
-	t.Helper()
-	want := tr.Regions(loopID)
+	want := tr.Regions(lm.ID)
 
 	var buf bytes.Buffer
 	if err := trace.Encode(&buf, tr.Events); err != nil {
 		t.Fatal(err)
 	}
-	sources := map[string]trace.EventSource{
-		"slice":   &trace.SliceSource{Events: tr.Events},
-		"decoder": trace.NewDecoder(bytes.NewReader(buf.Bytes())),
+	sources := map[string]func() trace.EventSource{
+		"slice":   func() trace.EventSource { return &trace.SliceSource{Events: tr.Events} },
+		"decoder": func() trace.EventSource { return trace.NewDecoder(bytes.NewReader(buf.Bytes())) },
 	}
 	for name, src := range sources {
-		got := scanAll(t, tr, loopID, src)
-		if len(got) != len(want) {
-			t.Fatalf("%s: scanner yielded %d regions, Regions found %d", name, len(got), len(want))
-		}
-		for i, sub := range got {
-			ref := tr.RegionEvents(want[i])
+		for i, r := range want {
+			sub, err := pipeline.LoopRegionStream(context.Background(), tr.Module, src(), lm.Line, i)
+			if err != nil {
+				t.Fatalf("%s: region %d: %v", name, i, err)
+			}
+			ref := tr.RegionEvents(r)
 			if len(sub.Events) != len(ref) {
 				t.Fatalf("%s: region %d has %d events, want %d", name, i, len(sub.Events), len(ref))
 			}
@@ -216,10 +203,18 @@ func checkScannerParity(t *testing.T, tr *trace.Trace, loopID int) {
 				t.Fatalf("%s: region %d does not share the module", name, i)
 			}
 		}
+		_, err := pipeline.LoopRegionStream(context.Background(), tr.Module, src(), lm.Line, len(want))
+		wantErr := fmt.Sprintf("pipeline: loop on line %d has %d dynamic regions, want index %d", lm.Line, len(want), len(want))
+		if err == nil || err.Error() != wantErr {
+			t.Fatalf("%s: out-of-range lookup: got %v, want %q", name, err, wantErr)
+		}
 	}
 }
 
-func TestRegionScannerParity(t *testing.T) {
+// TestLoopRegionStreamParity covers the region-boundary cases the feed
+// under LoopRegionStream must get right: nesting, loops in callees, early
+// returns that skip the loop.end marker, and loops that never iterate.
+func TestLoopRegionStreamParity(t *testing.T) {
 	programs := map[string]string{
 		"simple": `
 double g;
@@ -272,16 +267,16 @@ void main() {
 		t.Run(name, func(t *testing.T) {
 			tr := traceFor(t, src)
 			for _, lm := range tr.Module.Loops {
-				checkScannerParity(t, tr, lm.ID)
+				checkLoopRegionStreamParity(t, tr, lm)
 			}
 		})
 	}
 }
 
-// TestRegionScannerBoundedRetention: the scanner's peak event retention
-// tracks the size of one region, not the number of regions — the
-// bounded-memory property the streaming pipeline relies on.
-func TestRegionScannerBoundedRetention(t *testing.T) {
+// TestLoopRegionStreamBoundedRetention: the events LoopRegionStream holds
+// at once track the size of one region, not the number of regions — even
+// for the last region, which makes it hold and release every earlier one.
+func TestLoopRegionStreamBoundedRetention(t *testing.T) {
 	program := func(reps int) string {
 		return fmt.Sprintf(`
 double a[16];
@@ -293,22 +288,18 @@ void main() {
 }
 `, reps)
 	}
-	peak := func(reps int) (retained, total int) {
+	peak := func(reps int) (retained int64, total int) {
 		tr := traceFor(t, program(reps))
-		inner := tr.Module.LoopByLine(6)
-		if inner == nil {
-			t.Fatal("no inner loop on line 6")
+		rec := obs.New()
+		sub, err := pipeline.LoopRegionStream(obs.WithRecorder(context.Background(), rec), tr.Module,
+			&trace.SliceSource{Events: tr.Events}, 6, reps-1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sc := trace.NewRegionScanner(tr.Module, inner.ID, &trace.SliceSource{Events: tr.Events})
-		for {
-			if _, err := sc.Next(); err != nil {
-				if err == io.EOF {
-					break
-				}
-				t.Fatal(err)
-			}
+		if retained = rec.Get(obs.ScanPeakRetainedEvents); retained < int64(sub.Len()) {
+			t.Fatalf("peak retention %d below the returned region's %d events", retained, sub.Len())
 		}
-		return sc.MaxRetained(), tr.Len()
+		return retained, tr.Len()
 	}
 	shortPeak, shortLen := peak(2)
 	longPeak, longLen := peak(64)
@@ -321,6 +312,9 @@ void main() {
 	}
 }
 
+// TestRegionScannerRejectsForeignID: scanning a trace for regions fails,
+// rather than reaching EOF, when an event mid-trace names an instruction
+// outside the module.
 func TestRegionScannerRejectsForeignID(t *testing.T) {
 	tr := traceFor(t, `
 double g;
@@ -331,18 +325,12 @@ void main() {
 `)
 	bad := append([]trace.Event{}, tr.Events...)
 	bad[len(bad)/2].ID = int32(tr.Module.NumInstrs) + 7
-	sc := trace.NewRegionScanner(tr.Module, 0, &trace.SliceSource{Events: bad})
-	for {
-		_, err := sc.Next()
-		if err == io.EOF {
-			t.Fatal("scanner accepted out-of-module instruction ID")
-		}
-		if err != nil {
-			if !strings.Contains(err.Error(), "not in module") {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			return
-		}
+	_, _, err := feedAll(context.Background(), tr, tr.Module.Loops[0].ID, &trace.SliceSource{Events: bad})
+	if err == nil {
+		t.Fatal("scan accepted out-of-module instruction ID")
+	}
+	if !strings.Contains(err.Error(), "not in module") {
+		t.Fatalf("unexpected error: %v", err)
 	}
 }
 

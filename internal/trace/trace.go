@@ -12,9 +12,9 @@
 // static, so the DDG builder recovers it by replaying the event stream
 // against the module.
 //
-// Traces exist in two shapes: the in-memory Trace slice, and the VTR1
-// stream consumed through Decoder/RegionScanner, which never materializes
-// more than one region (see DESIGN.md §8).
+// Traces exist in two shapes: the in-memory Trace slice, and the VTR1/VTR2
+// stream pushed through a RegionFeed, which never materializes a region
+// itself (see DESIGN.md §8).
 package trace
 
 import (
@@ -76,7 +76,7 @@ type openRegion struct {
 }
 
 // regionTracker is the shared state machine behind the in-memory Regions
-// sweep and the streaming RegionScanner: fed one event at a time, it reports
+// sweep and the streaming RegionFeed: fed one event at a time, it reports
 // the dynamic regions of the target loop as they close, with call-stack
 // awareness (a return instruction closes any loops opened within the
 // returning frame).
@@ -133,19 +133,6 @@ func (t *regionTracker) closeTo(minDepth, endIdx int) {
 			t.closed = append(t.closed, Region{LoopID: t.target, Start: o.start, End: endIdx})
 		}
 	}
-}
-
-// earliestOpen returns the start index of the earliest open target-loop
-// region, or -1 when none is open. While a target region is open, a
-// streaming scanner must retain events from this index on; when none is,
-// nothing needs to be retained — that is the bounded-memory invariant.
-func (t *regionTracker) earliestOpen() int {
-	for _, o := range t.stack {
-		if o.loopID == t.target {
-			return o.start
-		}
-	}
-	return -1
 }
 
 // Regions scans the trace and returns every dynamic region of the given
