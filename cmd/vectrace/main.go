@@ -117,11 +117,24 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if cmd == "analyze" {
+	switch cmd {
+	case "analyze":
 		// analyze owns its compilation: the front end must run inside the
 		// observability context so -stats and -exectrace see the parse,
 		// check, and lower stages.
 		return analyzeCmd(file, string(src), rest)
+	case "rank":
+		fs := flag.NewFlagSet("rank", flag.ContinueOnError)
+		threshold := fs.Float64("threshold", 10, "hot-loop cycle percentage threshold")
+		if err := parseFlags(fs, rest); err != nil {
+			return err
+		}
+		rows, err := report.RankKernel(file, string(src), *threshold)
+		if err != nil {
+			return err
+		}
+		fmt.Print(report.RenderOpportunities(rows))
+		return nil
 	}
 	mod, err := pipeline.Compile(file, string(src))
 	if err != nil {
@@ -216,23 +229,6 @@ func run(args []string) error {
 		fmt.Print(report.RenderLoopTree(roots))
 		return nil
 
-	case "rank":
-		fs := flag.NewFlagSet("rank", flag.ContinueOnError)
-		threshold := fs.Float64("threshold", 10, "hot-loop cycle percentage threshold")
-		if err := parseFlags(fs, rest); err != nil {
-			return err
-		}
-		res, tr, err := pipeline.Trace(mod)
-		if err != nil {
-			return err
-		}
-		rows, err := report.RankOpportunities(mod, res, tr, *threshold)
-		if err != nil {
-			return err
-		}
-		fmt.Print(report.RenderOpportunities(rows))
-		return nil
-
 	case "record", "trace":
 		// "record" streams events to disk as the program runs — the trace
 		// is never materialized in memory. "trace" is the legacy name for
@@ -242,11 +238,11 @@ func run(args []string) error {
 		fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 		out := fs.String("o", "trace.vtr", "output trace file")
 		var tf diag.TraceFormat
-		tf.Register(fs, "format", trace.FormatVTR1, false)
+		tf.Register(fs, false)
 		if err := parseFlags(fs, rest); err != nil {
 			return err
 		}
-		if err := tf.Validate(false); err != nil {
+		if err := tf.Validate(); err != nil {
 			return usageError{err}
 		}
 		f, err := os.Create(*out)
@@ -289,10 +285,9 @@ func analyzeCmd(file, src string, rest []string) error {
 	traceFile := fs.String("trace", "", "analyze a previously saved trace instead of re-executing")
 	intOps := fs.Bool("int-ops", false, "also characterize integer add/sub/mul")
 	workers := fs.Int("workers", 0, "analysis worker count (0 = GOMAXPROCS)")
-	tile := fs.Int("tile", 0, "candidates per fused Algorithm-1 pass (0 = auto)")
 	jsonOut := fs.Bool("json", false, "emit the canonical analysis JSON instead of text (requires -line; excludes -baselines)")
 	var tf diag.TraceFormat
-	tf.Register(fs, "trace-format", "auto", true)
+	tf.Register(fs, true)
 	var prof diag.Flags
 	prof.Register(fs, "exectrace")
 	var timeout diag.Timeout
@@ -302,12 +297,9 @@ func analyzeCmd(file, src string, rest []string) error {
 	if err := parseFlags(fs, rest); err != nil {
 		return err
 	}
-	if *tile < 0 {
-		return usageError{fmt.Errorf("-tile must be >= 0, got %d", *tile)}
-	}
 	opts := ddg.Options{CharacterizeInts: *intOps}
-	copts := core.Options{RelaxReductions: *relax, Workers: *workers, TileSize: *tile}
-	if err := tf.Validate(true); err != nil {
+	copts := core.Options{RelaxReductions: *relax, Workers: *workers}
+	if err := tf.Validate(); err != nil {
 		return usageError{err}
 	}
 	if *jsonOut {
@@ -319,6 +311,10 @@ func analyzeCmd(file, src string, rest []string) error {
 		if *compare {
 			return usageError{fmt.Errorf("-json and -baselines are mutually exclusive")}
 		}
+	}
+	if *compare && *line != 0 && *instance < 0 {
+		// The Kumar baseline analyzes one region's graph.
+		return usageError{fmt.Errorf("-baselines needs a single -instance, got %d", *instance)}
 	}
 	if err := obsFlags.Start(); err != nil {
 		return err
@@ -438,7 +434,7 @@ func analyzeCmd(file, src string, rest []string) error {
 			return f, o, nil
 		}
 
-		if *line != 0 && (*instance < 0 || !*compare) {
+		if *line != 0 && !*compare {
 			// Region analyses go through the entry points vectraced's job
 			// engine uses (pipeline.AnalyzeSourceCtx, and for trace files
 			// pipeline.AnalyzeOpened, which pipeline.AnalyzeTraceBytesCtx
@@ -529,8 +525,7 @@ func analyzeCmd(file, src string, rest []string) error {
 	}
 	config := map[string]any{
 		"file": file, "line": *line, "instance": *instance,
-		"workers": copts.WorkerCount(), "tile": *tile,
-		"relax_reductions": *relax, "int_ops": *intOps,
+		"workers": copts.WorkerCount(), "relax_reductions": *relax, "int_ops": *intOps,
 	}
 	if *traceFile != "" {
 		config["trace"] = *traceFile

@@ -337,6 +337,12 @@ func TestExitCodes(t *testing.T) {
 		{"unknown subcommand", []string{"frobnicate"}, 2},
 		{"unknown flag", []string{"analyze", path, "-no-such-flag"}, 2},
 		{"negative tile", []string{"analyze", path, "-line", "8", "-tile", "-1"}, 2},
+		{"tile flag removed", []string{"analyze", path, "-line", "8", "-tile", "4"}, 2},
+		{"block on analyze", []string{"analyze", path, "-line", "8", "-block", "7"}, 2},
+		{"compress on analyze", []string{"analyze", path, "-line", "8", "-compress", "none"}, 2},
+		{"record block and compress", []string{"record", path, "-o", filepath.Join(t.TempDir(), "s.vtr"),
+			"-format", "vtr2", "-block", "4096", "-compress", "none"}, 0},
+		{"baselines over all instances", []string{"analyze", path, "-line", "8", "-instance", "-1", "-baselines"}, 2},
 		{"missing file", []string{"profile", filepath.Join(t.TempDir(), "absent.c")}, 1},
 		{"no loop on line", []string{"analyze", path, "-line", "4"}, 1},
 	}

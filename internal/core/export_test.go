@@ -25,3 +25,11 @@ func WithMapShadow(o Options) Options {
 	o.mapShadow = true
 	return o
 }
+
+// WithTileSize returns o with the fused Algorithm-1 kernel's tile width
+// forced to n candidates per pass (0 restores the automatic width), so
+// tests can sweep the widths the budget-derived choice never picks.
+func WithTileSize(o Options, n int) Options {
+	o.tileSize = n
+	return o
+}

@@ -66,7 +66,7 @@ func TestAnalyzePanicIsolation(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		for _, tile := range []int{1, 64, -1} { // -1 = per-candidate reference kernel
-			opts := core.Options{Workers: workers, TileSize: tile}
+			opts := core.WithTileSize(core.Options{Workers: workers}, tile)
 			if tile < 0 {
 				opts = core.WithPerCandidate(core.Options{Workers: workers})
 			}
@@ -145,7 +145,7 @@ func TestAnalyzeRegionsDeadline(t *testing.T) {
 			calls.Store(0)
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			start := time.Now()
-			_, err := analyze(ctx, core.Options{Workers: workers, TileSize: tile})
+			_, err := analyze(ctx, core.WithTileSize(core.Options{Workers: workers}, tile))
 			elapsed := time.Since(start)
 			cancel()
 			if err == nil {

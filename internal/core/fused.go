@@ -50,14 +50,14 @@ const (
 	tileBudgetBytes = 64 << 20
 )
 
-// tileWidth resolves the TileSize option against a graph of nNodes nodes:
-// explicit positive sizes win, otherwise the width is the largest power-of-
-// anything ≤ maxTileWidth whose matrix fits the per-tile byte budget —
+// tileWidth resolves the tile width for a graph of nNodes nodes: a
+// test-forced positive width wins, otherwise the width is the largest
+// one ≤ maxTileWidth whose matrix fits the per-tile byte budget —
 // tileBudgetBytes, shrunk further when Options.Budget.MaxAnalysisBytes
 // bounds the whole working set — and at least 1.
 func (o Options) tileWidth(nNodes int) int {
-	if o.TileSize > 0 {
-		return o.TileSize
+	if o.tileSize > 0 {
+		return o.tileSize
 	}
 	t := o.Budget.tileBudget(o.WorkerCount()) / 4 / int64(max(nNodes, 1))
 	return min(max(int(t), 1), maxTileWidth)

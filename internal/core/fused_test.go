@@ -93,7 +93,7 @@ func TestFusedMatchesOracleRandomPrograms(t *testing.T) {
 				oracle := core.Analyze(g, core.WithPerCandidate(core.Options{Workers: 1, RelaxReductions: relax}))
 				for _, ts := range tileSizes {
 					for _, w := range workerCounts {
-						got := core.Analyze(g, core.Options{TileSize: ts, Workers: w, RelaxReductions: relax})
+						got := core.Analyze(g, core.WithTileSize(core.Options{Workers: w, RelaxReductions: relax}, ts))
 						if !reflect.DeepEqual(oracle, got) {
 							t.Fatalf("relax=%v tile=%d workers=%d: fused report differs from oracle\nprogram:\n%s\noracle: %+v\nfused:  %+v",
 								relax, ts, w, src, oracle, got)
@@ -133,7 +133,7 @@ void main() {
 	for _, relax := range []bool{false, true} {
 		oracle := core.Analyze(g, core.WithPerCandidate(core.Options{Workers: 1, RelaxReductions: relax}))
 		for _, ts := range []int{1, 2, 7, 64} {
-			got := core.Analyze(g, core.Options{TileSize: ts, Workers: 4, RelaxReductions: relax})
+			got := core.Analyze(g, core.WithTileSize(core.Options{Workers: 4, RelaxReductions: relax}, ts))
 			if !reflect.DeepEqual(oracle, got) {
 				t.Fatalf("relax=%v tile=%d: fused differs from oracle", relax, ts)
 			}
@@ -165,7 +165,7 @@ func TestFusedTileWidthResolution(t *testing.T) {
 	// every explicit size equals the oracle — covered above — so here only
 	// sanity-check extremes do not crash on tiny graphs).
 	for _, ts := range []int{1, 3, 1000} {
-		if rep := core.Analyze(g, core.Options{TileSize: ts}); rep.TotalNodes != g.NumNodes() {
+		if rep := core.Analyze(g, core.WithTileSize(core.Options{}, ts)); rep.TotalNodes != g.NumNodes() {
 			t.Fatalf("tile=%d: bad report", ts)
 		}
 	}

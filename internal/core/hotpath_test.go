@@ -4,7 +4,7 @@ package core_test
 // to end through the pipeline's region fan-outs: the paged shadow must be
 // invisible in every output. Random programs run through the fully fused
 // live pipeline with the paged shadow and with the map-backed reference
-// (selected by core.WithMapShadow) × worker count × tile width, and each
+// (selected by core.WithMapShadow) × worker count, and each
 // combination's execution summary, RegionReports, and rendered report text
 // must be deeply equal to the sequential map-shadow run. Error surfaces
 // (analysis budgets), the RunStats counter contract, and the allocation
@@ -63,13 +63,12 @@ func renderHotRegions(regs []pipeline.RegionReport) string {
 }
 
 // TestHotPathDifferentialMatrix is the headline equivalence proof for the
-// paged shadow: for random programs, every loop, both shadows, every
-// worker count, and both tile widths, the fused live pipeline returns an
+// paged shadow: for random programs, every loop, both shadows, and every
+// worker count, the fused live pipeline returns an
 // execution summary and RegionReports deeply equal to the map-shadow
 // reference run with sequential workers.
 func TestHotPathDifferentialMatrix(t *testing.T) {
 	workerAxis := []int{1, 4, runtime.GOMAXPROCS(0)}
-	tileAxis := []int{1, 64}
 	const programs = 3
 	for seed := int64(900); seed < 900+programs; seed++ {
 		seed := seed
@@ -81,7 +80,7 @@ func TestHotPathDifferentialMatrix(t *testing.T) {
 			}
 			dopts := ddg.Options{}
 			for _, line := range testprog.LoopLines(mod) {
-				oopts := core.WithMapShadow(core.Options{Workers: 1, TileSize: 1})
+				oopts := core.WithMapShadow(core.Options{Workers: 1})
 				ores, oregs, err := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, line, dopts, oopts, core.Budget{})
 				if err != nil {
 					t.Fatalf("line %d: map-shadow reference failed: %v", line, err)
@@ -89,22 +88,20 @@ func TestHotPathDifferentialMatrix(t *testing.T) {
 				golden := renderHotRegions(oregs)
 				for _, combo := range shadowCombos {
 					for _, workers := range workerAxis {
-						for _, tile := range tileAxis {
-							copts := shadowOpts(core.Options{Workers: workers, TileSize: tile}, combo.mapShdw)
-							res, regs, err := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, line, dopts, copts, core.Budget{})
-							label := fmt.Sprintf("line %d %s workers=%d tile=%d", line, combo.name, workers, tile)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							if !reflect.DeepEqual(res, ores) {
-								t.Fatalf("%s: execution summary diverges from the reference", label)
-							}
-							if !reflect.DeepEqual(regs, oregs) {
-								t.Fatalf("%s: region reports diverge from the reference\nprogram:\n%s", label, src)
-							}
-							if got := renderHotRegions(regs); got != golden {
-								t.Fatalf("%s: rendered report text diverges from the reference", label)
-							}
+						copts := shadowOpts(core.Options{Workers: workers}, combo.mapShdw)
+						res, regs, err := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, line, dopts, copts, core.Budget{})
+						label := fmt.Sprintf("line %d %s workers=%d", line, combo.name, workers)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if !reflect.DeepEqual(res, ores) {
+							t.Fatalf("%s: execution summary diverges from the reference", label)
+						}
+						if !reflect.DeepEqual(regs, oregs) {
+							t.Fatalf("%s: region reports diverge from the reference\nprogram:\n%s", label, src)
+						}
+						if got := renderHotRegions(regs); got != golden {
+							t.Fatalf("%s: rendered report text diverges from the reference", label)
 						}
 					}
 				}

@@ -30,15 +30,6 @@ type Options struct {
 	// the sequential path; 0 or negative selects GOMAXPROCS. Output is
 	// identical for every setting.
 	Workers int
-	// TileSize controls the fused Algorithm-1 kernel's tile width: how many
-	// candidate instructions share one trace-order pass over the graph
-	// (see fused.go). 0 picks an automatic width — up to 64 candidates,
-	// shrunk on very large graphs so one tile's timestamp matrix stays
-	// within a fixed byte budget. Positive values force an exact width
-	// (the tests sweep {1, 2, 7, 64}). It must not be negative; the CLI and
-	// the service reject negative values, and the analysis treats one as 0.
-	// Output is byte-identical for every setting.
-	TileSize int
 	// Budget bounds the resources the analysis may consume (see Budget).
 	// The zero value imposes no analysis bound. A tight MaxAnalysisBytes
 	// shrinks the automatic tile width; exceeding it fails with an
@@ -53,10 +44,13 @@ type Options struct {
 	// legacy per-candidate Algorithm-1 sweep in AnalyzeCtx (instead of the
 	// fused tiled kernel) and the stream kernel's map-backed shadow memory
 	// (instead of the paged shadow; the map still serves out-of-directory
-	// addresses in production). Output is byte-identical either way. Only
-	// export_test.go sets them.
+	// addresses in production). tileSize forces the fused kernel's tile
+	// width — how many candidates share one trace-order pass over the
+	// graph (see fused.go) — where 0 picks the automatic width. Output is
+	// byte-identical for every setting. Only export_test.go sets them.
 	perCandidate bool
 	mapShadow    bool
+	tileSize     int
 }
 
 // Timestamps runs Algorithm 1 for static instruction id over the graph and

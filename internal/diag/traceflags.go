@@ -7,12 +7,13 @@ import (
 	"github.com/example/vectrace/internal/trace"
 )
 
-// TraceFormat groups the trace-container knobs shared by vectrace and
-// vecbench: which on-disk format to write (and, on the read side, to
-// require), the VTR2 block-size and compression options, and how many
-// workers an indexed region scan fans out across. Like the other flag
-// groups here, zero values select the defaults and the struct is safe to
-// wire unconditionally.
+// TraceFormat groups the trace-container knobs of vectrace's writer
+// (record) and reader (analyze): which on-disk format to write (and, on
+// the read side, to require), the VTR2 block-size and compression options
+// the writer encodes with, and how many workers the reader's indexed
+// region scan fans out across. Like the other flag groups here, zero
+// values select the defaults and the struct is safe to wire
+// unconditionally.
 type TraceFormat struct {
 	// Format is the selected trace format: trace.FormatVTR1 or
 	// trace.FormatVTR2 on the write side; on the read side "auto" (accept
@@ -27,34 +28,34 @@ type TraceFormat struct {
 	// worker count, -1 = force the sequential scanner even on an indexed
 	// file (the differential-testing oracle).
 	ScanWorkers int
+
+	reader bool
 }
 
-// Register installs the format flags on fs. formatFlag names the format
-// selector ("format" for record, "trace-format" for readers, where plain
-// -format would be ambiguous with report formatting); formatDefault seeds
-// it ("vtr1" for writers — old consumers keep working — and "auto" for
-// readers). withScan additionally installs -scan-workers, which only
-// readers use.
-func (t *TraceFormat) Register(fs *flag.FlagSet, formatFlag, formatDefault string, withScan bool) {
-	usage := "trace file `format`: vtr1 or vtr2 (indexed container)"
-	if formatDefault == "auto" {
-		usage += ", or auto to sniff"
+// Register installs the format flags on fs. A writer gets -format, seeded
+// "vtr1" so old consumers keep working, plus the VTR2 encoding knobs
+// -block and -compress. A reader gets -trace-format (plain -format would
+// be ambiguous with report formatting), seeded "auto", plus -scan-workers.
+// Each side registers only the flags it reads.
+func (t *TraceFormat) Register(fs *flag.FlagSet, reader bool) {
+	t.reader = reader
+	if reader {
+		fs.StringVar(&t.Format, "trace-format", "auto", "trace file `format`: vtr1 or vtr2 (indexed container), or auto to sniff")
+		fs.IntVar(&t.ScanWorkers, "scan-workers", 0, "indexed-scan worker `count` (0 = analysis workers, -1 = sequential scan)")
+		return
 	}
-	fs.StringVar(&t.Format, formatFlag, formatDefault, usage)
+	fs.StringVar(&t.Format, "format", trace.FormatVTR1, "trace file `format`: vtr1 or vtr2 (indexed container)")
 	fs.IntVar(&t.BlockBytes, "block", trace.DefaultBlockBytes, "vtr2 target uncompressed `bytes` per container block")
 	fs.StringVar(&t.Compress, "compress", "flate", "vtr2 block compression: flate or none")
-	if withScan {
-		fs.IntVar(&t.ScanWorkers, "scan-workers", 0, "indexed-scan worker `count` (0 = analysis workers, -1 = sequential scan)")
-	}
 }
 
-// Validate checks the selected values, allowing "auto" only when the
-// caller does (readers sniff; writers must pick a concrete format).
-func (t *TraceFormat) Validate(allowAuto bool) error {
+// Validate checks the selected values. Only a reader accepts "auto": it
+// sniffs, while a writer must pick a concrete format.
+func (t *TraceFormat) Validate() error {
 	switch t.Format {
 	case trace.FormatVTR1, trace.FormatVTR2:
 	case "auto":
-		if !allowAuto {
+		if !t.reader {
 			return fmt.Errorf("format %q: pick vtr1 or vtr2", t.Format)
 		}
 	default:

@@ -73,11 +73,6 @@ type Config struct {
 	// traces, and error texts; the switch loop is retained as the
 	// differential oracle and for A/B benchmarking.
 	Oracle bool
-	// Plan optionally supplies a precompiled execution plan for the module
-	// (see CompilePlan), letting repeated runs or many Machines share one
-	// compilation. Nil compiles lazily, cached per Machine. Ignored when
-	// it was not compiled from this module.
-	Plan *Plan
 }
 
 // OpCounts tallies dynamic instructions by cost class, for the SIMD
@@ -247,8 +242,8 @@ type Machine struct {
 	loopStack []int32
 	res       Result
 
-	plan    *Plan   // lazily compiled plan, cached per module
-	batch   []Event // recycled batch buffer for the BatchTracer path
+	plan    *modulePlan // lazily compiled plan, cached per module
+	batch   []Event     // recycled batch buffer for the BatchTracer path
 	args    []uint64
 	batched int64 // events delivered via ExecBatch this run
 }

@@ -3,16 +3,16 @@
 // loop() in interp.go re-derives everything about an instruction on every
 // dynamic execution — operand kinds, cost class, address arithmetic, loop
 // attribution — through a 20-way switch over the fat ir.Instr struct. A
-// Plan lowers each ir.Function once into a flat array of planInstr entries
-// with all of that precomputed: operands are resolved to direct register
-// indices (constants are interned into a per-function pool appended to the
-// register file, so operand reads never branch on a kind), global/slot
-// addresses are folded at compile time, branch targets are flat code
-// indices, the cycle cost and cost class are per-entry fields, and the
+// modulePlan lowers each ir.Function once into a flat array of planInstr
+// entries with all of that precomputed: operands are resolved to direct
+// register indices (constants are interned into a per-function pool
+// appended to the register file, so operand reads never branch on a kind),
+// global/slot addresses are folded at compile time, branch targets are flat
+// code indices, the cycle cost and cost class are per-entry fields, and the
 // three dominant two-instruction idioms (compare feeding a conditional
 // branch, pointer arithmetic feeding a load/store, frame address feeding a
-// load/store) are fused into superinstructions. planLoop then dispatches
-// on a dense planOp byte with no per-step re-decoding.
+// load/store) are fused into superinstructions. planLoop then dispatches on
+// a dense planOp byte with no per-step re-decoding.
 //
 // The plan dispatcher is bit-for-bit equivalent to loop(): same results,
 // same trace event sequence, same error texts at the same step boundaries,
@@ -172,18 +172,18 @@ type funcPlan struct {
 	regsNeed   int32 // NumRegs + len(pool): frame register-file size
 }
 
-// Plan is a module's precompiled execution plan. Compiling is a pure
-// function of the module, so one Plan may be shared by any number of
-// Machines (and goroutines) running the same finalized module.
-type Plan struct {
+// modulePlan is a module's precompiled execution plan. Compiling is a
+// pure function of the module; each Machine compiles its plan on first
+// run and caches it for the runs that follow.
+type modulePlan struct {
 	mod   *ir.Module
 	funcs []funcPlan
 }
 
-// CompilePlan lowers every function of a finalized module into its
+// compilePlan lowers every function of a finalized module into its
 // precompiled execution plan.
-func CompilePlan(mod *ir.Module) *Plan {
-	p := &Plan{mod: mod, funcs: make([]funcPlan, len(mod.Funcs))}
+func compilePlan(mod *ir.Module) *modulePlan {
+	p := &modulePlan{mod: mod, funcs: make([]funcPlan, len(mod.Funcs))}
 	for i, fn := range mod.Funcs {
 		p.funcs[i] = compileFunc(mod, fn)
 	}
@@ -509,15 +509,11 @@ func (a *loopAttr) flushInto(res *Result, cur int) {
 	*a = loopAttr{}
 }
 
-// planForModule returns the plan to execute: the caller-supplied one when
-// it matches the module, else a per-Machine lazily compiled (and cached)
-// plan.
-func (m *Machine) planForModule() *Plan {
-	if p := m.Cfg.Plan; p != nil && p.mod == m.Mod {
-		return p
-	}
+// planForModule returns the plan to execute: the Machine's lazily
+// compiled (and cached) plan for its module.
+func (m *Machine) planForModule() *modulePlan {
 	if m.plan == nil || m.plan.mod != m.Mod {
-		m.plan = CompilePlan(m.Mod)
+		m.plan = compilePlan(m.Mod)
 	}
 	return m.plan
 }
@@ -527,7 +523,7 @@ func (m *Machine) planForModule() *Plan {
 // calls (cleared on reuse to preserve zero-init semantics), sized for the
 // pool-extended register space, and populated with the callee's constant
 // pool; the resume position is a flat plan index.
-func (m *Machine) planPushFrame(plan *Plan, fnIdx int32, retDst ir.Reg, retPC int32) error {
+func (m *Machine) planPushFrame(plan *modulePlan, fnIdx int32, retDst ir.Reg, retPC int32) error {
 	fn := m.Mod.Funcs[fnIdx]
 	fp := &plan.funcs[fnIdx]
 	base := m.stackTop

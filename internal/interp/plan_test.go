@@ -103,6 +103,7 @@ void main() {
 }`},
 	{"gauss_seidel", kernels.GaussSeidel(12, 3).Source},
 	{"pde_solver", kernels.PDESolver(10, 3).Source},
+	{"listing1", kernels.Listing1(64).Source},
 }
 
 // execOnlySink records events through Exec alone — it deliberately does
@@ -291,8 +292,10 @@ void main() { print(g(1.0)); }`, interp.Config{StackSize: 1 << 16}},
 	}
 }
 
-// TestPlanSharedAcrossMachines proves one precompiled Plan is safely shared
-// by machines running concurrently, and that Config.Plan is honored.
+// TestPlanSharedAcrossMachines runs 8 machines over one module at once,
+// each on its lazily compiled and cached plan, and demands the oracle's
+// result from every one: the shared module is read-only to the plan
+// compiler and the dispatcher.
 func TestPlanSharedAcrossMachines(t *testing.T) {
 	mod, err := pipeline.Compile("t.c", kernels.GaussSeidel(8, 2).Source)
 	if err != nil {
@@ -302,15 +305,21 @@ func TestPlanSharedAcrossMachines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := interp.CompilePlan(mod)
 	errc := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
-			res, err := interp.New(mod, interp.Config{Plan: plan, CountLoopCycles: true}).Run("main")
-			if err == nil && !reflect.DeepEqual(want, res) {
-				err = fmt.Errorf("shared-plan result differs from oracle")
+			m := interp.New(mod, interp.Config{CountLoopCycles: true})
+			for run := 0; run < 2; run++ { // the second run reuses the cached plan
+				res, err := m.Run("main")
+				if err == nil && !reflect.DeepEqual(want, res) {
+					err = fmt.Errorf("run %d: plan result differs from oracle", run)
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
 			}
-			errc <- err
+			errc <- nil
 		}()
 	}
 	for g := 0; g < 8; g++ {

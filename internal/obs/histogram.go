@@ -142,26 +142,6 @@ type HistogramSnapshot struct {
 	Buckets []int64 // len histBuckets; may be nil for the zero snapshot
 }
 
-// Merge folds o into s bucket-wise. Snapshots share the fixed bucket
-// scheme, so merging is exact: the merged quantiles are the quantiles of
-// the union of observations (within bucket resolution).
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	s.Count += o.Count
-	s.SumNs += o.SumNs
-	if o.MaxNs > s.MaxNs {
-		s.MaxNs = o.MaxNs
-	}
-	if o.Buckets == nil {
-		return
-	}
-	if s.Buckets == nil {
-		s.Buckets = make([]int64, histBuckets)
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-}
-
 // Quantile estimates the q-th quantile (0 < q <= 1) by linear
 // interpolation inside the covering bucket. The overflow bucket
 // interpolates toward the observed maximum. Returns 0 for an empty

@@ -152,36 +152,37 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge: Merge and AddSnapshot agree, and the merged
-// distribution is the union of observations.
+// TestHistogramMerge: folding snapshots into a live histogram with
+// AddSnapshot is exact — the merged count, sum, max, and every bucket are
+// those of one histogram that observed the union directly.
 func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
+	var a, b, union Histogram
 	for i := 0; i < 10; i++ {
 		a.Observe(time.Millisecond)
 		b.Observe(time.Second)
+		union.Observe(time.Millisecond)
+		union.Observe(time.Second)
 	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	merged := sa
-	merged.Buckets = append([]int64(nil), sa.Buckets...)
-	merged.Merge(sb)
-	if merged.Count != 20 || merged.MaxNs != int64(time.Second) {
-		t.Errorf("merged = count %d max %d", merged.Count, merged.MaxNs)
+	var merged Histogram
+	merged.AddSnapshot(a.Snapshot())
+	merged.AddSnapshot(b.Snapshot())
+	got, want := merged.Snapshot(), union.Snapshot()
+	if got.Count != 20 || got.MaxNs != int64(time.Second) {
+		t.Errorf("merged = count %d max %d", got.Count, got.MaxNs)
 	}
-	if want := int64(10*time.Millisecond + 10*time.Second); merged.SumNs != want {
-		t.Errorf("merged sum = %d, want %d", merged.SumNs, want)
+	if sum := int64(10*time.Millisecond + 10*time.Second); got.SumNs != sum {
+		t.Errorf("merged sum = %d, want %d", got.SumNs, sum)
 	}
-
-	var c Histogram
-	c.AddSnapshot(sa)
-	c.AddSnapshot(sb)
-	sc := c.Snapshot()
-	if sc.Count != merged.Count || sc.SumNs != merged.SumNs || sc.MaxNs != merged.MaxNs {
-		t.Errorf("AddSnapshot disagrees with Merge: %+v vs %+v", sc, merged)
+	if got.Count != want.Count || got.SumNs != want.SumNs || got.MaxNs != want.MaxNs {
+		t.Errorf("merged %+v differs from the union %+v", got, want)
 	}
-	for i := range sc.Buckets {
-		if sc.Buckets[i] != merged.Buckets[i] {
-			t.Errorf("bucket %d: AddSnapshot %d, Merge %d", i, sc.Buckets[i], merged.Buckets[i])
+	for i := range want.Buckets {
+		if got.Buckets[i] != want.Buckets[i] {
+			t.Errorf("bucket %d: merged %d, union %d", i, got.Buckets[i], want.Buckets[i])
 		}
+	}
+	if q := got.Quantile(0.5); q != want.Quantile(0.5) {
+		t.Errorf("merged p50 %v, union p50 %v", q, want.Quantile(0.5))
 	}
 }
 

@@ -63,16 +63,12 @@ type RunStats struct {
 // admission (jobs_admitted, jobs_rejected), job terminal states
 // (jobs_completed, jobs_failed, jobs_cancelled), the content-addressed
 // result cache (cache_hits, cache_misses), and the queue-depth high-water
-// mark (queue_depth_peak). CLI runs export them as zeros; vecbench -serve
-// additionally folds serve_p99_ms and serve_cache_hit_rate into the stats
-// config, so the BENCH_<rev>.json trajectory tracks service latency next
-// to analysis throughput. Version 5 added the required "histograms" key
-// (per-stage and per-endpoint log-bucket latency distributions with
-// p50/p95/p99 estimates), span ids and parent links on span entries
-// (span_id / parent_span_id — the trace-tree form served at
-// /v1/jobs/{id}/trace), and the optional trace_id; vecbench -serve folds
-// the server-observed serve_server_p50_ms / serve_server_p99_ms beside
-// the client-observed latencies.
+// mark (queue_depth_peak). CLI runs export them as zeros. Version 5
+// added the required "histograms" key (per-stage and per-endpoint
+// log-bucket latency distributions with p50/p95/p99 estimates), span ids
+// and parent links on span entries (span_id / parent_span_id — the
+// trace-tree form served at /v1/jobs/{id}/trace), and the optional
+// trace_id.
 const RunStatsVersion = 5
 
 // SpanStats is one recorded stage span. StartNs is relative to the

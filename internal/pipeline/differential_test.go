@@ -68,7 +68,8 @@ func indexed(c *trace.Container) *trace.Opened {
 
 // TestDifferentialVTR2MatchesVTR1 is the headline equivalence proof: for
 // random programs, every loop, every block size, and every worker count,
-// the VTR2 indexed parallel analysis returns RegionReports deeply equal to
+// the VTR2 indexed parallel analysis — and the sequential VTR2 block walk
+// a damaged index falls back to — returns RegionReports deeply equal to
 // the VTR1 sequential stream oracle — the exact values Tables 1–3 and the
 // per-region error surface are derived from.
 func TestDifferentialVTR2MatchesVTR1(t *testing.T) {
@@ -98,6 +99,15 @@ func TestDifferentialVTR2MatchesVTR1(t *testing.T) {
 					t.Fatalf("line %d: sequential oracle failed: %v", line, err)
 				}
 				for _, bs := range diffBlockSizes {
+					walk, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod,
+						trace.NewBlockSource(bytes.NewReader(containers[bs]), nil), line, dopts, copts)
+					if err != nil {
+						t.Fatalf("line %d block %d: sequential block walk failed: %v", line, bs, err)
+					}
+					if !reflect.DeepEqual(walk, oracle) {
+						t.Fatalf("line %d block %d: sequential block walk diverges from the VTR1 oracle\nprogram:\n%s",
+							line, bs, src)
+					}
 					c := openContainer(t, containers[bs])
 					for _, workers := range diffWorkerCounts() {
 						got, err := pipeline.AnalyzeLoopRegionsOpened(context.Background(), indexed(c), mod, line, dopts, copts, workers)

@@ -42,7 +42,8 @@ func renderRegions(regs []pipeline.RegionReport, err error) string {
 
 // TestObservedOutputIdentical is the tentpole's differential guarantee:
 // with and without a recorder, in-memory and streaming, workers {1, 4},
-// tiles {0, 2} plus the RelaxReductions graph route — one rendered artifact.
+// the stream kernel and the RelaxReductions graph route — one rendered
+// artifact.
 func TestObservedOutputIdentical(t *testing.T) {
 	const srcName = "obsdiff.c"
 	src := testprog.Random(3)
@@ -54,9 +55,9 @@ func TestObservedOutputIdentical(t *testing.T) {
 	dopts := ddg.Options{}
 	for _, lm := range mod.Loops {
 		for _, workers := range []int{1, 4} {
-			for _, copts := range []core.Options{{TileSize: 0}, {TileSize: 2}, {RelaxReductions: true}} {
-				copts.Workers = workers
-				name := fmt.Sprintf("line%d/w%d/t%d/relax=%v", lm.Line, workers, copts.TileSize, copts.RelaxReductions)
+			for _, relax := range []bool{false, true} {
+				copts := core.Options{Workers: workers, RelaxReductions: relax}
+				name := fmt.Sprintf("line%d/w%d/relax=%v", lm.Line, workers, relax)
 				inMemory := func(ctx context.Context) ([]pipeline.RegionReport, error) {
 					return pipeline.AnalyzeLoopRegionsStreamCtx(ctx, mod, &trace.SliceSource{Events: tr.Events}, lm.Line, dopts, copts)
 				}

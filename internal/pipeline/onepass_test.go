@@ -26,12 +26,11 @@ import (
 	"github.com/example/vectrace/internal/trace"
 )
 
-// TestOnePassMatchesMaterializedOracle: for random programs, every loop,
-// worker counts × tile widths {1, 7, 64}, the one-pass entry points must equal
-// the materialized reference report-for-report, live and streaming.
+// TestOnePassMatchesMaterializedOracle: for random programs, every loop and
+// worker counts {1, 3, 8}, the one-pass entry points must equal the
+// materialized reference report-for-report, live and streaming.
 func TestOnePassMatchesMaterializedOracle(t *testing.T) {
 	workerCounts := []int{1, 3, 8}
-	tileSizes := []int{1, 7, 64}
 	for seed := int64(0); seed < 8; seed++ {
 		src := testprog.Random(seed)
 		mod, _, tr, err := pipeline.CompileAndTrace(fmt.Sprintf("op%d.c", seed), src)
@@ -41,30 +40,28 @@ func TestOnePassMatchesMaterializedOracle(t *testing.T) {
 		encoded := encodeTrace(t, tr)
 		dopts := ddg.Options{}
 		for _, lm := range mod.Loops {
-			for wi, w := range workerCounts {
-				tile := tileSizes[(int(seed)+wi)%len(tileSizes)]
-				onePass := core.Options{Workers: w, TileSize: tile}
-
-				want, wantErr := referenceRegions(tr, lm.Line, dopts, onePass)
+			want, wantErr := referenceRegions(tr, lm.Line, dopts, core.Options{})
+			for _, w := range workerCounts {
+				onePass := core.Options{Workers: w}
 				_, got, gotErr := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, lm.Line, dopts, onePass, core.Budget{})
 				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("seed %d loop %d tile %d: oracle err %v, one-pass err %v",
-						seed, lm.Line, tile, wantErr, gotErr)
+					t.Fatalf("seed %d loop %d: oracle err %v, one-pass err %v",
+						seed, lm.Line, wantErr, gotErr)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d loop %d tile %d workers %d: live one-pass differs from materialized oracle\nprogram:\n%s",
-						seed, lm.Line, tile, w, src)
+					t.Fatalf("seed %d loop %d workers %d: live one-pass differs from materialized oracle\nprogram:\n%s",
+						seed, lm.Line, w, src)
 				}
 
 				dec := trace.NewDecoder(bytes.NewReader(encoded))
 				sgot, sgotErr := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, dec, lm.Line, dopts, onePass)
 				if (wantErr == nil) != (sgotErr == nil) {
-					t.Fatalf("seed %d loop %d tile %d: oracle err %v, streaming one-pass err %v",
-						seed, lm.Line, tile, wantErr, sgotErr)
+					t.Fatalf("seed %d loop %d: oracle err %v, streaming one-pass err %v",
+						seed, lm.Line, wantErr, sgotErr)
 				}
 				if !reflect.DeepEqual(sgot, want) {
-					t.Fatalf("seed %d loop %d tile %d workers %d: streaming one-pass differs from materialized oracle",
-						seed, lm.Line, tile, w)
+					t.Fatalf("seed %d loop %d workers %d: streaming one-pass differs from materialized oracle",
+						seed, lm.Line, w)
 				}
 			}
 		}

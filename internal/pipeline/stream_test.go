@@ -34,10 +34,6 @@ func encodeTrace(t *testing.T, tr *trace.Trace) []byte {
 func TestStreamingMatchesInMemoryRandomPrograms(t *testing.T) {
 	const programs = 12
 	workerCounts := []int{1, 3, 8}
-	// Tile widths cycle with (seed, workers) rather than multiplying the
-	// matrix: every width — auto and the test widths — is exercised against
-	// several programs and worker counts.
-	tileSizes := []int{0, 1, 2, 7, 64}
 	for seed := int64(0); seed < programs; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -49,19 +45,9 @@ func TestStreamingMatchesInMemoryRandomPrograms(t *testing.T) {
 			encoded := encodeTrace(t, tr)
 			dopts := ddg.Options{}
 			for _, lm := range mod.Loops {
-				// Region-level oracle: the reference at the automatic width.
-				oracle, oracleErr := referenceRegions(tr, lm.Line, dopts, core.Options{Workers: 1})
-				for wi, w := range workerCounts {
-					copts := core.Options{Workers: w, TileSize: tileSizes[(int(seed)+wi)%len(tileSizes)]}
-					want, wantErr := referenceRegions(tr, lm.Line, dopts, copts)
-					if (wantErr == nil) != (oracleErr == nil) {
-						t.Fatalf("loop line %d tile %d: oracle err %v, fused err %v",
-							lm.Line, copts.TileSize, oracleErr, wantErr)
-					}
-					if wantErr == nil && !reflect.DeepEqual(want, oracle) {
-						t.Fatalf("loop line %d tile %d workers %d: region reports differ from the automatic-width oracle",
-							lm.Line, copts.TileSize, w)
-					}
+				want, wantErr := referenceRegions(tr, lm.Line, dopts, core.Options{})
+				for _, w := range workerCounts {
+					copts := core.Options{Workers: w}
 					dec := trace.NewDecoder(bytes.NewReader(encoded))
 					got, gotErr := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, dec, lm.Line, dopts, copts)
 					if (wantErr == nil) != (gotErr == nil) {

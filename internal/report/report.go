@@ -528,5 +528,3 @@ func figureRows(k kernels.Kernel, stmts map[string]string, larusMarker string) (
 	}
 	return rows, nil
 }
-
-var _ = trace.Event{}

@@ -76,11 +76,9 @@ type JobSpec struct {
 	Instance int `json:"instance,omitempty"`
 	// Table selects the table (1–3) for table jobs.
 	Table int `json:"table,omitempty"`
-	// Workers / Tile / ScanWorkers tune the analysis exactly like the CLI
-	// flags of the same names; output bytes are identical for any values.
-	// Tile must not be negative.
+	// Workers / ScanWorkers tune the analysis exactly like the CLI flags
+	// of the same names; output bytes are identical for any values.
 	Workers     int `json:"workers,omitempty"`
-	Tile        int `json:"tile,omitempty"`
 	ScanWorkers int `json:"scan_workers,omitempty"`
 	// RelaxReductions / IntOps select the analysis variants.
 	RelaxReductions bool `json:"relax_reductions,omitempty"`
@@ -122,9 +120,6 @@ func (sp *JobSpec) validate(hasSource, hasTrace bool) error {
 	if sp.Filename == "" {
 		sp.Filename = "prog.c"
 	}
-	if sp.Tile < 0 {
-		return fmt.Errorf("config tile must be >= 0 (0 = auto), got %d", sp.Tile)
-	}
 	if sp.TimeoutMs < 0 || sp.MaxSteps < 0 || sp.MaxDepth < 0 || sp.MaxStackBytes < 0 || sp.MaxAnalysisBytes < 0 {
 		return fmt.Errorf("limits must be non-negative")
 	}
@@ -159,7 +154,6 @@ func (sp *JobSpec) coreOptions(b core.Budget) core.Options {
 	return core.Options{
 		RelaxReductions: sp.RelaxReductions,
 		Workers:         sp.Workers,
-		TileSize:        sp.Tile,
 		Budget:          b,
 	}
 }

@@ -203,16 +203,19 @@ func TestSlotFreeWhenReportArrives(t *testing.T) {
 	}
 }
 
-// TestDifferentialConcurrent is the PR's differential proof: 32 concurrent
-// service jobs over the same golden input return byte-identical canonical
-// JSON — both the cache-hit copies and the cache-miss computations — and
-// a cache-disabled server produces the same bytes again.
+// TestDifferentialConcurrent is the service's differential proof: 32
+// concurrent service jobs over the same golden input return byte-identical
+// canonical JSON — both the cache-hit copies and the cache-miss
+// computations — and a cache-disabled server produces the same bytes
+// again. It also cross-checks the two latency measurements: a job's
+// server-side lifetime (the "job" histogram) nests inside its client's
+// round trip, so the server's median never exceeds the slowest client.
 func TestDifferentialConcurrent(t *testing.T) {
 	specs := []JobSpec{
 		{Line: sampleLine, Instance: -1},
 		{Line: sampleLine, Instance: -1, RelaxReductions: true},
 		{Line: 14, Instance: 0, IntOps: true},
-		{Line: 8, Instance: -1, Workers: 3, Tile: 2},
+		{Line: 8, Instance: -1, Workers: 3},
 	}
 	want := make([][]byte, len(specs))
 	for i, sp := range specs {
@@ -227,13 +230,20 @@ func TestDifferentialConcurrent(t *testing.T) {
 		const n = 32
 		var wg sync.WaitGroup
 		errs := make(chan error, n)
+		var rttMu sync.Mutex
+		var maxRTT time.Duration
 		for i := 0; i < n; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				k := i % len(specs)
+				start := time.Now()
 				id := submitHTTP(t, ts, specs[k], sampleProgram, nil)
 				doc := fetchResult(t, ts, id)
+				rtt := time.Since(start)
+				rttMu.Lock()
+				maxRTT = max(maxRTT, rtt)
+				rttMu.Unlock()
 				if doc.State != StateDone {
 					errs <- fmt.Errorf("job %s: state %q (%s)", id, doc.State, doc.Error)
 					return
@@ -260,7 +270,16 @@ func TestDifferentialConcurrent(t *testing.T) {
 			t.Errorf("cache disabled but %d hits", hits)
 		}
 		ts.Close()
-		s.Close()
+		s.Close() // every job has run to completion and fed "job"
+		hs, _ := s.rec.HistSnapshot("job")
+		if hs.Count != n {
+			t.Errorf("job histogram holds %d jobs, want %d", hs.Count, n)
+		}
+		// The server stamps a job's duration just after delivering its
+		// result, so allow a little scheduling slack.
+		if p50, slack := hs.Quantile(0.5), 10*time.Millisecond; p50 > maxRTT+slack {
+			t.Errorf("server-side p50 %v exceeds the slowest client round trip %v", p50, maxRTT)
+		}
 	}
 }
 
@@ -741,41 +760,57 @@ func TestUploadGuards(t *testing.T) {
 	}
 }
 
-// TestNegativeTileRejected: "tile" selects the fused kernel's width and has
-// no negative values, so a negative one is a bad request naming the field —
-// and it is rejected before admission, leaving no job and no reserved slot.
+// TestNegativeTileRejected: a job config has no "tile" field — the fused
+// kernel's width is derived from the budget — so the decoder's
+// DisallowUnknownFields turns any "tile" into a bad request naming the
+// field, before admission, leaving no job and no reserved slot.
 func TestNegativeTileRejected(t *testing.T) {
 	s := newTestServer(t, Config{Queue: 2, Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	ct, body := multipartBody(t, JobSpec{Line: sampleLine, Tile: -1}, sampleProgram, nil)
-	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", ct, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("tile -1: status %d, want 400", resp.StatusCode)
-	}
-	var doc errorDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(doc.Error, "tile") {
-		t.Fatalf("rejection %q does not name the tile field", doc.Error)
+	for _, tile := range []int{-1, 2} {
+		var buf bytes.Buffer
+		mw := multipart.NewWriter(&buf)
+		for _, p := range [][2]string{
+			{partConfig, fmt.Sprintf(`{"line": %d, "tile": %d}`, sampleLine, tile)},
+			{partSource, sampleProgram},
+		} {
+			w, err := mw.CreateFormField(p[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Write([]byte(p[1]))
+		}
+		mw.Close()
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", mw.FormDataContentType(), &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc errorDoc
+		derr := json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("tile %d: status %d, want 400", tile, resp.StatusCode)
+		}
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		if !strings.Contains(doc.Error, `unknown field "tile"`) {
+			t.Fatalf("tile %d: rejection %q does not name the unknown tile field", tile, doc.Error)
+		}
 	}
 	if got := s.rec.Get(obs.JobsAdmitted); got != 0 {
-		t.Fatalf("jobs_admitted = %d after a rejected submission, want 0", got)
+		t.Fatalf("jobs_admitted = %d after rejected submissions, want 0", got)
 	}
 	s.mu.Lock()
 	registered := len(s.jobs)
 	s.mu.Unlock()
 	if registered != 0 {
-		t.Fatalf("%d jobs registered after a rejected submission, want 0", registered)
+		t.Fatalf("%d jobs registered after rejected submissions, want 0", registered)
 	}
 	if d := s.QueueDepth(); d != 0 {
-		t.Fatalf("queue depth after the rejection = %d, want 0", d)
+		t.Fatalf("queue depth after the rejections = %d, want 0", d)
 	}
 }
 
