@@ -330,8 +330,10 @@ func BenchmarkKumarBaseline(b *testing.B) {
 
 // BenchmarkReductionAblation measures the paper's future-work extension:
 // analysis with reduction-carried dependences relaxed, on a dot-product
-// kernel where the base analysis sees a serial chain. It reports the
-// unit-stride vectorizable percentage under both settings.
+// kernel where the base analysis sees a serial chain. Each iteration runs
+// the region through AnalyzeRegion's stream kernel in both settings (the
+// relaxed one replays the region); it reports the unit-stride vectorizable
+// percentage under both.
 func BenchmarkReductionAblation(b *testing.B) {
 	spec := kernels.SPEC()
 	var sphinx kernels.SpecBenchmark
@@ -349,15 +351,16 @@ func BenchmarkReductionAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := ddg.Build(region)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ctx := context.Background()
 	var base, relaxed *core.Report
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		base = core.Analyze(g, core.Options{})
-		relaxed = core.Analyze(g, core.Options{RelaxReductions: true})
+		if base, err = pipeline.AnalyzeRegion(ctx, region, ddg.Options{}, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		if relaxed, err = pipeline.AnalyzeRegion(ctx, region, ddg.Options{}, core.Options{RelaxReductions: true}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(base.UnitVecOpsPct, "base-unit-pct")

@@ -465,8 +465,9 @@ func analyzeCmd(file, src string, rest []string) error {
 		}
 
 		// Whole-program analysis (-line 0) and the Kumar baseline
-		// (-baselines) analyze the graph itself, so only they materialize a
-		// trace: the whole program's, or the one region's.
+		// (-baselines) hold a trace — the whole program's, or the one
+		// region's — and feed it to the stream kernel; only the baseline
+		// builds its graph.
 		mod, err := pipeline.CompileCtx(ctx, file, src)
 		if err != nil {
 			return err
@@ -499,18 +500,20 @@ func analyzeCmd(file, src string, rest []string) error {
 				}
 			}
 		}
-		g, err := ddg.BuildOpts(tr, opts)
+		rep, err := pipeline.AnalyzeRegion(ctx, tr, opts, copts)
 		if err != nil {
 			return err
 		}
-		rep, err := core.AnalyzeCtx(ctx, g, copts)
-		if err != nil {
-			return err
+		var g *ddg.Graph
+		if *compare {
+			if g, err = ddg.BuildOpts(tr, opts); err != nil {
+				return err
+			}
 		}
 		_, sp := obs.StartSpan(ctx, "report")
 		defer sp.End()
 		fmt.Print(rep.String())
-		if *compare {
+		if g != nil {
 			p := baseline.Kumar(g)
 			fmt.Printf("kumar: critical path %d, avg parallelism %.1f\n",
 				p.CriticalPath, p.AvgParallelism)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,11 +44,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := ddg.Build(region)
+	rep, err := pipeline.AnalyzeRegion(context.Background(), region, ddg.Options{}, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := core.Analyze(g, core.Options{})
 	fmt.Printf("dynamic analysis: %.1f%% unit-stride vec ops, %.1f%% non-unit (wavefront)\n",
 		rep.UnitVecOpsPct, rep.NonUnitVecOpsPct)
 

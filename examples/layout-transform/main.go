@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,11 +33,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := ddg.Build(region)
+	rep, err := pipeline.AnalyzeRegion(context.Background(), region, ddg.Options{}, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := core.Analyze(g, core.Options{})
 	fmt.Println("original (array-of-structures) lattice:")
 	fmt.Printf("  unit-stride vec ops:     %.1f%%\n", rep.UnitVecOpsPct)
 	fmt.Printf("  non-unit-stride vec ops: %.1f%% at avg size %.1f  <-- layout-transform signal\n",

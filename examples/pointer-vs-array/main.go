@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,11 +39,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		g, err := ddg.Build(region)
+		rep, err := pipeline.AnalyzeRegion(context.Background(), region, ddg.Options{}, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep := core.Analyze(g, core.Options{})
 
 		verdicts := staticvec.AnalyzeModule(mod)
 		inner := mod.LoopByLine(k.LineOf("@inner"))

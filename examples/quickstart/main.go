@@ -1,7 +1,7 @@
 // Quickstart: run the paper's full pipeline on its own running example
 // (Listing 1) — compile a MiniC program, execute it under instrumentation,
-// build the dynamic data-dependence graph, and characterize each
-// floating-point instruction's SIMD potential.
+// characterize each floating-point instruction's SIMD potential, and build
+// the dynamic data-dependence graph to contrast with a critical-path view.
 //
 // The program prints the Figure 1 story: statement S1 (a recurrence) is
 // serial, while statement S2 — which a critical-path analysis would fragment
@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,19 +34,21 @@ func main() {
 	fmt.Printf("executed %d dynamic instructions (%d floating-point candidates)\n\n",
 		res.Steps, res.FPOps)
 
-	// Build the dynamic data-dependence graph (flow dependences only).
+	// Characterize each candidate instruction with Algorithm 1 + the
+	// stride analyses, in one pass over the trace (flow dependences only).
+	rep, err := pipeline.AnalyzeRegion(context.Background(), tr, ddg.Options{}, core.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("per-instruction vectorization potential:")
+	fmt.Print(rep.String())
+
+	// Zoom in on S2 and contrast with the Kumar-style baseline (Figure 1),
+	// which needs the whole dynamic data-dependence graph at once.
 	g, err := ddg.Build(tr)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Characterize each candidate instruction with Algorithm 1 + the
-	// stride analyses.
-	rep := core.Analyze(g, core.Options{})
-	fmt.Println("per-instruction vectorization potential:")
-	fmt.Print(rep.String())
-
-	// Zoom in on S2 and contrast with the Kumar-style baseline (Figure 1).
 	line := k.LineOf("@S2")
 	for _, id := range mod.CandidateIDs(-1) {
 		if mod.InstrAt(id).Pos.Line != line {

@@ -3,7 +3,7 @@ package core
 // Budget bounds the resources one analysis (or the execution feeding it)
 // may consume. It promotes the interpreter's historical hard limits — the
 // step bound, the call-depth bound, and the stack arena whose exhaustion
-// used to panic — and the fused kernel's fixed 64 MiB tile budget into one
+// used to panic — and the analysis working-set bound into one
 // caller-visible policy, checked at region granularity: exceeding any
 // field yields an error wrapping ErrResourceLimit, never a panic.
 //
@@ -24,48 +24,34 @@ type Budget struct {
 	// interpreter's 8 MiB default).
 	MaxStackBytes int64
 	// MaxAnalysisBytes bounds the analysis working set of one region: the
-	// per-worker timestamp matrices plus the per-candidate result rows.
-	// 0 means unlimited (only the fused kernel's internal 64 MiB per-tile
-	// budget applies). When the bound is tight the automatic tile width
-	// shrinks to fit; when even one-candidate tiles cannot fit, Analyze
-	// fails with ErrResourceLimit instead of allocating past the budget.
+	// stream kernel's live tables and instance arrays (see Options.Budget),
+	// or, on the graph reference, the per-worker timestamp buffers plus the
+	// per-candidate result rows. 0 means unlimited. Exceeding it fails with
+	// ErrResourceLimit instead of allocating past the budget.
 	MaxAnalysisBytes int64
 }
 
-// analysisFootprint estimates the analysis working set in bytes for a graph
-// of nNodes nodes swept by `workers` concurrent tiles of width tile:
-// each in-flight tile holds a 4-byte timestamp per node per column, and
-// every candidate contributes a result row (dominated by the InstrReport).
-func analysisFootprint(nNodes, nCandidates, tile, workers int) int64 {
+// analysisFootprint estimates the graph reference's working set in bytes
+// for a graph of nNodes nodes swept by `workers` concurrent candidates:
+// each in-flight candidate holds a 4-byte timestamp per node, and every
+// candidate contributes a result row (dominated by the InstrReport).
+func analysisFootprint(nNodes, nCandidates, workers int) int64 {
 	const perCandidate = 256 // InstrReport + instance-index bookkeeping
-	matrix := 4 * int64(nNodes) * int64(tile) * int64(workers)
-	return matrix + int64(nCandidates)*perCandidate
+	buffers := 4 * int64(nNodes) * int64(workers)
+	return buffers + int64(nCandidates)*perCandidate
 }
 
 // checkAnalysisBudget verifies that analyzing a graph of nNodes nodes and
-// nCandidates candidates fits b.MaxAnalysisBytes with the resolved tile
-// width and worker count, returning an ErrResourceLimit-wrapped error when
-// even the minimal (width-1, single-worker) configuration exceeds it.
+// nCandidates candidates fits b.MaxAnalysisBytes, returning an
+// ErrResourceLimit-wrapped error when even the single-worker sweep exceeds
+// it.
 func (b Budget) checkAnalysisBudget(nNodes, nCandidates int) error {
 	if b.MaxAnalysisBytes <= 0 {
 		return nil
 	}
-	if need := analysisFootprint(nNodes, nCandidates, 1, 1); need > b.MaxAnalysisBytes {
+	if need := analysisFootprint(nNodes, nCandidates, 1); need > b.MaxAnalysisBytes {
 		return fmt.Errorf("core: analysis of %d nodes / %d candidates needs ≥ %d bytes, budget %d: %w",
 			nNodes, nCandidates, need, b.MaxAnalysisBytes, ErrResourceLimit)
 	}
 	return nil
-}
-
-// tileBudget returns the per-tile byte budget the automatic tile width must
-// respect: the fused kernel's fixed ceiling, shrunk so that `workers`
-// concurrent tiles stay within MaxAnalysisBytes when one is set.
-func (b Budget) tileBudget(workers int) int64 {
-	budget := int64(tileBudgetBytes)
-	if b.MaxAnalysisBytes > 0 {
-		if per := b.MaxAnalysisBytes / int64(max(workers, 1)); per < budget {
-			budget = per
-		}
-	}
-	return budget
 }

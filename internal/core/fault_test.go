@@ -3,7 +3,7 @@ package core_test
 // Failure-model tests for the analysis engine: injected worker panics must
 // surface as typed *core.UnitError values naming the poisoned candidate
 // while every other candidate's result is unchanged; deadlines must stop
-// the sweep promptly at every worker count and tile width; and resource
+// the sweep promptly at every worker count; and resource
 // budgets must degrade into core.ErrResourceLimit errors, never panics.
 
 import (
@@ -46,9 +46,18 @@ const faultKernelInnerLine = 6
 // stage and checks it comes back as a *core.UnitError carrying the
 // candidate's identity and stack, with every other candidate's report row
 // byte-identical to the no-fault baseline — one poisoned candidate fails
-// its region, not the process.
+// its region, not the process. Both engines isolate per candidate: the
+// graph reference at several worker counts, and the stream kernel with and
+// without the relaxed replay.
 func TestAnalyzePanicIsolation(t *testing.T) {
-	g := buildKernelGraph(t, parallelTestSources[0])
+	_, _, tr, err := pipeline.CompileAndTrace("k.c", parallelTestSources[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ddg.Build(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	baseline, err := core.AnalyzeCtx(context.Background(), g, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -64,43 +73,51 @@ func TestAnalyzePanicIsolation(t *testing.T) {
 	})
 	defer restore()
 
-	for _, workers := range []int{1, 4} {
-		for _, tile := range []int{1, 64, -1} { // -1 = per-candidate reference kernel
-			opts := core.WithTileSize(core.Options{Workers: workers}, tile)
-			if tile < 0 {
-				opts = core.WithPerCandidate(core.Options{Workers: workers})
-			}
-			rep, err := core.AnalyzeCtx(context.Background(), g, opts)
-			if err == nil {
-				t.Fatalf("workers=%d tile=%d: poisoned sweep reported no error", workers, tile)
-			}
-			var ue *core.UnitError
-			if !errors.As(err, &ue) {
-				t.Fatalf("workers=%d tile=%d: error %v carries no *core.UnitError", workers, tile, err)
-			}
-			if ue.Kind != "candidate" || ue.ID != int64(target) {
-				t.Fatalf("workers=%d tile=%d: UnitError names %s %d, want candidate %d", workers, tile, ue.Kind, ue.ID, target)
-			}
-			if len(ue.Stack) == 0 {
-				t.Fatalf("workers=%d tile=%d: UnitError has no stack", workers, tile)
-			}
-			if !strings.Contains(err.Error(), "injected candidate fault") {
-				t.Fatalf("workers=%d tile=%d: error %q lost the panic value", workers, tile, err)
-			}
-			if rep == nil {
-				t.Fatalf("workers=%d tile=%d: degraded report is nil", workers, tile)
-			}
-			for i, row := range rep.PerInstr {
-				if row.ID == target {
-					if row.Text != "" {
-						t.Fatalf("workers=%d tile=%d: poisoned candidate %d has a live report row", workers, tile, target)
-					}
-					continue
+	engines := []struct {
+		name string
+		run  func() (*core.Report, error)
+	}{
+		{"graph workers=1", func() (*core.Report, error) {
+			return core.AnalyzeCtx(context.Background(), g, core.Options{Workers: 1})
+		}},
+		{"graph workers=4", func() (*core.Report, error) {
+			return core.AnalyzeCtx(context.Background(), g, core.Options{Workers: 4})
+		}},
+		{"stream", func() (*core.Report, error) {
+			return pipeline.AnalyzeRegion(context.Background(), tr, ddg.Options{}, core.Options{})
+		}},
+	}
+	for _, e := range engines {
+		rep, err := e.run()
+		if err == nil {
+			t.Fatalf("%s: poisoned sweep reported no error", e.name)
+		}
+		var ue *core.UnitError
+		if !errors.As(err, &ue) {
+			t.Fatalf("%s: error %v carries no *core.UnitError", e.name, err)
+		}
+		if ue.Kind != "candidate" || ue.ID != int64(target) {
+			t.Fatalf("%s: UnitError names %s %d, want candidate %d", e.name, ue.Kind, ue.ID, target)
+		}
+		if len(ue.Stack) == 0 {
+			t.Fatalf("%s: UnitError has no stack", e.name)
+		}
+		if !strings.Contains(err.Error(), "injected candidate fault") {
+			t.Fatalf("%s: error %q lost the panic value", e.name, err)
+		}
+		if rep == nil {
+			t.Fatalf("%s: degraded report is nil", e.name)
+		}
+		for i, row := range rep.PerInstr {
+			if row.ID == target {
+				if row.Text != "" {
+					t.Fatalf("%s: poisoned candidate %d has a live report row", e.name, target)
 				}
-				if !reflect.DeepEqual(row, baseline.PerInstr[i]) {
-					t.Fatalf("workers=%d tile=%d: candidate %d's row changed under a fault in candidate %d",
-						workers, tile, row.ID, target)
-				}
+				continue
+			}
+			if !reflect.DeepEqual(row, baseline.PerInstr[i]) {
+				t.Fatalf("%s: candidate %d's row changed under a fault in candidate %d",
+					e.name, row.ID, target)
 			}
 		}
 	}
@@ -108,8 +125,7 @@ func TestAnalyzePanicIsolation(t *testing.T) {
 
 // TestAnalyzeRegionsDeadline drives the full per-region analysis with a
 // slow per-candidate stage and a deadline far shorter than the total work.
-// At every worker count and tile width the call must return promptly after
-// the deadline — having skipped most of the work — with an error satisfying
+// At every worker count the call must return promptly after the deadline — having skipped most of the work — with an error satisfying
 // errors.Is for both context.DeadlineExceeded and core.ErrCanceled.
 func TestAnalyzeRegionsDeadline(t *testing.T) {
 	mod, _, tr, err := pipeline.CompileAndTrace("deadline.c", faultKernelSrc)
@@ -141,30 +157,28 @@ func TestAnalyzeRegionsDeadline(t *testing.T) {
 	defer restore()
 
 	for _, workers := range []int{1, 4} {
-		for _, tile := range []int{1, 64} {
-			calls.Store(0)
-			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-			start := time.Now()
-			_, err := analyze(ctx, core.WithTileSize(core.Options{Workers: workers}, tile))
-			elapsed := time.Since(start)
-			cancel()
-			if err == nil {
-				t.Fatalf("workers=%d tile=%d: deadline produced no error", workers, tile)
-			}
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("workers=%d tile=%d: error %v does not wrap context.DeadlineExceeded", workers, tile, err)
-			}
-			if !errors.Is(err, core.ErrCanceled) {
-				t.Fatalf("workers=%d tile=%d: error %v does not wrap core.ErrCanceled", workers, tile, err)
-			}
-			if done := calls.Load(); done >= int64(totalUnits) {
-				t.Fatalf("workers=%d tile=%d: all %d units ran despite the deadline", workers, tile, totalUnits)
-			}
-			// Uncanceled, the sweep needs totalUnits x 20ms / workers; the
-			// deadline must cut that to roughly one in-flight unit per worker.
-			if limit := 5 * time.Second; elapsed > limit {
-				t.Fatalf("workers=%d tile=%d: returned after %v, want < %v", workers, tile, elapsed, limit)
-			}
+		calls.Store(0)
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		_, err := analyze(ctx, core.Options{Workers: workers})
+		elapsed := time.Since(start)
+		cancel()
+		if err == nil {
+			t.Fatalf("workers=%d: deadline produced no error", workers)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("workers=%d: error %v does not wrap context.DeadlineExceeded", workers, err)
+		}
+		if !errors.Is(err, core.ErrCanceled) {
+			t.Fatalf("workers=%d: error %v does not wrap core.ErrCanceled", workers, err)
+		}
+		if done := calls.Load(); done >= int64(totalUnits) {
+			t.Fatalf("workers=%d: all %d units ran despite the deadline", workers, totalUnits)
+		}
+		// Uncanceled, the sweep needs totalUnits x 20ms / workers; the
+		// deadline must cut that to roughly one in-flight unit per worker.
+		if limit := 5 * time.Second; elapsed > limit {
+			t.Fatalf("workers=%d: returned after %v, want < %v", workers, elapsed, limit)
 		}
 	}
 }
@@ -248,7 +262,7 @@ void main() { printi(down(500)); }
 }
 
 // TestBudgetAnalysisBytes: an analysis heap budget too small for even the
-// minimal tiling fails up front with core.ErrResourceLimit instead of
+// single-worker sweep fails up front with core.ErrResourceLimit instead of
 // attempting the allocation.
 func TestBudgetAnalysisBytes(t *testing.T) {
 	g := buildKernelGraph(t, parallelTestSources[0])
@@ -258,8 +272,8 @@ func TestBudgetAnalysisBytes(t *testing.T) {
 	if !errors.Is(err, core.ErrResourceLimit) {
 		t.Fatalf("error %v does not wrap core.ErrResourceLimit", err)
 	}
-	// A budget that merely narrows the tile width must still succeed and
-	// match the unbudgeted report exactly.
+	// A budget that binds nowhere must still succeed and match the
+	// unbudgeted report exactly.
 	want, err := core.AnalyzeCtx(context.Background(), g, core.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)

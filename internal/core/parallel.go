@@ -105,7 +105,7 @@ func ParallelFor(ctx context.Context, n, workers int, fn func(i int) error) erro
 }
 
 // Guard runs f with the same per-unit panic isolation ParallelFor applies,
-// labeling any recovered panic with the unit's kind ("candidate", "tile",
+// labeling any recovered panic with the unit's kind ("candidate",
 // "region") and domain identity so the surfaced *UnitError names what
 // failed rather than a bare loop index.
 func Guard(unit int, kind string, id int64, f func() error) (err error) {
@@ -123,9 +123,8 @@ func Guard(unit int, kind string, id int64, f func() error) (err error) {
 // a full Analyze sweep performs O(workers) buffer allocations instead of
 // O(candidates).
 type instrScratch struct {
-	// ts is the per-node timestamp buffer filled by Algorithm 1 (used only
-	// by the per-candidate oracle kernel; the fused kernel reads its tile
-	// matrix instead).
+	// ts is the per-node timestamp buffer filled by the graph sweep's
+	// Algorithm 1 (the stream kernel keeps its own rows instead).
 	ts []int32
 	// instTS holds the analyzed instruction's per-instance timestamps,
 	// parallel to its instance list.
@@ -175,8 +174,9 @@ func (sc *instrScratch) release() { scratchPool.Put(sc) }
 
 // partition buckets the instances of one static instruction by timestamp
 // into dense, slice-indexed buckets. instTS carries the instances'
-// timestamps, parallel to inst (so both kernels can feed it: the oracle
-// gathers from its per-node array, the fused kernel from its tile column).
+// timestamps, parallel to inst (so both engines can feed it: the graph
+// sweep gathers from its per-node array, the stream kernel keeps them per
+// column).
 // Timestamps of instances are contiguous in 1..maxTS (each instance
 // increments its own timestamp, so no instance sits at 0), which makes a
 // counting sort both allocation-lean and deterministic: every bucket keeps

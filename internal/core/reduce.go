@@ -10,15 +10,11 @@ import (
 // through an accumulator (directly through a register, or through a
 // store/load round trip to the same memory location — the s += expr idiom).
 type reductionInfo struct {
-	id int32
 	// accumPred maps instance node index → the predecessor node index that
 	// carries the accumulator value into it. Absence of a key means the
 	// instance has no accumulator edge; readers must use the comma-ok form
 	// (node index 0 is a valid predecessor, not a sentinel).
 	accumPred map[int32]int32
-	// frac is the fraction of instances (beyond the first) that have an
-	// accumulator predecessor.
-	frac float64
 }
 
 // detectReduction inspects the dynamic instances of id and identifies
@@ -81,14 +77,13 @@ func detectReductionInst(g *ddg.Graph, id int32, inst []int32) *reductionInfo {
 		return nil
 	}
 	csrOff, csrFlat := g.OverflowCSR()
-	info := &reductionInfo{id: id, accumPred: make(map[int32]int32)}
+	info := &reductionInfo{accumPred: make(map[int32]int32)}
 	for _, n := range inst {
 		if p := accumPredOf(g, n, id, csrOff, csrFlat); p != ddg.NoPred {
 			info.accumPred[n] = p
 		}
 	}
-	info.frac = float64(len(info.accumPred)) / float64(len(inst)-1)
-	if info.frac < 0.5 {
+	if float64(len(info.accumPred))/float64(len(inst)-1) < 0.5 {
 		return nil
 	}
 	return info

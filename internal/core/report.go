@@ -82,38 +82,40 @@ type Report struct {
 	PerInstr []InstrReport
 }
 
+// analyzeUnitHook, when non-nil, observes the start of every
+// per-candidate analysis stage in both engines. It exists for
+// fault-injection tests — injecting panics and delays into the sweep — and
+// is never set outside tests (see SetAnalyzeUnitHook in export_test.go).
+var analyzeUnitHook func(id int32)
+
 // Analyze runs the complete §3 pipeline over the graph: Algorithm 1 per
 // candidate instruction, unit-stride subpartitioning of every parallel
 // partition, and the non-unit stride analysis of the leftovers.
 //
-// Timestamping runs through the fused tiled kernel (fused.go): candidates
-// are grouped into tiles of opts.tileWidth() and each tile shares one
-// trace-order pass over the graph, with tiles fanned out across
-// opts.WorkerCount() workers. The tests can select the legacy per-candidate
-// kernel instead (one sweep per candidate), which is retained as their
-// reference. Either way results land in
-// index-addressed slots and all aggregation happens afterwards over integer
-// counters in candidate-id order, making the output byte-identical for
-// every worker count, tile width, and kernel choice.
+// It is the graph reference the stream kernel is tested against: one
+// Algorithm-1 sweep of the whole graph per candidate, fanned out across
+// opts.WorkerCount() workers. Results land in index-addressed slots and
+// all aggregation happens afterwards over integer counters in candidate-id
+// order, making the output byte-identical for every worker count.
 func Analyze(g *ddg.Graph, opts Options) *Report {
 	rep, err := AnalyzeCtx(context.Background(), g, opts)
 	if err != nil {
 		// Without a cancelable context or budget the pipeline has no
 		// failure mode of its own; an error here means a unit panicked on a
 		// poisoned graph, which this legacy convenience entry point cannot
-		// report. Production callers use AnalyzeCtx and receive the typed
-		// error instead of this panic.
+		// report. Callers use AnalyzeCtx to receive the typed error instead
+		// of this panic.
 		panic(err)
 	}
 	return rep
 }
 
 // AnalyzeCtx is Analyze with the full failure model: cooperative
-// cancellation through ctx (checked at tile granularity), the
+// cancellation through ctx (checked between candidates), the
 // opts.Budget.MaxAnalysisBytes working-set bound (exceeded ⇒ an error
 // wrapping ErrResourceLimit, before any large allocation), and per-unit
-// panic isolation (a poisoned candidate or tile surfaces as a *UnitError
-// naming it, while every other candidate's row is computed normally).
+// panic isolation (a poisoned candidate surfaces as a *UnitError naming
+// it, while every other candidate's row is computed normally).
 //
 // On error the returned report is still populated with the successful
 // candidates' rows — degraded, never silently partial: the error lists
@@ -145,30 +147,21 @@ func AnalyzeCtx(ctx context.Context, g *ddg.Graph, opts Options) (*Report, error
 		rec.Add(obs.DDGEdges, g.NumEdges())
 		rec.Add(obs.CandidatesAnalyzed, int64(len(ids)))
 		rec.Set(obs.BudgetMaxAnalysisBytes, opts.Budget.MaxAnalysisBytes)
-		tw := 1
-		if !opts.perCandidate {
-			tw = opts.tileWidth(len(g.Nodes))
-		}
-		rec.Max(obs.AnalysisFootprintBytes, analysisFootprint(len(g.Nodes), len(ids), tw, opts.WorkerCount()))
+		rec.Max(obs.AnalysisFootprintBytes, analysisFootprint(len(g.Nodes), len(ids), opts.WorkerCount()))
 	}
 
-	var sweepErr error
 	results := make([]InstrReport, len(ids))
-	if opts.perCandidate {
-		sweepErr = ParallelFor(ctx, len(ids), opts.WorkerCount(), func(i int) error {
-			return Guard(i, "candidate", int64(ids[i]), func() error {
-				if analyzeUnitHook != nil {
-					analyzeUnitHook(ids[i])
-				}
-				sc := getScratch(len(g.Nodes), rec)
-				defer sc.release()
-				results[i] = analyzeInstr(g, ids[i], instances[ids[i]], opts, sc)
-				return nil
-			})
+	sweepErr := ParallelFor(ctx, len(ids), opts.WorkerCount(), func(i int) error {
+		return Guard(i, "candidate", int64(ids[i]), func() error {
+			if analyzeUnitHook != nil {
+				analyzeUnitHook(ids[i])
+			}
+			sc := getScratch(len(g.Nodes), rec)
+			defer sc.release()
+			results[i] = analyzeInstr(g, ids[i], instances[ids[i]], opts, sc)
+			return nil
 		})
-	} else {
-		sweepErr = analyzeFused(ctx, g, ids, instances, opts, results, rec)
-	}
+	})
 	if sweepErr != nil {
 		// Reset slots the sweep never reached (cancellation) or left
 		// poisoned to identity-only rows, so the degraded report still names
@@ -183,6 +176,15 @@ func AnalyzeCtx(ctx context.Context, g *ddg.Graph, opts Options) (*Report, error
 		}
 	}
 
+	rep.aggregate(results, rec)
+	return rep, sweepErr
+}
+
+// aggregate installs the per-candidate rows in rep, fills the region-wide
+// metrics from them, records their counters, and sorts the rows by source
+// line then ID. Both engines end here, so their reports agree field for
+// field.
+func (rep *Report) aggregate(results []InstrReport, rec *obs.Recorder) {
 	totalOps := 0
 	totalPartitions := 0
 	unitVecOps, unitSubparts, unitSum := 0, 0, 0
@@ -226,7 +228,6 @@ func AnalyzeCtx(ctx context.Context, g *ddg.Graph, opts Options) (*Report, error
 		}
 		return rep.PerInstr[i].ID < rep.PerInstr[j].ID
 	})
-	return rep, sweepErr
 }
 
 // AnalyzeInstr runs the pipeline for a single static instruction.
@@ -239,9 +240,8 @@ func AnalyzeInstr(g *ddg.Graph, id int32, opts Options) InstrReport {
 // analyzeInstr is the complete per-candidate pipeline — one Algorithm 1
 // sweep for this candidate alone, then the shared post-timestamp stages —
 // over the precomputed instance list, using the scratch's recycled buffers.
-// It is the legacy (pre-fusion) unit of work, retained as the fused
-// kernel's differential-testing oracle and as AnalyzeInstr's engine, and it
-// only reads shared state.
+// It is the unit of work of Analyze and AnalyzeInstr, and it only reads
+// shared state.
 func analyzeInstr(g *ddg.Graph, id int32, inst []int32, opts Options, sc *instrScratch) InstrReport {
 	red := detectReductionInst(g, id, inst)
 	var cut *reductionInfo
@@ -262,9 +262,7 @@ func analyzeInstr(g *ddg.Graph, id int32, inst []int32, opts Options, sc *instrS
 // finishInstr runs the stages after timestamping — partitioning,
 // unit-stride subpartitioning, the non-unit wait-list analysis, and report
 // assembly — for one candidate. It consumes only per-instance timestamps
-// (instTS parallel to inst), never a whole-graph timestamp array, which is
-// what lets the fused kernel hand each candidate a gathered slice of its
-// tile column instead of materializing N timestamps per candidate.
+// (instTS parallel to inst), gathered from the sweep's whole-graph array.
 func finishInstr(g *ddg.Graph, id int32, inst, instTS []int32, red *reductionInfo, sc *instrScratch) InstrReport {
 	parts := sc.partition(inst, instTS)
 	elem := elemSizeOf(g, id)

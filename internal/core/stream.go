@@ -1,7 +1,9 @@
 package core
 
 // The one-pass stream kernel: Algorithm 1 evaluated directly over the
-// region's event stream, without materializing a ddg.Graph first.
+// region's event stream, without materializing a ddg.Graph first. It is
+// the only Algorithm-1 engine the shipped binaries run; the graph sweep in
+// report.go (AnalyzeCtx) is the reference the tests compare it against.
 //
 // The paper's timestamp recurrence needs only, at each dynamic event, the
 // timestamps of that event's flow predecessors. The materialized builder
@@ -17,19 +19,25 @@ package core
 //   - shadow memory: one row per address with a live last store (plus, under
 //     IncludeAntiOutput, one running-max row over the readers since it);
 //   - per candidate column: the per-instance timestamp/tuple arrays the
-//     partitioning and stride stages consume (the same arrays the fused
-//     kernel would gather from its tile matrix).
+//     partitioning and stride stages consume.
 //
 // Columns are assigned lazily, in order of first dynamic appearance, and
 // rows are extended lazily: a row written when the width was w' < w
 // zero-extends to width w, which is exact — a value produced before a
 // candidate's first instance has timestamp 0 for that candidate.
 //
+// Reduction relaxation (§4.1's extension) is a replay: the first feed
+// records, per instance of each reduction-eligible column, which operand
+// carries the accumulator; Relax keeps those records for the columns that
+// qualify as reductions and resets the region, and the second feed of the
+// same events computes those columns' instance timestamps without the
+// recorded operand — the cut the graph reference makes.
+//
 // Equivalence with ddg.BuildOpts + AnalyzeCtx is enforced by differential
 // tests (stream_test.go and the pipeline suites, whose reference builds
-// each region's graph independently); the materialized path is still
-// required for the whole-graph analyses (critical-path profiles, the
-// Kumar/Larus baselines, RelaxReductions).
+// each region's graph independently). The graph itself is still built for
+// the analyses that need every node at once: the Kumar/Larus baselines and
+// the Figure 1–2 partition listings.
 
 import (
 	"context"
@@ -51,7 +59,7 @@ import (
 const (
 	streamValBytes      = 56 // one register-file slot descriptor
 	streamCellBytes     = 96 // one shadow-memory cell + map entry
-	streamInstanceBytes = 48 // one candidate instance (timestamp + tuple + pends)
+	streamInstanceBytes = 48 // one candidate instance (timestamp, tuple, accumulator bits)
 )
 
 // streamVal describes the producer of a live value: its timestamp row, the
@@ -67,6 +75,7 @@ type streamVal struct {
 	inst        int32 // instance index within the column (when cand >= 0)
 	storedInstr int32 // for loads: the producing store's value instr, -1
 	loadAddr    int64 // for loads: the accessed address
+	node        int64 // the producing event's index: the graph's node identity
 	isLoad      bool
 }
 
@@ -81,20 +90,83 @@ type streamFrame struct {
 // candCol is one active candidate column: the per-instance parallel arrays
 // Algorithm 1's downstream stages consume, built online.
 type candCol struct {
-	id   int32
-	elig bool // reductionEligible: FP add/sub/mul
-	// accum counts instances with an accumulator-carried predecessor
-	// (register chain or store/load round trip), detected online.
-	accum  int
+	id     int32
+	elig   bool // reductionEligible: FP add/sub/mul
 	instTS []int32
 	// tup holds each instance's memory tuple; tup[k][0] stays ddg.NoAddr
 	// until the instance's first store patches it (mapped to the paper's
 	// artificial address 0 only when the stride stage reads it).
 	tup [][3]int64
-	// pendA/pendB (eligible columns only) carry the candidate round-trip
-	// load address of each instance's operands: if the instance's first
-	// store hits that address, the instance accumulates through memory.
-	pendA, pendB []int64
+	// acc is each instance's accumulator provenance (eligible columns
+	// only), resolved by accumOp: which operands an earlier instance
+	// produced itself (accumX, accumY), and which are loads whose last
+	// store held an earlier instance's value (loadX, loadY) — the operand's
+	// tuple slot holds the load address, and if the instance's first store
+	// hits it, the instance accumulates through memory.
+	acc []uint8
+	// cut is, in a relaxed replay, the accumulator operand (accumOp) each
+	// instance's timestamp excludes; empty when the column is not relaxed.
+	// Relax fills it and colFor leaves it alone during the replay.
+	cut []uint8
+}
+
+// The operand bits of candCol.acc; accumX and accumY are also the values
+// of candCol.cut.
+const (
+	accumX uint8 = 1 << iota
+	accumY
+	loadX
+	loadY
+)
+
+// accumBits returns the candCol.acc bit of operand producer p for an
+// instance of column id: reg when p is an earlier instance, load when p is
+// a load whose last store held an instance's value.
+func accumBits(p *streamVal, id int32, reg, load uint8) uint8 {
+	switch {
+	case p == nil:
+		return 0
+	case p.instr == id:
+		return reg
+	case p.isLoad && p.storedInstr == id:
+		return load
+	}
+	return 0
+}
+
+// accumOp returns the operand that carries the accumulator into instance
+// i, or 0: the first of X, Y that is an earlier instance of the column
+// (a register chain) or a load of the address the instance's value is
+// first stored to, whose last store held an earlier instance's value (the
+// s += expr round trip). X before Y is the P1-then-P2 order in which
+// accumPredOf searches the graph.
+func (ca *candCol) accumOp(i int) uint8 {
+	a, t := ca.acc[i], &ca.tup[i]
+	rt := t[0] != ddg.NoAddr && t[0] != 0
+	switch {
+	case a&accumX != 0 || rt && a&loadX != 0 && t[1] == t[0]:
+		return accumX
+	case a&accumY != 0 || rt && a&loadY != 0 && t[2] == t[0]:
+		return accumY
+	}
+	return 0
+}
+
+// isReduction applies detectReductionInst's rule to the column: an
+// eligible instruction with at least three instances, at least half of
+// those after the first carrying an accumulator.
+func (ca *candCol) isReduction() bool {
+	n := len(ca.instTS)
+	if !ca.elig || n < 3 {
+		return false
+	}
+	accum := 0
+	for i := range n {
+		if ca.accumOp(i) != 0 {
+			accum++
+		}
+	}
+	return float64(accum)/float64(n-1) >= 0.5
 }
 
 // shadowCell is the last-writer state of one memory address: the last
@@ -143,7 +215,7 @@ type shadowPage struct {
 	slots [shadowPageSpan]shadowSlot
 }
 
-// StreamKernel runs the fused one-pass analysis of a single region: feed
+// StreamKernel runs the one-pass analysis of a single region: feed
 // the region's events in trace order, then Finish. Kernels are checked out
 // of a pool (AcquireStreamKernel / Release) so successive regions reuse the
 // last-writer tables, shadow maps, instance arrays, and stride scratch.
@@ -195,6 +267,7 @@ type StreamKernel struct {
 	peakAddrs int
 	err       error
 	used      bool
+	relax     bool // replaying the region under Relax's cuts
 }
 
 // streamKernelPool recycles kernels across regions, workers, and runs.
@@ -248,6 +321,16 @@ func AcquireStreamKernel(mod *ir.Module, dopts ddg.Options, opts Options, rec *o
 // Release resets the kernel's per-region state into its freelists and
 // returns it to the pool. Safe after an error or a partial feed.
 func (k *StreamKernel) Release() {
+	k.reset()
+	k.relax = false
+	k.rec = nil
+	streamKernelPool.Put(k)
+}
+
+// reset returns the per-region state to its freelists, leaving the
+// kernel's configuration (module, options, recorder) and each column's
+// cut untouched.
+func (k *StreamKernel) reset() {
 	for len(k.frames) > 0 {
 		k.popFrame()
 	}
@@ -298,8 +381,35 @@ func (k *StreamKernel) Release() {
 	k.live, k.peak = 0, 0
 	k.peakAddrs = 0
 	k.err = nil
-	k.rec = nil
-	streamKernelPool.Put(k)
+}
+
+// Relax prepares the region's relaxed replay once every event has been
+// fed (§4.1's extension: dependences through reduction accumulators are
+// ignored when timestamping the reduction itself). Each column that
+// qualifies as a reduction keeps its instances' accumulator operands, the
+// region state resets, and the caller feeds the same events again before
+// Finish. Relax returns false, leaving the first feed ready to Finish, when
+// the feed failed or no column qualifies — relaxation then changes nothing.
+func (k *StreamKernel) Relax() bool {
+	if k.err != nil {
+		return false
+	}
+	any := false
+	for c := range k.cands {
+		ca := &k.cands[c]
+		ca.cut = ca.cut[:0]
+		if ca.isReduction() {
+			for i := range ca.instTS {
+				ca.cut = append(ca.cut, ca.accumOp(i))
+			}
+			any = true
+		}
+	}
+	if any {
+		k.reset()
+		k.relax = true
+	}
+	return any
 }
 
 // PeakLiveBytes returns the high-water mark of the kernel's nominal working
@@ -392,6 +502,27 @@ func rowMaxInto(dst []int32, w int, rows [][]int32) []int32 {
 		}
 	}
 	return dst
+}
+
+// cutMax returns column c's maximum over the predecessors of a relaxed
+// instance, leaving out the accumulator operand op names. The cut is by
+// node, as in the graph: when both operands are the same node (s = s + s)
+// neither counts.
+func (k *StreamKernel) cutMax(c int32, op uint8, px, py *streamVal) int32 {
+	cut := px
+	if op == accumY {
+		cut = py
+	}
+	var m int32
+	for _, p := range [2]*streamVal{px, py} {
+		if p != nil && p.node != cut.node && int(c) < len(p.row) {
+			m = max(m, p.row[c])
+		}
+	}
+	if k.dopts.IncludeControl && k.branchSet && int(c) < len(k.branch) {
+		m = max(m, k.branch[c])
+	}
+	return m
 }
 
 // val resolves an operand to its live producer descriptor, mirroring the
@@ -553,11 +684,12 @@ func (k *StreamKernel) colFor(id int32, in *ir.Instr) int32 {
 		ca := &k.cands[c]
 		ca.id = id
 		ca.elig = reductionEligible(in)
-		ca.accum = 0
 		ca.instTS = ca.instTS[:0]
 		ca.tup = ca.tup[:0]
-		ca.pendA = ca.pendA[:0]
-		ca.pendB = ca.pendB[:0]
+		ca.acc = ca.acc[:0]
+		if !k.relax {
+			ca.cut = ca.cut[:0]
+		}
 	} else {
 		k.cands = append(k.cands, candCol{id: id, elig: reductionEligible(in)})
 	}
@@ -607,7 +739,7 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 			buf = k.newRow()
 		}
 		row := rowMaxInto(buf, w, k.preds)
-		*dst = streamVal{row: row, instr: id, cand: -1, storedInstr: storedInstr, loadAddr: addr, isLoad: true}
+		*dst = streamVal{row: row, instr: id, cand: -1, storedInstr: storedInstr, loadAddr: addr, node: k.n, isLoad: true}
 		if k.dopts.IncludeAntiOutput {
 			if cell == nil {
 				cell = k.newCell(addr)
@@ -644,14 +776,10 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		}
 		k.stageControl()
 		// First store of a candidate instance's value defines its memory
-		// tuple slot and resolves any pending reduction round trip.
+		// tuple slot, which also settles a pending reduction round trip.
 		if pv != nil && pv.cand >= 0 {
-			ca := &k.cands[pv.cand]
-			if ca.tup[pv.inst][0] == ddg.NoAddr {
-				ca.tup[pv.inst][0] = addr
-				if ca.elig && addr != 0 && (ca.pendA[pv.inst] == addr || ca.pendB[pv.inst] == addr) {
-					ca.accum++
-				}
+			if t := &k.cands[pv.cand].tup[pv.inst]; t[0] == ddg.NoAddr {
+				t[0] = addr
 			}
 		}
 		w := len(k.cands)
@@ -708,7 +836,7 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 			buf = buf[:len(av.row)]
 			copy(buf, av.row)
 			*dst = streamVal{row: buf, instr: av.instr, cand: av.cand, inst: av.inst,
-				storedInstr: av.storedInstr, loadAddr: av.loadAddr, isLoad: av.isLoad}
+				storedInstr: av.storedInstr, loadAddr: av.loadAddr, node: av.node, isLoad: av.isLoad}
 		}
 
 	case ir.OpRet:
@@ -736,7 +864,7 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 				buf = buf[:len(rp.row)]
 				copy(buf, rp.row)
 				*dst = streamVal{row: buf, instr: rp.instr, cand: rp.cand, inst: rp.inst,
-					storedInstr: rp.storedInstr, loadAddr: rp.loadAddr, isLoad: rp.isLoad}
+					storedInstr: rp.storedInstr, loadAddr: rp.loadAddr, node: rp.node, isLoad: rp.isLoad}
 			} else {
 				// The oracle clears the caller's register on a
 				// producer-less return.
@@ -764,6 +892,17 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		if isCand {
 			col = k.colFor(id, in)
 		}
+		// A relaxed instance takes its own column from the predecessors
+		// other than its accumulator operand, read before the row is
+		// written: the row may reuse an operand's buffer.
+		relaxed := int32(-1)
+		if col >= 0 {
+			if ca := &k.cands[col]; len(ca.cut) > 0 {
+				if op := ca.cut[len(ca.instTS)]; op != 0 {
+					relaxed = k.cutMax(col, op, px, py)
+				}
+			}
+		}
 		w := len(k.cands)
 		var row []int32
 		transient := false
@@ -785,33 +924,15 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		var kidx int32
 		if col >= 0 {
 			ca := &k.cands[col]
+			if relaxed >= 0 {
+				row[col] = relaxed
+			}
 			row[col]++
 			kidx = int32(len(ca.instTS))
 			ca.instTS = append(ca.instTS, row[col])
 			ca.tup = append(ca.tup, [3]int64{ddg.NoAddr, provAddr(px, in.X), provAddr(py, in.Y)})
 			if ca.elig {
-				pa, pb := int64(ddg.NoAddr), int64(ddg.NoAddr)
-				accumNow := false
-				if px != nil {
-					if px.instr == ca.id {
-						accumNow = true
-					} else if px.isLoad && px.storedInstr == ca.id {
-						pa = px.loadAddr
-					}
-				}
-				if py != nil {
-					if py.instr == ca.id {
-						accumNow = true
-					} else if py.isLoad && py.storedInstr == ca.id {
-						pb = py.loadAddr
-					}
-				}
-				if accumNow {
-					ca.accum++
-					pa, pb = ddg.NoAddr, ddg.NoAddr
-				}
-				ca.pendA = append(ca.pendA, pa)
-				ca.pendB = append(ca.pendB, pb)
+				ca.acc = append(ca.acc, accumBits(px, ca.id, accumX, loadX)|accumBits(py, ca.id, accumY, loadY))
 			}
 			k.charge(streamInstanceBytes)
 		}
@@ -823,7 +944,7 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 		}
 		if in.Dst != ir.RegNone {
 			dst := &f.regs[in.Dst]
-			*dst = streamVal{row: row, instr: id, cand: col, inst: kidx, storedInstr: -1}
+			*dst = streamVal{row: row, instr: id, cand: col, inst: kidx, storedInstr: -1, node: k.n}
 		}
 		if transient {
 			k.freeRow(row)
@@ -837,8 +958,7 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 // §3.2/§3.3 stride stages over the online tuples, and assembles the Report
 // exactly as AnalyzeCtx does over a materialized graph — same obs counters,
 // same per-candidate Guard isolation, same degraded-slot and aggregation
-// rules, same sort. The kernel stays feedable-after-error semantics aside;
-// callers Release it afterwards either way.
+// rules, same sort. Callers Release the kernel afterwards either way.
 func (k *StreamKernel) Finish(ctx context.Context) (*Report, error) {
 	if k.err != nil {
 		return nil, k.err
@@ -861,7 +981,7 @@ func (k *StreamKernel) Finish(ctx context.Context) (*Report, error) {
 		if len(k.touched) > 0 {
 			rec.Add(obs.ShadowPagesTouched, int64(len(k.touched)))
 		}
-		rec.Add(obs.TilesDispatched, 1) // the whole region is one fused sweep
+		rec.Add(obs.TilesDispatched, 1) // the whole region is one sweep
 	}
 
 	k.order = k.order[:0]
@@ -889,52 +1009,8 @@ func (k *StreamKernel) Finish(ctx context.Context) (*Report, error) {
 		}
 	}
 	stride.Stop()
-	sweepErr := errors.Join(unitErrs...)
-
-	totalOps := 0
-	totalPartitions := 0
-	unitVecOps, unitSubparts, unitSum := 0, 0, 0
-	nonVecOps, nonSubparts, nonSum := 0, 0, 0
-	for i := range results {
-		r := &results[i]
-		totalOps += r.Instances
-		totalPartitions += r.Partitions
-		unitVecOps += r.Unit.VecOps
-		unitSubparts += r.Unit.Subpartitions
-		unitSum += r.Unit.SumSizes
-		nonVecOps += r.NonUnit.VecOps
-		nonSubparts += r.NonUnit.Subpartitions
-		nonSum += r.NonUnit.SumSizes
-	}
-	rep.PerInstr = results
-	if rec != nil {
-		rec.Add(obs.PartitionsEmitted, int64(totalPartitions))
-		rec.Add(obs.UnitVecOps, int64(unitVecOps))
-		rec.Add(obs.NonUnitVecOps, int64(nonVecOps))
-	}
-
-	rep.TotalCandidateOps = totalOps
-	if totalPartitions > 0 {
-		rep.AvgConcurrency = float64(totalOps) / float64(totalPartitions)
-	}
-	if totalOps > 0 {
-		rep.UnitVecOpsPct = 100 * float64(unitVecOps) / float64(totalOps)
-		rep.NonUnitVecOpsPct = 100 * float64(nonVecOps) / float64(totalOps)
-	}
-	if unitSubparts > 0 {
-		rep.UnitAvgVecSize = float64(unitSum) / float64(unitSubparts)
-	}
-	if nonSubparts > 0 {
-		rep.NonUnitAvgVecSize = float64(nonSum) / float64(nonSubparts)
-	}
-
-	sort.SliceStable(rep.PerInstr, func(i, j int) bool {
-		if rep.PerInstr[i].Line != rep.PerInstr[j].Line {
-			return rep.PerInstr[i].Line < rep.PerInstr[j].Line
-		}
-		return rep.PerInstr[i].ID < rep.PerInstr[j].ID
-	})
-	return rep, sweepErr
+	rep.aggregate(results, rec)
+	return rep, errors.Join(unitErrs...)
 }
 
 // finishCand runs the post-timestamp stages for one candidate column. The
@@ -964,13 +1040,12 @@ func (k *StreamKernel) finishCand(ca *candCol) InstrReport {
 			cp = t
 		}
 	}
-	isRed := ca.elig && nInst >= 3 && float64(ca.accum)/float64(nInst-1) >= 0.5
 	rep := InstrReport{
 		ID: ca.id, Line: in.Pos.Line, AssignID: in.AssignID, Text: in.String(),
 		Instances: nInst, Partitions: len(parts), CriticalPath: cp,
 		Unit:        StrideSummary{VecOps: unit.VecOps, Subpartitions: unit.Subpartitions, SumSizes: unit.SumSizes},
 		NonUnit:     StrideSummary{VecOps: non.VecOps, Subpartitions: non.Subpartitions, SumSizes: non.SumSizes},
-		IsReduction: isRed,
+		IsReduction: ca.isReduction(),
 	}
 	if len(parts) > 0 {
 		rep.AvgPartitionSize = float64(nInst) / float64(len(parts))

@@ -5,10 +5,11 @@
 // (unit/zero-stride) memory access (§3.2), the non-unit constant-stride
 // wait-list analysis (§3.3), and the metrics reported in the paper's tables.
 //
-// The per-candidate sweep is embarrassingly parallel — Property 3.1 reads
-// the graph and writes only its own timestamp buffer — and Analyze fans it
-// out across a bounded worker pool (see parallel.go) while keeping output
-// byte-identical to the sequential order.
+// Production analysis runs the one-pass stream kernel (stream.go) over a
+// region's events. The graph routines here and in report.go — Timestamps,
+// Partitions, and the per-candidate Analyze sweep, which fans out across a
+// bounded worker pool (see parallel.go) — serve the figures, the baselines,
+// and the tests' reference.
 package core
 
 import (
@@ -24,33 +25,26 @@ type Options struct {
 	// to reductions, which would uncover these additional vectorization
 	// opportunities").
 	RelaxReductions bool
-	// Workers bounds the analysis worker pool: the number of candidate
-	// tiles timestamped concurrently by Analyze (and, for callers that fan
-	// out over regions, the number of regions analyzed at once). 1 forces
-	// the sequential path; 0 or negative selects GOMAXPROCS. Output is
-	// identical for every setting.
+	// Workers bounds the analysis worker pool: the number of candidates
+	// timestamped concurrently by the graph reference AnalyzeCtx and, for
+	// callers that fan out over regions, the number of regions analyzed at
+	// once. 1 forces the sequential path; 0 or negative selects GOMAXPROCS.
+	// Output is identical for every setting.
 	Workers int
 	// Budget bounds the resources the analysis may consume (see Budget).
-	// The zero value imposes no analysis bound. A tight MaxAnalysisBytes
-	// shrinks the automatic tile width; exceeding it fails with an
-	// ErrResourceLimit-wrapped error rather than allocating past it. On the
-	// one-pass stream path the budget bounds the kernel's live working set
-	// (last-writer tables, shadow memory, instance arrays) instead of the
-	// tile matrix; exceeding it mid-region degrades that region only.
+	// The zero value imposes no analysis bound. On the stream kernel it
+	// bounds the live working set (last-writer tables, shadow memory,
+	// instance arrays); exceeding it mid-region degrades that region only,
+	// with an ErrResourceLimit-wrapped error rather than an allocation past
+	// it. The graph reference AnalyzeCtx checks it up front.
 	Budget Budget
 
-	// perCandidate and mapShadow select the reference implementations the
-	// differential tests compare the production engines against: the
-	// legacy per-candidate Algorithm-1 sweep in AnalyzeCtx (instead of the
-	// fused tiled kernel) and the stream kernel's map-backed shadow memory
-	// (instead of the paged shadow; the map still serves out-of-directory
-	// addresses in production). tileSize forces the fused kernel's tile
-	// width — how many candidates share one trace-order pass over the
-	// graph (see fused.go) — where 0 picks the automatic width. Output is
-	// byte-identical for every setting. Only export_test.go sets them.
-	perCandidate bool
-	mapShadow    bool
-	tileSize     int
+	// mapShadow selects the stream kernel's map-backed shadow memory
+	// instead of the paged shadow: the reference the differential tests
+	// compare the paged shadow against (the map still serves
+	// out-of-directory addresses in production). Output is byte-identical
+	// either way. Only export_test.go sets it.
+	mapShadow bool
 }
 
 // Timestamps runs Algorithm 1 for static instruction id over the graph and

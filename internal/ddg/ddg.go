@@ -13,14 +13,14 @@
 // Because edges always point backwards in time, trace order is a
 // topological order of the DDG, which the timestamping analyses exploit.
 //
-// Since the one-pass stream kernel (internal/core.StreamKernel) became the
-// default region-analysis route, Build is the fallback rather than the hot
-// path: the Algorithm-1 sweep, partitioning, and stride statistics run
-// directly off the event stream without materializing a graph. The full
-// graph is still built for the analyses that genuinely need every node and
-// edge at once — critical-path extraction, the Kumar/Larus-style baselines,
-// graph export, RelaxReductions' reduction cuts — and as the independent
-// reference the stream kernel is differentially tested against.
+// The one-pass stream kernel (internal/core.StreamKernel) runs every
+// production analysis: the Algorithm-1 sweep, partitioning, stride
+// statistics and reduction relaxation work directly off the event stream
+// without materializing a graph. The full graph is still built for the
+// analyses that genuinely need every node and edge at once — critical-path
+// extraction, the Kumar/Larus-style baselines, graph export, the Figure 1–2
+// partition listings — and as the independent reference the stream kernel
+// is differentially tested against.
 package ddg
 
 import (

@@ -75,7 +75,9 @@ const (
 	DDGEdges
 	// CandidatesAnalyzed counts candidate static instructions swept.
 	CandidatesAnalyzed
-	// TilesDispatched counts fused-kernel tiles handed to the worker pool.
+	// TilesDispatched counts stream-kernel sweeps: one per analyzed region
+	// with candidates (the name dates from the removed fused kernel, whose
+	// unit was a tile of candidates).
 	TilesDispatched
 	// PartitionsEmitted counts parallel partitions across all candidates.
 	PartitionsEmitted

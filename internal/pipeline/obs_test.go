@@ -42,8 +42,8 @@ func renderRegions(regs []pipeline.RegionReport, err error) string {
 
 // TestObservedOutputIdentical is the tentpole's differential guarantee:
 // with and without a recorder, in-memory and streaming, workers {1, 4},
-// the stream kernel and the RelaxReductions graph route — one rendered
-// artifact.
+// the stream kernel with and without the RelaxReductions replay — one
+// rendered artifact.
 func TestObservedOutputIdentical(t *testing.T) {
 	const srcName = "obsdiff.c"
 	src := testprog.Random(3)

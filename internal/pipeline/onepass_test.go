@@ -5,7 +5,7 @@ package pipeline_test
 // (referenceRegions). Both event inputs are covered:
 // AnalyzeLoopRegionsStreamCtx (decoder-fed) and AnalyzeLoopRegionsLiveCtx
 // (interpreter-fed, no trace anywhere) — both must be byte-identical to the
-// reference for every worker count and tile width.
+// reference for every worker count.
 
 import (
 	"bytes"
@@ -14,11 +14,14 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
+	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/pipeline"
@@ -28,7 +31,10 @@ import (
 
 // TestOnePassMatchesMaterializedOracle: for random programs, every loop and
 // worker counts {1, 3, 8}, the one-pass entry points must equal the
-// materialized reference report-for-report, live and streaming.
+// materialized reference report-for-report, live and streaming. The
+// reduction inputs of testprog.Reductions follow under RelaxReductions and
+// each dependence option, so the relaxed replay meets the graph reference
+// on inputs that actually reduce.
 func TestOnePassMatchesMaterializedOracle(t *testing.T) {
 	workerCounts := []int{1, 3, 8}
 	for seed := int64(0); seed < 8; seed++ {
@@ -66,12 +72,48 @@ func TestOnePassMatchesMaterializedOracle(t *testing.T) {
 			}
 		}
 	}
+
+	for _, rc := range testprog.Reductions() {
+		m := reductionModule(t, rc)
+		_, tr, err := pipeline.Trace(m)
+		if err != nil {
+			t.Fatalf("%s: %v", rc.Name, err)
+		}
+		encoded := encodeTrace(t, tr)
+		for _, dopts := range []ddg.Options{{}, {IncludeControl: true}, {IncludeAntiOutput: true}, {CharacterizeInts: true}} {
+			copts := core.Options{Workers: 2, RelaxReductions: true}
+			for _, line := range testprog.LoopLines(m) {
+				want, wantErr := referenceRegions(tr, line, dopts, copts)
+				_, got, gotErr := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), m, line, dopts, copts, core.Budget{})
+				sgot, sgotErr := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), m, trace.NewDecoder(bytes.NewReader(encoded)), line, dopts, copts)
+				if (wantErr == nil) != (gotErr == nil) || (wantErr == nil) != (sgotErr == nil) {
+					t.Fatalf("%s %+v loop %d: oracle err %v, live err %v, streaming err %v", rc.Name, dopts, line, wantErr, gotErr, sgotErr)
+				}
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(sgot, want) {
+					t.Fatalf("%s %+v loop %d: relaxed one-pass differs from materialized oracle", rc.Name, dopts, line)
+				}
+			}
+		}
+	}
+}
+
+// reductionModule builds (or compiles) one relaxation input.
+func reductionModule(t *testing.T, rc testprog.Reduction) *ir.Module {
+	t.Helper()
+	if rc.Src == "" {
+		return rc.Module()
+	}
+	m, err := pipeline.Compile(rc.Name+".c", rc.Src)
+	if err != nil {
+		t.Fatalf("%s: %v", rc.Name, err)
+	}
+	return m
 }
 
 // TestAnalyzeLoopRegionsLiveParity: the fully fused live entry (interpreter
 // events straight into the per-region workers, no trace at any layer)
 // matches the trace-then-analyze reference, both on the one-pass kernel and
-// under RelaxReductions, where each worker builds its region's graph.
+// under RelaxReductions, where each worker replays its region's held events.
 func TestAnalyzeLoopRegionsLiveParity(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		src := testprog.Random(seed)
@@ -250,7 +292,7 @@ func TestOnePassPoolAndFootprintCounters(t *testing.T) {
 
 // TestRelaxReductionsRetainsPerRegion pins the memory bound of the one
 // route that holds region events: under RelaxReductions each region worker
-// keeps its region's events to build that region's graph, so an
+// keeps its region's events for the replay, so an
 // all-regions live analysis retains at most workers × the longest region —
 // never the trace. ScanPeakRetainedEvents counts every held event plus the
 // chunks in flight to the workers.
@@ -321,12 +363,19 @@ func TestOnePassPeakMemoryVsMaterialized(t *testing.T) {
 			}
 		})
 	}
-	// Warm both routes once so pools and lazily-built tables don't skew the
-	// measured run, then measure.
-	runOnePass()
-	runMaterialized()
-	onePass := runOnePass()
-	materializedPeak := runMaterialized()
+	// Both routes are measured cold, from emptied pools (two collections
+	// clear a sync.Pool and its victim cache), so neither run depends on
+	// what earlier tests left pooled. A low GC target keeps HeapAlloc close
+	// to the live heap, instead of counting garbage up to the default
+	// target.
+	defer debug.SetGCPercent(debug.SetGCPercent(5))
+	cold := func(run func() uint64) uint64 {
+		runtime.GC()
+		runtime.GC()
+		return run()
+	}
+	materializedPeak := cold(runMaterialized)
+	onePass := cold(runOnePass)
 	t.Logf("events=%d one-pass peak=%d materialized peak=%d ratio=%.1f",
 		len(tr.Events), onePass, materializedPeak, float64(materializedPeak)/float64(onePass))
 	if onePass == 0 {

@@ -136,49 +136,42 @@ type RegionReport struct {
 	// Events is the region's dynamic instruction count.
 	Events int
 	// Report is the §3 analysis of the region's DDG. On a per-region
-	// failure it may be nil (the region's graph never built) or a degraded
-	// report missing the failed candidates' rows; Err says which.
+	// failure it may be nil (the region's feed failed) or a degraded report
+	// missing the failed candidates' rows; Err says which.
 	Report *core.Report
 	// Err is this region's failure, if any: one bad region records its
 	// error here while the remaining regions are still analyzed. The
 	// analysis entry points additionally join every per-region error into
 	// their returned error, so a non-nil summary error is never silent.
 	Err error
-	// Elapsed is the wall time this region's DDG construction and analysis
-	// took (set even when the region failed part-way). It is observability
-	// metadata, populated only when the run carries an obs.Recorder — with
+	// Elapsed is the wall time this region's analysis took (set even when
+	// the region failed part-way). It is observability metadata, populated
+	// only when the run carries an obs.Recorder — with
 	// observability off it stays zero, so region reports from observed and
 	// unobserved runs differ only in this field and no renderer prints it.
 	Elapsed time.Duration
 }
 
 // AnalyzeRegion analyzes one region sub-trace: its events run through a
-// pooled one-pass stream kernel (the fused ingest→analyze pass, no graph),
-// except under RelaxReductions, whose graph-wide reduction cuts need the
-// region's materialized ddg.Graph. It is the single-region building block
-// behind the single-instance entry points and the report package's
-// representative-region sampling. Cancellation is polled at the scanner's
-// granularity, but only from the second poll window on — regions shorter
-// than the poll interval behave exactly like AnalyzeCtx on the graph, which
-// for a candidate-free region succeeds even on a canceled context.
+// pooled one-pass stream kernel (the fused ingest→analyze pass, no graph).
+// Under RelaxReductions, a region in which some column qualifies as a
+// reduction is fed twice: the first feed finds the accumulator operands
+// and the replay timestamps those columns without them (see
+// core.StreamKernel.Relax). It is the single-region building block behind
+// every analysis of held events — the region dispatcher's relaxed regions,
+// whole-program analysis, and the report package's region sampling.
+// Cancellation is polled at the scanner's granularity, but only from the
+// second poll window on — regions shorter than the poll interval behave
+// exactly like AnalyzeCtx on the graph, which for a candidate-free region
+// succeeds even on a canceled context.
 func AnalyzeRegion(ctx context.Context, sub *trace.Trace, dopts ddg.Options, copts core.Options) (*core.Report, error) {
-	if copts.RelaxReductions {
-		return analyzeGraph(ctx, sub, dopts, copts)
-	}
 	rec := obs.FromContext(ctx)
 	k := core.AcquireStreamKernel(sub.Module, dopts, copts, rec)
 	defer k.Release()
 	sw := rec.StartTimer("tile-sweep")
-	var err error
-	for i, ev := range sub.Events {
-		if i%4096 == 4095 {
-			if err = core.Canceled(ctx); err != nil {
-				break
-			}
-		}
-		if err = k.Feed(ev.ID, ev.Addr); err != nil {
-			break
-		}
+	err := feedEvents(ctx, k, sub.Events)
+	if err == nil && copts.RelaxReductions && k.Relax() {
+		err = feedEvents(ctx, k, sub.Events)
 	}
 	sw.Stop()
 	if err != nil {
@@ -187,14 +180,19 @@ func AnalyzeRegion(ctx context.Context, sub *trace.Trace, dopts ddg.Options, cop
 	return k.Finish(ctx)
 }
 
-// analyzeGraph is the materialized route: build the region's ddg.Graph and
-// run the §3 analysis over it.
-func analyzeGraph(ctx context.Context, sub *trace.Trace, dopts ddg.Options, copts core.Options) (*core.Report, error) {
-	g, err := ddg.BuildOpts(sub, dopts)
-	if err != nil {
-		return nil, err
+// feedEvents feeds events to k in order, polling ctx every 4096 events.
+func feedEvents(ctx context.Context, k *core.StreamKernel, events []trace.Event) error {
+	for i, ev := range events {
+		if i%4096 == 4095 {
+			if err := core.Canceled(ctx); err != nil {
+				return err
+			}
+		}
+		if err := k.Feed(ev.ID, ev.Addr); err != nil {
+			return err
+		}
 	}
-	return core.AnalyzeCtx(ctx, g, copts)
+	return nil
 }
 
 // findLoop resolves the loop whose "for"/"while" keyword is on the given

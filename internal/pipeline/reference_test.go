@@ -13,7 +13,7 @@ import (
 
 // referenceRegions is the independent reference the region fan-outs are
 // tested against. It slices each dynamic region out of the resident trace
-// with pipeline.LoopRegion and analyzes the region's materialized graph with
+// (trace.Regions, as pipeline.LoopRegion does) and analyzes the region's materialized graph with
 // ddg.BuildOpts + core.AnalyzeCtx, so it shares no dispatcher, feed, or
 // stream-kernel code with the entry points under test. Its results follow
 // their contract: one report per region in index order, each region
@@ -24,7 +24,8 @@ func referenceRegions(tr *trace.Trace, line int, dopts ddg.Options, copts core.O
 	if lm == nil {
 		return nil, fmt.Errorf("pipeline: no loop on line %d", line)
 	}
-	n := len(tr.Regions(lm.ID))
+	regions := tr.Regions(lm.ID)
+	n := len(regions)
 	if n == 0 {
 		return nil, fmt.Errorf("pipeline: loop on line %d never executed", line)
 	}
@@ -32,10 +33,7 @@ func referenceRegions(tr *trace.Trace, line int, dopts ddg.Options, copts core.O
 	out := make([]pipeline.RegionReport, n)
 	var errs []error
 	for i := range out {
-		sub, err := pipeline.LoopRegion(tr, line, i)
-		if err != nil {
-			return nil, err
-		}
+		sub := tr.Slice(regions[i])
 		out[i] = pipeline.RegionReport{Index: i, Events: sub.Len()}
 		g, err := ddg.BuildOpts(sub, dopts)
 		if err == nil {

@@ -96,10 +96,10 @@ func record(ctx context.Context, mod *ir.Module, budget core.Budget, put func(tr
 // region's events, charged to copts.Budget.MaxAnalysisBytes. Each region's
 // analysis runs with Workers=1 but otherwise inherits copts, and results
 // land in region-index order, so the output is identical for any worker
-// count and tile width.
+// count.
 //
 // Failures degrade per region. One poisoned region — a budget exhausted
-// mid-feed, a graph that fails to build, even a worker panic — records its
+// mid-feed, a malformed event sequence, even a worker panic — records its
 // error in its own RegionReport.Err slot while every other region is still
 // scanned and analyzed. The returned summary error joins the per-region
 // errors in region-index order, followed by the scan error (if the stream
@@ -223,16 +223,14 @@ func (s *onePassSink) Abort() {
 	s.d.open--
 }
 
-// heldEventBytes is the budget charge of one event RelaxReductions holds:
-// the 16-byte trace.Event plus the 48-byte ddg.Node it becomes when the
-// region's graph is built.
-const heldEventBytes = 64
+// heldEventBytes is the budget charge of one event RelaxReductions holds
+// for its replay: one 16-byte trace.Event.
+const heldEventBytes = 16
 
-// chargeHeld checks that n held events, and the graph they will become,
-// fit the analysis budget.
+// chargeHeld checks that n held events fit the analysis budget.
 func chargeHeld(n int, b core.Budget) error {
 	if need := int64(n) * heldEventBytes; b.MaxAnalysisBytes > 0 && need > b.MaxAnalysisBytes {
-		return fmt.Errorf("relaxed-reduction region holds %d events, %d bytes with their graph, budget %d: %w",
+		return fmt.Errorf("relaxed-reduction region holds %d events, %d bytes, budget %d: %w",
 			n, need, b.MaxAnalysisBytes, core.ErrResourceLimit)
 	}
 	return nil
@@ -242,9 +240,9 @@ func chargeHeld(n int, b core.Budget) error {
 // streamed region analysis: drive pushes the trace through a RegionFeed
 // whose sinks hand each open region's events to a dedicated per-region
 // worker. A worker feeds a pooled StreamKernel; only under RelaxReductions,
-// whose reduction cuts need the whole graph, does it hold the region's
-// events (charged to the analysis budget chunk by chunk) and build that one
-// region's ddg.Graph at close. Workers are bounded by copts.WorkerCount();
+// whose replay feeds the region twice, does it hold the region's events
+// (charged to the analysis budget chunk by chunk) and hand them to
+// AnalyzeRegion at close. Workers are bounded by copts.WorkerCount();
 // nested target regions (recursion into the analyzed loop) oversubscribe
 // the pool rather than block the feed, since an open outer region can only
 // drain while the feed advances.
@@ -293,9 +291,12 @@ func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line, want
 	run := func(s *onePassSink) {
 		defer wg.Done()
 		life := startRegion(rec)
+		// A relaxed region holds its events for AnalyzeRegion's replay;
+		// any other region feeds a kernel as its chunks arrive.
+		relax := inner.RelaxReductions
 		var k *core.StreamKernel
-		var held []trace.Event // RelaxReductions: the region's events, for its graph
-		if !inner.RelaxReductions {
+		var held []trace.Event
+		if !relax {
 			k = core.AcquireStreamKernel(mod, dopts, inner, rec)
 		}
 		events := 0
@@ -307,7 +308,7 @@ func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line, want
 				// Chunks keep draining after a failure (the region is
 				// degraded, not the stream): stopping would deadlock the feed.
 				d.outstanding.Add(-n)
-			case k == nil:
+			case relax:
 				// Held events stay counted as retained until the region ends.
 				if feedErr = chargeHeld(len(held)+len(chunk), inner.Budget); feedErr != nil {
 					d.outstanding.Add(-int64(len(held)) - n)
@@ -342,10 +343,10 @@ func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line, want
 		case err == nil:
 			err = core.Guard(s.idx, "region", int64(s.idx), func() error {
 				var ferr error
-				if k != nil {
-					rr.Report, ferr = k.Finish(ctx)
+				if relax {
+					rr.Report, ferr = AnalyzeRegion(ctx, &trace.Trace{Module: mod, Events: held}, dopts, inner)
 				} else {
-					rr.Report, ferr = analyzeGraph(ctx, &trace.Trace{Module: mod, Events: held}, dopts, inner)
+					rr.Report, ferr = k.Finish(ctx)
 				}
 				return ferr
 			})

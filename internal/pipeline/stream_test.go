@@ -4,8 +4,7 @@ package pipeline_test
 // (AnalyzeLoopRegionsStreamCtx) must produce byte-identical reports to the
 // resident-slice reference (referenceRegions: each region's graph built
 // and analyzed on its own), for arbitrary generated programs, every loop,
-// and every worker count — and across tile widths, each of which must also
-// match the reference at the automatic width.
+// and every worker count.
 
 import (
 	"bytes"

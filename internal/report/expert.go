@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -116,11 +117,10 @@ func RankOpportunities(mod *ir.Module, res *interp.Result, tr *trace.Trace, thre
 		if len(regions) == 0 {
 			continue
 		}
-		g, err := ddg.Build(tr.Slice(regions[0]))
+		rep, err := pipeline.AnalyzeRegion(context.Background(), tr.Slice(regions[0]), ddg.Options{}, core.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("loop %s:%d: %w", st.Func, st.Line, err)
 		}
-		rep := core.Analyze(g, core.Options{})
 		o := Opportunity{
 			Func:          st.Func,
 			Line:          st.Line,

@@ -760,10 +760,9 @@ func TestUploadGuards(t *testing.T) {
 	}
 }
 
-// TestNegativeTileRejected: a job config has no "tile" field — the fused
-// kernel's width is derived from the budget — so the decoder's
-// DisallowUnknownFields turns any "tile" into a bad request naming the
-// field, before admission, leaving no job and no reserved slot.
+// TestNegativeTileRejected: a job config has no "tile" field, so the
+// decoder's DisallowUnknownFields turns any "tile" into a bad request
+// naming the field, before admission, leaving no job and no reserved slot.
 func TestNegativeTileRejected(t *testing.T) {
 	s := newTestServer(t, Config{Queue: 2, Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -934,6 +933,45 @@ func TestBudgetCeiling(t *testing.T) {
 	}
 	if kind := j.status(false).ErrorKind; kind != "resource_limit" {
 		t.Fatalf("error kind = %q, want resource_limit", kind)
+	}
+}
+
+// TestRelaxJobOverBudget checks an over-budget relaxed-reduction job: the
+// events its region holds for the replay outgrow a tiny MaxAnalysisBytes,
+// so the job ends with a resource_limit error wrapping
+// core.ErrResourceLimit, having held about the budget's worth of events
+// rather than the region.
+func TestRelaxJobOverBudget(t *testing.T) {
+	const src = `
+double s;
+void main() {
+  int i;
+  for (i = 0; i < 20000; i++) { s = s * 0.5 + 1.0; }
+  print(s);
+}
+`
+	const budget = 16 << 10 // 1024 held events
+	s := newTestServer(t, Config{Queue: 2, Workers: 1, CacheEntries: 0})
+	j, err := s.Submit(JobSpec{Line: 5, RelaxReductions: true, MaxAnalysisBytes: budget}, src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	j.mu.Lock()
+	jerr := j.err
+	j.mu.Unlock()
+	if !errors.Is(jerr, core.ErrResourceLimit) {
+		t.Fatalf("job error %v does not wrap core.ErrResourceLimit", jerr)
+	}
+	if kind := j.status(false).ErrorKind; kind != "resource_limit" {
+		t.Fatalf("error kind = %q, want resource_limit", kind)
+	}
+	// Held events stop at the budget; the chunks in flight to the worker
+	// (a few thousand events) add to the retained peak.
+	held := j.rec.Get(obs.ScanPeakRetainedEvents)
+	t.Logf("retained peak %d events under a %d-byte budget", held, budget)
+	if held == 0 || held > 16<<10 {
+		t.Fatalf("retained %d events under a %d-byte budget, want the budget's 1024 plus chunks in flight", held, budget)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"strings"
 
 	"github.com/example/vectrace/internal/ir"
+	"github.com/example/vectrace/internal/kernels"
+	"github.com/example/vectrace/internal/source"
 )
 
 // Fault is a three-region kernel: the inner loop on FaultInnerLine runs
@@ -182,4 +184,144 @@ func (g *progGen) expr(v string, depth int) string {
 	ops := []string{"+", "-", "*"}
 	op := ops[g.rng.Intn(len(ops))]
 	return fmt.Sprintf("(%s %s %s)", g.expr(v, depth-1), op, g.expr(v, depth-1))
+}
+
+// RegisterChainLoopLine is the source line of RegisterChain's loop.
+const RegisterChainLoopLine = 1
+
+// ChainShape selects the accumulator shape of a RegisterChain module.
+type ChainShape int
+
+// The RegisterChain shapes. Each iteration computes s = s + y with one
+// static FP add whose X operand is the previous iteration's result, read
+// straight from a register.
+const (
+	// ChainDistinct: y is a fresh per-iteration value.
+	ChainDistinct ChainShape = iota
+	// ChainSameReg: y is s itself — s = s + s on one node, one register.
+	ChainSameReg
+	// ChainSameNodeCall: the add runs in a callee f(a, b) = a + b called
+	// as f(s, s), so one node reaches it through two registers.
+	ChainSameNodeCall
+	// ChainLagged: y is loaded from a global that holds the value from two
+	// iterations back (the previous value is stored only after the load),
+	// so both operands carry an accumulator, with different timestamps.
+	ChainLagged
+)
+
+// RegisterChain returns a hand-built module whose loop on
+// RegisterChainLoopLine accumulates through a register, a shape MiniC's
+// lowering never emits (named locals live in frame slots). Every shape
+// stores the running value to a global each iteration.
+func RegisterChain(shape ChainShape) *ir.Module {
+	m := &ir.Module{Name: "regchain", SrcFile: "regchain.vir"}
+	m.Globals = []ir.GlobalVar{{Name: "g", Size: 8, Align: 8}}
+	m.Loops = []ir.LoopMeta{{ID: 0, Line: RegisterChainLoopLine, Func: "main", Parent: -1}}
+	pos := source.Pos{Line: RegisterChainLoopLine}
+	emit := func(b *ir.Block, loop int32, ins ir.Instr) {
+		ins.Pos, ins.Loop, ins.AssignID = pos, loop, -1
+		b.Instrs = append(b.Instrs, ins)
+	}
+	var callee *ir.Function
+	if shape == ChainSameNodeCall {
+		callee = &ir.Function{Name: "f", NumParams: 2, HasResult: true, Result: ir.F64}
+		b := callee.NewBlock()
+		x, y, r := callee.NewReg(), callee.NewReg(), callee.NewReg()
+		emit(b, -1, ir.Instr{Op: ir.OpBin, Dst: r, Type: ir.F64, Bin: ir.AddOp, X: ir.RegOp(x), Y: ir.RegOp(y)})
+		emit(b, -1, ir.Instr{Op: ir.OpRet, Dst: ir.RegNone, X: ir.RegOp(r)})
+	}
+	f := &ir.Function{Name: "main"}
+	entry, cond, body, exit := f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock()
+	i, c, x, s, a := f.NewReg(), f.NewReg(), f.NewReg(), f.NewReg(), f.NewReg()
+	emit(entry, 0, ir.Instr{Op: ir.OpLoopBegin, Dst: ir.RegNone})
+	emit(entry, 0, ir.Instr{Op: ir.OpBr, Dst: ir.RegNone, Then: cond.Index})
+	emit(cond, 0, ir.Instr{Op: ir.OpCmp, Dst: c, Type: ir.I64, From: ir.I64, Pred: ir.CmpLT, X: ir.RegOp(i), Y: ir.IntConst(12)})
+	emit(cond, 0, ir.Instr{Op: ir.OpCondBr, Dst: ir.RegNone, X: ir.RegOp(c), Then: body.Index, Else: exit.Index})
+	emit(body, 0, ir.Instr{Op: ir.OpLoopIter, Dst: ir.RegNone})
+	emit(body, 0, ir.Instr{Op: ir.OpGlobalAddr, Dst: a, Type: ir.I64, Global: 0})
+	add := ir.Instr{Op: ir.OpBin, Dst: s, Type: ir.F64, Bin: ir.AddOp, X: ir.RegOp(s), Y: ir.RegOp(x)}
+	switch shape {
+	case ChainDistinct:
+		emit(body, 0, ir.Instr{Op: ir.OpCast, Dst: x, Type: ir.F64, From: ir.I64, X: ir.RegOp(i)})
+	case ChainSameReg:
+		add.Y = ir.RegOp(s)
+	case ChainSameNodeCall:
+		add = ir.Instr{Op: ir.OpCall, Dst: s, Type: ir.F64, Callee: 1, Args: []ir.Operand{ir.RegOp(s), ir.RegOp(s)}}
+	case ChainLagged:
+		emit(body, 0, ir.Instr{Op: ir.OpLoad, Dst: x, Type: ir.F64, X: ir.RegOp(a)})
+		emit(body, 0, ir.Instr{Op: ir.OpStore, Dst: ir.RegNone, Type: ir.F64, X: ir.RegOp(a), Y: ir.RegOp(s)})
+	}
+	emit(body, 0, add)
+	if shape != ChainLagged {
+		emit(body, 0, ir.Instr{Op: ir.OpStore, Dst: ir.RegNone, Type: ir.F64, X: ir.RegOp(a), Y: ir.RegOp(s)})
+	}
+	emit(body, 0, ir.Instr{Op: ir.OpBin, Dst: i, Type: ir.I64, Bin: ir.AddOp, X: ir.RegOp(i), Y: ir.IntConst(1)})
+	emit(body, 0, ir.Instr{Op: ir.OpBr, Dst: ir.RegNone, Then: cond.Index})
+	emit(exit, 0, ir.Instr{Op: ir.OpLoopEnd, Dst: ir.RegNone})
+	emit(exit, 0, ir.Instr{Op: ir.OpRet, Dst: ir.RegNone})
+	m.AddFunc(f)
+	if callee != nil {
+		m.AddFunc(callee)
+	}
+	m.Finalize()
+	return m
+}
+
+// Reduction is one input of the reduction-relaxation differentials: a
+// program in which some candidate qualifies as a reduction under the ≥50%
+// accumulator rule. Src is MiniC source; when it is empty, Module builds
+// the program by hand.
+type Reduction struct {
+	Name   string
+	Src    string
+	Module func() *ir.Module
+}
+
+// Reductions returns the relaxation inputs, one accumulator shape each:
+// the two Table-1 reduction kernels (482.sphinx3, 454.calculix), the
+// RegisterChain shapes (a register chain, s = s + s on one node through
+// one register and through two, both operands carrying), s += a[i] round
+// trips through either operand, s = s + s on two loads, a loop whose exit
+// test reads the accumulator, a recurrence through distinct addresses
+// (not a reduction), and a reduction inside a called function.
+func Reductions() []Reduction {
+	out := []Reduction{
+		{Name: "register-chain", Module: func() *ir.Module { return RegisterChain(ChainDistinct) }},
+		{Name: "same-node", Module: func() *ir.Module { return RegisterChain(ChainSameReg) }},
+		{Name: "same-node-call", Module: func() *ir.Module { return RegisterChain(ChainSameNodeCall) }},
+		{Name: "lagged-chain", Module: func() *ir.Module { return RegisterChain(ChainLagged) }},
+		{Name: "round-trip", Src: `
+double a[32]; double c[32]; double s; double u; double d; double w;
+void main() {
+  int i;
+  d = 1.0;
+  for (i = 0; i < 32; i++) { a[i] = 0.25 * i; }
+  for (i = 0; i < 32; i++) { s += a[i]; }
+  for (i = 0; i < 32; i++) { u = a[i] * 0.5 + u; }
+  for (i = 0; i < 24; i++) { d = d + d; }
+  while (w < 50.0) { w = w + 2.5; }
+  for (i = 1; i < 32; i++) { c[i] = c[i - 1] + a[i]; }
+  print(s + u + d + w);
+}
+`},
+		{Name: "called-function", Src: `
+double a[32]; double g; double h;
+void acc(double x) { g = g + x; }
+double add(double s, double x) { return s + x; }
+void main() {
+  int i;
+  for (i = 0; i < 32; i++) { a[i] = 0.5 * i; }
+  for (i = 0; i < 32; i++) { acc(a[i]); h = add(h, a[i] * 2.0); }
+  print(g + h);
+}
+`},
+	}
+	seen := map[string]bool{}
+	for _, b := range kernels.SPEC() {
+		if (b.Name == "482.sphinx3" || b.Name == "454.calculix") && !seen[b.Name] {
+			seen[b.Name] = true // the first row is the Table-1 kernel
+			out = append(out, Reduction{Name: b.Name, Src: b.Kernel.Source})
+		}
+	}
+	return out
 }
