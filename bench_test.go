@@ -30,6 +30,7 @@ import (
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/report"
 	"github.com/example/vectrace/internal/staticvec"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
@@ -80,7 +81,7 @@ func BenchmarkTable1(b *testing.B) {
 	var rows []report.T1Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = report.Table1()
+		rows, err = report.Table1Ctx(context.Background(), core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func BenchmarkTable2(b *testing.B) {
 	var rows []report.T2Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = report.Table2()
+		rows, err = report.Table2Ctx(context.Background(), core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func BenchmarkTable3(b *testing.B) {
 	var rows []report.T3Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = report.Table3()
+		rows, err = report.Table3Ctx(context.Background(), core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 	})
 	b.Run("traced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := pipeline.Trace(mod); err != nil {
+			if _, _, err := testprog.Trace(mod); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -172,7 +173,7 @@ func BenchmarkDDGBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := testprog.Trace(mod)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func BenchmarkDDGAnalysisPerNode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := testprog.Trace(mod)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := testprog.Trace(mod)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := testprog.Trace(mod)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func BenchmarkTimestamps(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := testprog.Trace(mod)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func BenchmarkKumarBaseline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := testprog.Trace(mod)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -342,12 +343,12 @@ func BenchmarkReductionAblation(b *testing.B) {
 			sphinx = s
 		}
 	}
-	mod, _, tr, err := pipeline.CompileAndTrace(sphinx.Kernel.Name+".c", sphinx.Kernel.Source)
+	mod, _, tr, err := testprog.CompileAndTrace(sphinx.Kernel.Name+".c", sphinx.Kernel.Source)
 	if err != nil {
 		b.Fatal(err)
 	}
 	_ = mod
-	region, err := pipeline.LoopRegion(tr, sphinx.Kernel.LineOf("@dist"), 0)
+	region, err := testprog.LoopRegion(tr, sphinx.Kernel.LineOf("@dist"), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -376,7 +377,7 @@ func BenchmarkDependenceCategoryAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := testprog.Trace(mod)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func BenchmarkAnalysisScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, tr, err := pipeline.Trace(mod)
+		_, tr, err := testprog.Trace(mod)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -435,7 +436,7 @@ func BenchmarkLarusBaseline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := testprog.Trace(mod)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -495,7 +496,7 @@ func BenchmarkTraceEncode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := testprog.Trace(mod)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -570,17 +571,8 @@ func BenchmarkCompile(b *testing.B) {
 // BenchmarkAnnotate measures the per-line report pipeline.
 func BenchmarkAnnotate(b *testing.B) {
 	k := kernels.GaussSeidel(24, 2)
-	mod, err := pipeline.Compile(k.Name+".c", k.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, tr, err := pipeline.Trace(mod)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := report.AnnotateSource(tr, core.Options{}); err != nil {
+		if _, err := report.AnnotateSource(k.Name+".c", k.Source, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -593,7 +585,7 @@ func BenchmarkControlRegularity(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, tr, err := pipeline.Trace(mod)
+	_, tr, err := testprog.Trace(mod)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -601,7 +593,9 @@ func BenchmarkControlRegularity(b *testing.B) {
 	b.ResetTimer()
 	var r core.Regularity
 	for i := 0; i < b.N; i++ {
-		r = core.ControlRegularity(tr, lm.ID)
+		if r, err = testprog.ControlRegularity(tr, lm.ID); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(r.ModalFraction, "modal-fraction")
 }

@@ -48,7 +48,6 @@ import (
 	"math"
 	"os"
 
-	"github.com/example/vectrace/internal/baseline"
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/diag"
@@ -135,6 +134,18 @@ func run(args []string) error {
 		}
 		fmt.Print(report.RenderOpportunities(rows))
 		return nil
+	case "annotate":
+		fs := flag.NewFlagSet("annotate", flag.ContinueOnError)
+		relax := fs.Bool("relax-reductions", false, "ignore reduction-carried dependences")
+		if err := parseFlags(fs, rest); err != nil {
+			return err
+		}
+		anns, err := report.AnnotateSource(file, string(src), core.Options{RelaxReductions: *relax})
+		if err != nil {
+			return err
+		}
+		fmt.Print(report.RenderAnnotatedSource(string(src), anns))
+		return nil
 	}
 	mod, err := pipeline.Compile(file, string(src))
 	if err != nil {
@@ -201,23 +212,6 @@ func run(args []string) error {
 			}
 			fmt.Printf("%s:%d (%s): %s\n", file, lm.Line, lm.Func, status)
 		}
-		return nil
-
-	case "annotate":
-		fs := flag.NewFlagSet("annotate", flag.ContinueOnError)
-		relax := fs.Bool("relax-reductions", false, "ignore reduction-carried dependences")
-		if err := parseFlags(fs, rest); err != nil {
-			return err
-		}
-		_, tr, err := pipeline.Trace(mod)
-		if err != nil {
-			return err
-		}
-		anns, err := report.AnnotateSource(tr, core.Options{RelaxReductions: *relax})
-		if err != nil {
-			return err
-		}
-		fmt.Print(report.RenderAnnotatedSource(string(src), anns))
 		return nil
 
 	case "tree":
@@ -434,91 +428,64 @@ func analyzeCmd(file, src string, rest []string) error {
 			return f, o, nil
 		}
 
-		if *line != 0 && !*compare {
-			// Region analyses go through the entry points vectraced's job
-			// engine uses (pipeline.AnalyzeSourceCtx, and for trace files
-			// pipeline.AnalyzeOpened, which pipeline.AnalyzeTraceBytesCtx
-			// wraps), so the report bytes match the service's. A program
-			// runs live and never holds its trace. Trace files stream region
-			// by region, or seek and fan out across -scan-workers when
-			// indexed.
-			regs, err := func() ([]pipeline.RegionReport, error) {
-				if *traceFile == "" {
-					return pipeline.AnalyzeSourceCtx(ctx, file, src, *line, *instance, opts, copts, core.Budget{})
-				}
-				mod, err := pipeline.CompileCtx(ctx, file, src)
-				if err != nil {
-					return nil, err
-				}
+		// -line 0 analyzes the whole run as one region.
+		inst := *instance
+		if *line == 0 {
+			inst = 0
+		}
+		if *compare {
+			// The Kumar baseline replays the same region's events in the
+			// same pass; a trace file is scanned sequentially up to it.
+			mod, err := pipeline.CompileCtx(ctx, file, src)
+			if err != nil {
+				return err
+			}
+			var events trace.EventSource
+			if *traceFile != "" {
 				f, o, err := openTrace()
 				if err != nil {
-					return nil, err
-				}
-				defer f.Close()
-				return pipeline.AnalyzeOpened(ctx, o, mod, *line, *instance, opts, copts, tf.ScanWorkers)
-			}()
-			if *instance < 0 {
-				printRegions(regs, err)
-				return err
-			}
-			return printInstance(regs, err)
-		}
-
-		// Whole-program analysis (-line 0) and the Kumar baseline
-		// (-baselines) hold a trace — the whole program's, or the one
-		// region's — and feed it to the stream kernel; only the baseline
-		// builds its graph.
-		mod, err := pipeline.CompileCtx(ctx, file, src)
-		if err != nil {
-			return err
-		}
-		var tr *trace.Trace
-		if *traceFile != "" {
-			f, o, err := openTrace()
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if *line != 0 {
-				tr, err = pipeline.LoopRegionStream(ctx, mod, o.Source(), *line, *instance)
-			} else {
-				var events []trace.Event
-				events, err = trace.ReadAll(o.Source())
-				tr = &trace.Trace{Module: mod, Events: events}
-			}
-			if err != nil {
-				return err
-			}
-		} else {
-			_, tr, err = pipeline.TraceCtxOpts(ctx, mod, core.Budget{}, copts)
-			if err != nil {
-				return err
-			}
-			if *line != 0 {
-				if tr, err = pipeline.LoopRegion(tr, *line, *instance); err != nil {
 					return err
 				}
+				defer f.Close()
+				events = o.Source()
 			}
-		}
-		rep, err := pipeline.AnalyzeRegion(ctx, tr, opts, copts)
-		if err != nil {
-			return err
-		}
-		var g *ddg.Graph
-		if *compare {
-			if g, err = ddg.BuildOpts(tr, opts); err != nil {
+			rep, kumar, err := pipeline.AnalyzeKumarCtx(ctx, mod, events, *line, inst, opts, copts)
+			if err != nil {
 				return err
 			}
-		}
-		_, sp := obs.StartSpan(ctx, "report")
-		defer sp.End()
-		fmt.Print(rep.String())
-		if g != nil {
-			p := baseline.Kumar(g)
+			_, sp := obs.StartSpan(ctx, "report")
+			defer sp.End()
+			fmt.Print(rep.String())
 			fmt.Printf("kumar: critical path %d, avg parallelism %.1f\n",
-				p.CriticalPath, p.AvgParallelism)
+				kumar.CriticalPath(), kumar.AvgParallelism())
+			return nil
 		}
-		return nil
+		// Analyses go through the entry points vectraced's job engine uses
+		// (pipeline.AnalyzeSourceCtx, and for trace files
+		// pipeline.AnalyzeOpened, which pipeline.AnalyzeTraceBytesCtx
+		// wraps), so the report bytes match the service's. A program runs
+		// live and never holds its trace. Trace files stream region by
+		// region, or seek and fan out across -scan-workers when indexed.
+		regs, err := func() ([]pipeline.RegionReport, error) {
+			if *traceFile == "" {
+				return pipeline.AnalyzeSourceCtx(ctx, file, src, *line, inst, opts, copts, core.Budget{})
+			}
+			mod, err := pipeline.CompileCtx(ctx, file, src)
+			if err != nil {
+				return nil, err
+			}
+			f, o, err := openTrace()
+			if err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			return pipeline.AnalyzeOpened(ctx, o, mod, *line, inst, opts, copts, tf.ScanWorkers)
+		}()
+		if inst < 0 {
+			printRegions(regs, err)
+			return err
+		}
+		return printInstance(regs, err)
 	}()
 	if serr := prof.Stop(); err == nil {
 		err = serr

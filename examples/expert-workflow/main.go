@@ -62,20 +62,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, tr, err := pipeline.Trace(mod)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	fmt.Println("== step 1: ranked opportunities ==")
-	rows, err := report.RankOpportunities(mod, res, tr, 5)
+	rows, err := report.RankOpportunities(mod, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(report.RenderOpportunities(rows))
 
 	fmt.Println("\n== step 2: annotated source ==")
-	anns, err := report.AnnotateSource(tr, core.Options{})
+	anns, err := report.AnnotateSource("triage.c", program, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,20 +34,14 @@ func main() {
 	fmt.Printf("original inner loop: vectorized=%v (%s)\n",
 		verdicts[lm.ID].Vectorized, verdicts[lm.ID].Reason)
 
-	// 2. What does the dynamic analysis say? Analyze one sweep of the
-	// i-loop region.
-	_, tr, err := pipeline.Trace(mod)
+	// 2. What does the dynamic analysis say? Analyze the time-loop region
+	// live, as the program runs.
+	regs, err := pipeline.AnalyzeSourceCtx(context.Background(), orig.Name+".c", orig.Source,
+		orig.LineOf("@time-loop"), 0, ddg.Options{}, core.Options{}, core.Budget{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	region, err := pipeline.LoopRegion(tr, orig.LineOf("@time-loop"), 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep, err := pipeline.AnalyzeRegion(context.Background(), region, ddg.Options{}, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	rep := regs[0].Report
 	fmt.Printf("dynamic analysis: %.1f%% unit-stride vec ops, %.1f%% non-unit (wavefront)\n",
 		rep.UnitVecOpsPct, rep.NonUnitVecOpsPct)
 

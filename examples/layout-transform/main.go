@@ -25,18 +25,16 @@ func main() {
 	cs := kernels.Milc(256)
 
 	// Dynamic analysis of the original AoS loop: the §3.3 signal.
-	mod, _, tr, err := pipeline.CompileAndTrace(cs.Original.Name+".c", cs.Original.Source)
+	mod, err := pipeline.Compile(cs.Original.Name+".c", cs.Original.Source)
 	if err != nil {
 		log.Fatal(err)
 	}
-	region, err := pipeline.LoopRegion(tr, cs.Original.LineOf("@hot"), 0)
+	regs, err := pipeline.AnalyzeSourceCtx(context.Background(), cs.Original.Name+".c", cs.Original.Source,
+		cs.Original.LineOf("@hot"), 0, ddg.Options{}, core.Options{}, core.Budget{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := pipeline.AnalyzeRegion(context.Background(), region, ddg.Options{}, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	rep := regs[0].Report
 	fmt.Println("original (array-of-structures) lattice:")
 	fmt.Printf("  unit-stride vec ops:     %.1f%%\n", rep.UnitVecOpsPct)
 	fmt.Printf("  non-unit-stride vec ops: %.1f%% at avg size %.1f  <-- layout-transform signal\n",

@@ -31,18 +31,17 @@ func main() {
 		{"pointer-based", pair.Pointer},
 	} {
 		k := variant.kernel
-		mod, res, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+		mod, err := pipeline.Compile(k.Name+".c", k.Source)
 		if err != nil {
 			log.Fatal(err)
 		}
-		region, err := pipeline.LoopRegion(tr, k.LineOf("@hot"), 0)
+		// The hot loop runs once: its one region is analyzed live.
+		res, regs, err := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, k.LineOf("@hot"),
+			ddg.Options{}, core.Options{}, core.Budget{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := pipeline.AnalyzeRegion(context.Background(), region, ddg.Options{}, core.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
+		rep := regs[0].Report
 
 		verdicts := staticvec.AnalyzeModule(mod)
 		inner := mod.LoopByLine(k.LineOf("@inner"))

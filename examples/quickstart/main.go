@@ -1,7 +1,8 @@
 // Quickstart: run the paper's full pipeline on its own running example
 // (Listing 1) — compile a MiniC program, execute it under instrumentation,
-// characterize each floating-point instruction's SIMD potential, and build
-// the dynamic data-dependence graph to contrast with a critical-path view.
+// characterize each floating-point instruction's SIMD potential as the
+// events stream past, and contrast Algorithm 1's partitions with a
+// critical-path view.
 //
 // The program prints the Figure 1 story: statement S1 (a recurrence) is
 // serial, while statement S2 — which a critical-path analysis would fragment
@@ -13,11 +14,11 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/example/vectrace/internal/baseline"
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/report"
 )
 
 func main() {
@@ -26,50 +27,39 @@ func main() {
 	fmt.Println("Analyzing the paper's Listing 1:")
 	fmt.Println(k.Source)
 
-	// Compile → execute under instrumentation → capture the trace.
-	mod, res, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+	// Compile → execute under instrumentation → characterize each candidate
+	// instruction with Algorithm 1 + the stride analyses, in one pass over
+	// the live event stream (flow dependences only). Line 0 selects the
+	// whole run as one region.
+	mod, err := pipeline.Compile(k.Name+".c", k.Source)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, regs, err := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, 0, ddg.Options{}, core.Options{}, core.Budget{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("executed %d dynamic instructions (%d floating-point candidates)\n\n",
 		res.Steps, res.FPOps)
-
-	// Characterize each candidate instruction with Algorithm 1 + the
-	// stride analyses, in one pass over the trace (flow dependences only).
-	rep, err := pipeline.AnalyzeRegion(context.Background(), tr, ddg.Options{}, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("per-instruction vectorization potential:")
-	fmt.Print(rep.String())
+	fmt.Print(regs[0].Report.String())
 
-	// Zoom in on S2 and contrast with the Kumar-style baseline (Figure 1),
-	// which needs the whole dynamic data-dependence graph at once.
-	g, err := ddg.Build(tr)
+	// Zoom in on S2 and contrast with the Kumar-style critical-path
+	// baseline (Figure 1): both group S2's instances by timestamp.
+	rows, err := report.Figure1(n)
 	if err != nil {
 		log.Fatal(err)
 	}
-	line := k.LineOf("@S2")
-	for _, id := range mod.CandidateIDs(-1) {
-		if mod.InstrAt(id).Pos.Line != line {
-			continue
-		}
-		parts := core.Partitions(g, id, core.Options{})
-		kumar := baseline.PartitionsByTimestamp(g, id, baseline.KumarTimestamps(g))
-		fmt.Printf("\nS2 (line %d):\n", line)
-		fmt.Printf("  Algorithm 1:   %3d partitions (max size %d) — vector-sized groups\n",
-			len(parts), maxPart(parts))
-		fmt.Printf("  critical path: %3d partitions — the fragmentation Figure 1(a) shows\n",
-			len(kumar))
-	}
-}
-
-func maxPart(parts []core.Partition) int {
-	m := 0
-	for _, p := range parts {
-		if len(p.Nodes) > m {
-			m = len(p.Nodes)
+	fmt.Printf("\nS2 (line %d):\n", k.LineOf("@S2"))
+	for _, r := range rows {
+		switch {
+		case r.Statement != "S2":
+		case r.Analysis == "Algorithm 1":
+			fmt.Printf("  Algorithm 1:   %3d partitions (max size %d) — vector-sized groups\n",
+				r.Partitions, r.MaxSize)
+		case r.Analysis == "Kumar":
+			fmt.Printf("  critical path: %3d partitions — the fragmentation Figure 1(a) shows\n",
+				r.Partitions)
 		}
 	}
-	return m
 }

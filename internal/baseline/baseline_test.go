@@ -7,13 +7,13 @@ import (
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/kernels"
-	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
 func buildGraph(t *testing.T, src string) (*ddg.Graph, *trace.Trace) {
 	t.Helper()
-	_, _, tr, err := pipeline.CompileAndTrace("t.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("t.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ void main() {
 // larusFor runs the loop-level model on the sole region of loop 0.
 func larusFor(t *testing.T, src string, loopID int) *baseline.LarusResult {
 	t.Helper()
-	_, _, tr, err := pipeline.CompileAndTrace("t.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("t.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ void main() {
 }
 
 func TestLarusFinishRespectsDependences(t *testing.T) {
-	_, _, tr, err := pipeline.CompileAndTrace("t.c", kernels.Listing2(8).Source)
+	_, _, tr, err := testprog.CompileAndTrace("t.c", kernels.Listing2(8).Source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestKumarNeverBeatsAlgorithm1(t *testing.T) {
 	// dependence-respecting timestamp assignments; Kumar's assignment is
 	// one such, so it can never produce fewer partitions.
 	for _, k := range []kernels.Kernel{kernels.Listing1(12), kernels.Listing2(12), kernels.Listing3(8)} {
-		_, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+		_, _, tr, err := testprog.CompileAndTrace(k.Name+".c", k.Source)
 		if err != nil {
 			t.Fatal(err)
 		}

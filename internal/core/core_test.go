@@ -9,14 +9,14 @@ import (
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/kernels"
-	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
 // buildGraph compiles and traces a kernel and returns the whole-program DDG.
 func buildGraph(t *testing.T, k kernels.Kernel) (*ddg.Graph, *trace.Trace) {
 	t.Helper()
-	mod, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+	mod, _, tr, err := testprog.CompileAndTrace(k.Name+".c", k.Source)
 	if err != nil {
 		t.Fatalf("compile+trace %s: %v", k.Name, err)
 	}

@@ -18,6 +18,7 @@ import (
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
@@ -50,7 +51,7 @@ const faultKernelInnerLine = 6
 // graph reference at several worker counts, and the stream kernel with and
 // without the relaxed replay.
 func TestAnalyzePanicIsolation(t *testing.T) {
-	_, _, tr, err := pipeline.CompileAndTrace("k.c", parallelTestSources[0])
+	_, _, tr, err := testprog.CompileAndTrace("k.c", parallelTestSources[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestAnalyzePanicIsolation(t *testing.T) {
 // At every worker count the call must return promptly after the deadline — having skipped most of the work — with an error satisfying
 // errors.Is for both context.DeadlineExceeded and core.ErrCanceled.
 func TestAnalyzeRegionsDeadline(t *testing.T) {
-	mod, _, tr, err := pipeline.CompileAndTrace("deadline.c", faultKernelSrc)
+	mod, _, tr, err := testprog.CompileAndTrace("deadline.c", faultKernelSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

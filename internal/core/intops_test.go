@@ -5,7 +5,7 @@ import (
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
-	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 )
 
 // TestIntegerCharacterization covers the §4 remark that the analysis "can
@@ -25,7 +25,7 @@ void main() {
   printi(b[63]);
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("intops.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("intops.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ void main() {
   printi(b[15]);
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("intprov.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("intprov.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}

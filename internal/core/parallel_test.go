@@ -13,7 +13,7 @@ import (
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
-	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 )
 
 func TestWorkerCount(t *testing.T) {
@@ -54,7 +54,7 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 // buildKernelGraph compiles and traces a small source and returns its DDG.
 func buildKernelGraph(t *testing.T, src string) *ddg.Graph {
 	t.Helper()
-	_, _, tr, err := pipeline.CompileAndTrace("k.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("k.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}

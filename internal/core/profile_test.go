@@ -7,7 +7,7 @@ import (
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/kernels"
-	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 )
 
 // TestParallelismProfileListing1 checks the Figure 1 data directly: S2's
@@ -16,7 +16,7 @@ import (
 func TestParallelismProfileListing1(t *testing.T) {
 	const n = 16
 	k := kernels.Listing1(n)
-	_, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+	_, _, tr, err := testprog.CompileAndTrace(k.Name+".c", k.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestParallelismProfileListing1(t *testing.T) {
 // sequence.
 func TestProfileMatchesPartitions(t *testing.T) {
 	k := kernels.GaussSeidel(16, 1)
-	_, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+	_, _, tr, err := testprog.CompileAndTrace(k.Name+".c", k.Source)
 	if err != nil {
 		t.Fatal(err)
 	}

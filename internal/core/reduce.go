@@ -29,7 +29,7 @@ type reductionInfo struct {
 // Returns nil when the instruction shows no reduction structure (fewer than
 // half of its instances carry an accumulator edge).
 func detectReduction(g *ddg.Graph, id int32) *reductionInfo {
-	return detectReductionInst(g, id, InstancesOf(g, id))
+	return detectReductionInst(g, id, g.Instances(id))
 }
 
 // reductionEligible reports whether the static instruction's opcode can

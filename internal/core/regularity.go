@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash"
 	"hash/fnv"
 	"sort"
 
@@ -38,60 +39,85 @@ type Regularity struct {
 // while an irregular loop needs algorithm-level work by a domain expert.
 func (r Regularity) Realizable() bool { return r.ModalFraction >= 0.75 }
 
-// ControlRegularity computes the control signature distribution of a source
-// loop over every dynamic execution in the trace.
-func ControlRegularity(tr *trace.Trace, loopID int) Regularity {
-	counts := make(map[uint64]int)
-	total := 0
-	for _, region := range tr.Regions(loopID) {
-		events := tr.RegionEvents(region)
-		h := fnv.New64a()
-		inIteration := false
-		depth := 0
-		var buf [4]byte
-		flush := func() {
-			if inIteration {
-				counts[h.Sum64()]++
-				total++
-				h.Reset()
-			}
-		}
-		for _, ev := range events {
-			in := tr.Module.InstrAt(ev.ID)
-			switch in.Op {
-			case ir.OpLoopIter:
-				// Only this loop's own markers delimit iterations; nested
-				// loops' markers are part of the iteration body.
-				if int(in.Loop) == loopID && depth == 0 {
-					flush()
-					inIteration = true
-					continue
-				}
-			case ir.OpCall:
-				depth++
-			case ir.OpRet:
-				if depth > 0 {
-					depth--
-				}
-			}
-			if inIteration {
-				buf[0] = byte(ev.ID)
-				buf[1] = byte(ev.ID >> 8)
-				buf[2] = byte(ev.ID >> 16)
-				buf[3] = byte(ev.ID >> 24)
-				h.Write(buf[:])
-			}
-		}
-		flush()
-	}
+// RegularityCounter computes the control signature distribution of a
+// source loop over every dynamic execution, one region at a time: each
+// region's events flow through a sink from Sink (a trace.RegionSink, so a
+// region feed drives it live), and Result summarizes the regions seen.
+// Memory is one count per distinct signature, independent of trace length.
+type RegularityCounter struct {
+	mod    *ir.Module
+	loopID int
+	counts map[uint64]int
+	total  int
+}
 
-	r := Regularity{Iterations: total, DistinctShapes: len(counts)}
-	if total == 0 {
+// NewRegularityCounter returns a counter for the given loop of mod.
+func NewRegularityCounter(mod *ir.Module, loopID int) *RegularityCounter {
+	return &RegularityCounter{mod: mod, loopID: loopID, counts: make(map[uint64]int)}
+}
+
+// Sink returns the sink for one more region of the loop. Iterations
+// count as the region's events arrive; the last one when it closes.
+func (c *RegularityCounter) Sink() trace.RegionSink {
+	return &regularitySink{c: c, h: fnv.New64a()}
+}
+
+// regularitySink hashes one region's iterations into their signatures.
+type regularitySink struct {
+	c           *RegularityCounter
+	h           hash.Hash64
+	inIteration bool
+	depth       int
+	buf         [4]byte
+}
+
+func (s *regularitySink) flush() {
+	if s.inIteration {
+		s.c.counts[s.h.Sum64()]++
+		s.c.total++
+		s.h.Reset()
+	}
+}
+
+func (s *regularitySink) Event(ev trace.Event) {
+	in := s.c.mod.InstrAt(ev.ID)
+	switch in.Op {
+	case ir.OpLoopIter:
+		// Only this loop's own markers delimit iterations; nested loops'
+		// markers are part of the iteration body.
+		if int(in.Loop) == s.c.loopID && s.depth == 0 {
+			s.flush()
+			s.inIteration = true
+			return
+		}
+	case ir.OpCall:
+		s.depth++
+	case ir.OpRet:
+		if s.depth > 0 {
+			s.depth--
+		}
+	}
+	if s.inIteration {
+		s.buf = [4]byte{byte(ev.ID), byte(ev.ID >> 8), byte(ev.ID >> 16), byte(ev.ID >> 24)}
+		s.h.Write(s.buf[:])
+	}
+}
+
+func (s *regularitySink) Close(int) { s.flush() }
+
+// Abort drops the region's pending iteration: a region that never closed
+// has no last iteration boundary.
+func (s *regularitySink) Abort() {}
+
+// Result returns the signature distribution over the regions closed so far.
+func (c *RegularityCounter) Result() Regularity {
+	r := Regularity{Iterations: c.total, DistinctShapes: len(c.counts)}
+	if c.total == 0 {
 		return r
 	}
-	fracs := make([]float64, 0, len(counts))
-	for _, c := range counts {
-		fracs = append(fracs, float64(c)/float64(total))
+	fracs := make([]float64, 0, len(c.counts))
+	for _, n := range c.counts {
+		fracs = append(fracs, float64(n)/float64(c.total))
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(fracs)))
 	r.ModalFraction = fracs[0]

@@ -5,17 +5,27 @@ import (
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/kernels"
-	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
 func traceOf(t *testing.T, name, src string) *trace.Trace {
 	t.Helper()
-	_, _, tr, err := pipeline.CompileAndTrace(name, src)
+	_, _, tr, err := testprog.CompileAndTrace(name, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// regularity counts the loop's control signatures over every region of tr.
+func regularity(t *testing.T, tr *trace.Trace, loopID int) core.Regularity {
+	t.Helper()
+	r, err := testprog.ControlRegularity(tr, loopID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestRegularityStreamingLoop(t *testing.T) {
@@ -29,7 +39,7 @@ void main() {
   print(b[63]);
 }
 `)
-	r := core.ControlRegularity(tr, 1)
+	r := regularity(t, tr, 1)
 	if r.Iterations != 64 {
 		t.Fatalf("iterations = %d, want 64", r.Iterations)
 	}
@@ -59,7 +69,7 @@ void main() {
   print(s);
 }
 `)
-	r := core.ControlRegularity(tr, 1)
+	r := regularity(t, tr, 1)
 	if r.DistinctShapes != 2 {
 		t.Fatalf("distinct shapes = %d, want 2", r.DistinctShapes)
 	}
@@ -86,7 +96,7 @@ void main() {
   print(s);
 }
 `)
-	r := core.ControlRegularity(tr, 0)
+	r := regularity(t, tr, 0)
 	if r.DistinctShapes < 5 {
 		t.Fatalf("distinct shapes = %d, want the 7 trip-count variants", r.DistinctShapes)
 	}
@@ -111,7 +121,7 @@ func TestRegularityCaseStudies(t *testing.T) {
 	if intLoop == nil {
 		t.Fatal("no interior loop")
 	}
-	r := core.ControlRegularity(tr, intLoop.ID)
+	r := regularity(t, tr, intLoop.ID)
 	if r.ModalFraction != 1.0 {
 		t.Errorf("interior PDE loop regularity = %v, want 1.0", r.ModalFraction)
 	}
@@ -123,7 +133,7 @@ func TestRegularityCaseStudies(t *testing.T) {
 		}
 		tr := traceOf(t, b.Kernel.Name+".c", b.Kernel.Source)
 		lm := tr.Module.LoopByLine(b.Kernel.LineOf("@hot"))
-		r := core.ControlRegularity(tr, lm.ID)
+		r := regularity(t, tr, lm.ID)
 		if r.DistinctShapes < 2 {
 			t.Errorf("povray loop should have mixed signatures: %+v", r)
 		}
@@ -139,7 +149,7 @@ void main() {
   print(g);
 }
 `)
-	r := core.ControlRegularity(tr, 0)
+	r := regularity(t, tr, 0)
 	if r.Iterations != 0 || r.ModalFraction != 0 {
 		t.Fatalf("zero-trip loop regularity = %+v", r)
 	}

@@ -234,7 +234,7 @@ func (rep *Report) aggregate(results []InstrReport, rec *obs.Recorder) {
 func AnalyzeInstr(g *ddg.Graph, id int32, opts Options) InstrReport {
 	sc := getScratch(len(g.Nodes), nil)
 	defer sc.release()
-	return analyzeInstr(g, id, InstancesOf(g, id), opts, sc)
+	return analyzeInstr(g, id, g.Instances(id), opts, sc)
 }
 
 // analyzeInstr is the complete per-candidate pipeline — one Algorithm 1

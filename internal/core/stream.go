@@ -412,6 +412,18 @@ func (k *StreamKernel) Relax() bool {
 	return any
 }
 
+// InstanceTimestamps returns the Algorithm-1 timestamps of candidate id's
+// instances fed so far, in trace order (nil when id has none): the values
+// the graph's Timestamps assigns those instances. Instances sharing a
+// timestamp form one partition. The slice is the kernel's own and is valid
+// until the next Feed, Relax or Release.
+func (k *StreamKernel) InstanceTimestamps(id int32) []int32 {
+	if id < 0 || int(id) >= len(k.colOf) || k.colOf[id] < 0 {
+		return nil
+	}
+	return k.cands[k.colOf[id]].instTS
+}
+
 // PeakLiveBytes returns the high-water mark of the kernel's nominal working
 // set so far — the quantity Budget.MaxAnalysisBytes bounds.
 func (k *StreamKernel) PeakLiveBytes() int64 { return k.peak }

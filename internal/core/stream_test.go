@@ -21,7 +21,6 @@ import (
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
-	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
@@ -74,7 +73,7 @@ func genStreamProgram(seed int64) string {
 func streamTrace(t *testing.T, seed int64) (*trace.Trace, string) {
 	t.Helper()
 	src := genStreamProgram(seed)
-	_, _, tr, err := pipeline.CompileAndTrace(fmt.Sprintf("stream%d.c", seed), src)
+	_, _, tr, err := testprog.CompileAndTrace(fmt.Sprintf("stream%d.c", seed), src)
 	if err != nil {
 		t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
 	}
@@ -190,7 +189,7 @@ void main() {
   print(s);
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("red.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("red.c", src)
 	if err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
@@ -353,7 +352,7 @@ void main() {
   for (i = 0; i < 64; i++) { s = s + a[i] * b[i]; }
   print(s);
 }`
-	_, _, tr, err := pipeline.CompileAndTrace("dot.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("dot.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,13 +389,13 @@ void main() {
 func reductionTrace(t *testing.T, rc testprog.Reduction) *trace.Trace {
 	t.Helper()
 	if rc.Src == "" {
-		_, tr, err := pipeline.Trace(rc.Module())
+		_, tr, err := testprog.Trace(rc.Module())
 		if err != nil {
 			t.Fatalf("%s: %v", rc.Name, err)
 		}
 		return tr
 	}
-	_, _, tr, err := pipeline.CompileAndTrace(rc.Name+".c", rc.Src)
+	_, _, tr, err := testprog.CompileAndTrace(rc.Name+".c", rc.Src)
 	if err != nil {
 		t.Fatalf("%s: %v", rc.Name, err)
 	}

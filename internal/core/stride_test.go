@@ -10,6 +10,7 @@ import (
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 )
 
 // synthGraph builds a DDG directly (without a trace) for analysis unit
@@ -246,7 +247,7 @@ func synthGraphQuick(nodes []ddg.Node, mark func(int) bool) *ddg.Graph {
 // set, disjointly, for real programs too.
 func TestPartitionsCoverInstances(t *testing.T) {
 	k := kernels.Listing3(8)
-	_, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+	_, _, tr, err := testprog.CompileAndTrace(k.Name+".c", k.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,14 +281,14 @@ func TestPartitionsCoverInstances(t *testing.T) {
 func TestListing3NonUnitStride(t *testing.T) {
 	const n = 8
 	k := kernels.Listing3(n)
-	_, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+	_, _, tr, err := testprog.CompileAndTrace(k.Name+".c", k.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The AoS loop (@aos-loop region): S2/S3 instances are independent
 	// with stride sizeof(struct point) = 16.
-	region, err := pipeline.LoopRegion(tr, k.LineOf("@aos-loop"), 0)
+	region, err := testprog.LoopRegion(tr, k.LineOf("@aos-loop"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,11 +306,11 @@ func TestListing3NonUnitStride(t *testing.T) {
 
 	// The transformed Listing 4 SoA loop is fully unit-stride.
 	k4 := kernels.Listing4(n)
-	_, _, tr4, err := pipeline.CompileAndTrace(k4.Name+".c", k4.Source)
+	_, _, tr4, err := testprog.CompileAndTrace(k4.Name+".c", k4.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	region4, err := pipeline.LoopRegion(tr4, k4.LineOf("@soa-loop"), 0)
+	region4, err := testprog.LoopRegion(tr4, k4.LineOf("@soa-loop"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +328,11 @@ func TestListing3NonUnitStride(t *testing.T) {
 func TestListing3ColumnStride(t *testing.T) {
 	const n = 8
 	k := kernels.Listing3(n)
-	_, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+	_, _, tr, err := testprog.CompileAndTrace(k.Name+".c", k.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	region, err := pipeline.LoopRegion(tr, k.LineOf("@col-outer"), 0)
+	region, err := testprog.LoopRegion(tr, k.LineOf("@col-outer"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ void main() {
   print(s);
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("dot.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("dot.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +434,7 @@ void main() {
 // be treated as a reduction — its chain walks distinct addresses.
 func TestRecurrenceNotRelaxed(t *testing.T) {
 	k := kernels.Listing1(16)
-	_, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+	_, _, tr, err := testprog.CompileAndTrace(k.Name+".c", k.Source)
 	if err != nil {
 		t.Fatal(err)
 	}

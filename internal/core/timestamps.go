@@ -128,7 +128,7 @@ type Partition struct {
 // returned in increasing timestamp order.
 func Partitions(g *ddg.Graph, id int32, opts Options) []Partition {
 	ts := Timestamps(g, id, opts)
-	inst := InstancesOf(g, id)
+	inst := g.Instances(id)
 	instTS := make([]int32, len(inst))
 	for k, n := range inst {
 		instTS[k] = ts[n]
@@ -153,7 +153,7 @@ type ParallelismProfile struct {
 
 // Profile computes the parallelism profile of static instruction id.
 func Profile(g *ddg.Graph, id int32, opts Options) ParallelismProfile {
-	inst := InstancesOf(g, id)
+	inst := g.Instances(id)
 	ts := Timestamps(g, id, opts)
 	var max int32
 	for _, n := range inst {
@@ -171,30 +171,6 @@ func Profile(g *ddg.Graph, id int32, opts Options) ParallelismProfile {
 		p.AvgParallelism = float64(len(inst)) / float64(max)
 	}
 	return p
-}
-
-// CriticalPath returns the length of the per-instruction critical path for
-// id: the largest timestamp assigned by Algorithm 1, i.e. the minimum number
-// of sequential steps the instances of id require under any
-// dependence-preserving reordering.
-func CriticalPath(g *ddg.Graph, id int32, opts Options) int32 {
-	ts := Timestamps(g, id, opts)
-	var max int32
-	for _, n := range InstancesOf(g, id) {
-		if ts[n] > max {
-			max = ts[n]
-		}
-	}
-	return max
-}
-
-// InstancesOf returns the node indices of id's dynamic instances in trace
-// order. It is a thin view over the graph's shared instance index (built
-// once per graph), so repeated calls — from Profile, CriticalPath,
-// Partitions, or the analysis sweep — cost O(1) instead of an O(nodes)
-// rescan each. Callers must not modify the returned slice.
-func InstancesOf(g *ddg.Graph, id int32) []int32 {
-	return g.Instances(id)
 }
 
 // tupleOf returns the memory-access tuple the stride analysis sorts by:

@@ -6,7 +6,7 @@ import (
 	"github.com/example/vectrace/internal/baseline"
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
-	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 )
 
 // countEdges sums flow-predecessor counts across the graph.
@@ -40,7 +40,7 @@ void main() {
   print(a[0]);
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("t.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("t.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ void main() {
   print(a[0]);
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("t.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("t.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}

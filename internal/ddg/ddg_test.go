@@ -5,13 +5,13 @@ import (
 
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/ir"
-	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
 func buildFor(t *testing.T, src string) (*ddg.Graph, *trace.Trace) {
 	t.Helper()
-	_, _, tr, err := pipeline.CompileAndTrace("t.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("t.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ void main() {
 }
 
 func TestAntiOutputOption(t *testing.T) {
-	_, _, tr, err := pipeline.CompileAndTrace("t.c", `
+	_, _, tr, err := testprog.CompileAndTrace("t.c", `
 double a;
 double b;
 void main() {
@@ -326,7 +326,7 @@ void main() {
 func TestRegionBuildStartsClean(t *testing.T) {
 	// Building a DDG for a loop region must not blow up even though the
 	// region references values produced before it.
-	_, _, tr, err := pipeline.CompileAndTrace("t.c", `
+	_, _, tr, err := testprog.CompileAndTrace("t.c", `
 double A[8];
 void main() {
   int i;

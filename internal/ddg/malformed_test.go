@@ -6,6 +6,7 @@ import (
 
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
@@ -20,7 +21,7 @@ void main() {
   g = work(1.5) + work(2.5);
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("t.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("t.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ void main() {
   print(A[64][64]);
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("big.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("big.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}

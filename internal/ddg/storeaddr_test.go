@@ -10,7 +10,7 @@ import (
 
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/ir"
-	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
@@ -28,7 +28,7 @@ void main() {
   if (ga + gb > 1.0) { x = 1.0; }
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("cmp.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("cmp.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ void main() {
   x = ga + gb;
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("zero.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("zero.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ void main() {
   x = a * 2.0;
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("first.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("first.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}

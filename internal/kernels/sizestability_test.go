@@ -7,17 +7,17 @@ import (
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/kernels"
-	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 )
 
 // analyzeRegion runs the dynamic analysis on the marked loop's first region.
 func analyzeRegion(t *testing.T, k kernels.Kernel, marker string) *core.Report {
 	t.Helper()
-	_, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+	_, _, tr, err := testprog.CompileAndTrace(k.Name+".c", k.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	region, err := pipeline.LoopRegion(tr, k.LineOf(marker), 0)
+	region, err := testprog.LoopRegion(tr, k.LineOf(marker), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSizeStability(t *testing.T) {
 		// every size.
 		for _, n := range []int{8, 16, 32} {
 			k := kernels.Listing1(n)
-			_, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+			_, _, tr, err := testprog.CompileAndTrace(k.Name+".c", k.Source)
 			if err != nil {
 				t.Fatal(err)
 			}

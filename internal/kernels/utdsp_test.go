@@ -9,6 +9,7 @@ import (
 	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/staticvec"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
@@ -16,12 +17,12 @@ import (
 // kernel, returning the report and the execution output.
 func analyzeHot(t *testing.T, k kernels.Kernel) (*core.Report, []float64) {
 	t.Helper()
-	mod, res, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+	mod, res, tr, err := testprog.CompileAndTrace(k.Name+".c", k.Source)
 	if err != nil {
 		t.Fatalf("%s: %v", k.Name, err)
 	}
 	_ = mod
-	region, err := pipeline.LoopRegion(tr, k.LineOf("@hot"), 0)
+	region, err := testprog.LoopRegion(tr, k.LineOf("@hot"), 0)
 	if err != nil {
 		t.Fatalf("%s: %v", k.Name, err)
 	}
@@ -133,7 +134,7 @@ func TestUTDSPCompilerAsymmetry(t *testing.T) {
 func TestUTDSPRegionsExist(t *testing.T) {
 	for _, pair := range kernels.UTDSP() {
 		for _, k := range []kernels.Kernel{pair.Array, pair.Pointer} {
-			mod, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+			mod, _, tr, err := testprog.CompileAndTrace(k.Name+".c", k.Source)
 			if err != nil {
 				t.Fatalf("%s: %v", k.Name, err)
 			}

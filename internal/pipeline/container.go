@@ -118,13 +118,14 @@ func AnalyzeLoopRegionsOpened(ctx context.Context, o *trace.Opened, mod *ir.Modu
 // blocks — when the index is available and scanWorkers >= 0, and through
 // the sequential scan otherwise (scanWorkers == -1 forces sequential even
 // on an indexed file, the differential tests' reference), which stops
-// reading once the selected region closes.
+// reading once the selected region closes. Line 0 analyzes the whole trace
+// as one region, read sequentially.
 func AnalyzeOpened(ctx context.Context, o *trace.Opened, mod *ir.Module, line, instance int, dopts ddg.Options, copts core.Options, scanWorkers int) ([]RegionReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if o.Container == nil || scanWorkers < 0 {
-		return analyzeStream(ctx, mod, o.Source(), line, instance, dopts, copts)
+	if o.Container == nil || scanWorkers < 0 || line == 0 {
+		return analyzeStream(ctx, mod, o.Source(), line, instance, dopts, copts, nil)
 	}
 	if scanWorkers == 0 {
 		scanWorkers = copts.WorkerCount()

@@ -244,16 +244,12 @@ func TestInstanceSeekReadsOnlyCoveringBlocks(t *testing.T) {
 		t.Fatalf("region_index_hits = %d, want 1", rec.Get(obs.RegionIndexHits))
 	}
 
-	// The sequential oracle agrees on the region's content and report.
-	want, err := pipeline.LoopRegionStream(context.Background(), mod, trace.NewBlockSource(bytes.NewReader(data), nil), testprog.FaultInnerLine, 1)
-	if err != nil {
-		t.Fatal(err)
+	// The sequential scan agrees on the region's size and report.
+	seq, err := pipeline.AnalyzeOpened(context.Background(), o, mod, testprog.FaultInnerLine, 1, ddg.Options{}, core.Options{}, -1)
+	if err != nil || len(seq) != 1 {
+		t.Fatalf("sequential scan: %d regions, err %v", len(seq), err)
 	}
-	rep, err := pipeline.AnalyzeRegion(context.Background(), want, ddg.Options{}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs[0].Events != want.Len() || regs[0].Report.String() != rep.String() {
+	if regs[0].Events != seq[0].Events || regs[0].Report.String() != seq[0].Report.String() {
 		t.Fatal("indexed seek and sequential scan disagree on the region")
 	}
 }
@@ -294,8 +290,8 @@ func TestDifferentialCLIErrorTexts(t *testing.T) {
 			_, err := pipeline.AnalyzeOpened(context.Background(), o, mod, testprog.FaultInnerLine, 99, ddg.Options{}, core.Options{}, 2)
 			return err
 		}},
-		{"negative-instance", func(o *trace.Opened) error {
-			_, err := pipeline.LoopRegionStream(context.Background(), mod, o.Source(), testprog.FaultInnerLine, -1)
+		{"baselines-bad-instance", func(o *trace.Opened) error {
+			_, _, err := pipeline.AnalyzeKumarCtx(context.Background(), mod, o.Source(), testprog.FaultInnerLine, 99, ddg.Options{}, core.Options{})
 			return err
 		}},
 	} {
@@ -511,7 +507,7 @@ func TestVTR2ReaderFaults(t *testing.T) {
 func TestVTR2RoundTripReencode(t *testing.T) {
 	for seed := int64(400); seed < 403; seed++ {
 		src := testprog.Random(seed)
-		mod, _, tr, err := pipeline.CompileAndTrace(fmt.Sprintf("re%d.c", seed), src)
+		mod, _, tr, err := testprog.CompileAndTrace(fmt.Sprintf("re%d.c", seed), src)
 		if err != nil {
 			t.Fatal(err)
 		}

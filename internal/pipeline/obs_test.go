@@ -47,7 +47,7 @@ func renderRegions(regs []pipeline.RegionReport, err error) string {
 func TestObservedOutputIdentical(t *testing.T) {
 	const srcName = "obsdiff.c"
 	src := testprog.Random(3)
-	mod, _, tr, err := pipeline.CompileAndTrace(srcName, src)
+	mod, _, tr, err := testprog.CompileAndTrace(srcName, src)
 	if err != nil {
 		t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
 	}
@@ -105,7 +105,7 @@ func TestObservedOutputIdentical(t *testing.T) {
 // zero.
 func TestObservedCountersCohere(t *testing.T) {
 	src := testprog.Random(5)
-	mod, _, tr, err := pipeline.CompileAndTrace("obscount.c", src)
+	mod, _, tr, err := testprog.CompileAndTrace("obscount.c", src)
 	if err != nil {
 		t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
 	}
@@ -200,7 +200,7 @@ func keys(m map[string]obs.SpanAgg) []string {
 // the stats document and intact regions still analyze identically.
 func TestObservedFailurePath(t *testing.T) {
 	src := testprog.Random(7)
-	mod, _, tr, err := pipeline.CompileAndTrace("obsfail.c", src)
+	mod, _, tr, err := testprog.CompileAndTrace("obsfail.c", src)
 	if err != nil {
 		t.Fatalf("pipeline failed: %v", err)
 	}

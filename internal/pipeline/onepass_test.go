@@ -39,7 +39,7 @@ func TestOnePassMatchesMaterializedOracle(t *testing.T) {
 	workerCounts := []int{1, 3, 8}
 	for seed := int64(0); seed < 8; seed++ {
 		src := testprog.Random(seed)
-		mod, _, tr, err := pipeline.CompileAndTrace(fmt.Sprintf("op%d.c", seed), src)
+		mod, _, tr, err := testprog.CompileAndTrace(fmt.Sprintf("op%d.c", seed), src)
 		if err != nil {
 			t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
 		}
@@ -75,7 +75,7 @@ func TestOnePassMatchesMaterializedOracle(t *testing.T) {
 
 	for _, rc := range testprog.Reductions() {
 		m := reductionModule(t, rc)
-		_, tr, err := pipeline.Trace(m)
+		_, tr, err := testprog.Trace(m)
 		if err != nil {
 			t.Fatalf("%s: %v", rc.Name, err)
 		}
@@ -121,7 +121,7 @@ func TestAnalyzeLoopRegionsLiveParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile failed:\n%s\nerror: %v", src, err)
 		}
-		_, tr, err := pipeline.Trace(mod)
+		_, tr, err := testprog.Trace(mod)
 		if err != nil {
 			t.Fatalf("trace: %v", err)
 		}
@@ -151,7 +151,7 @@ func TestAnalyzeLoopRegionsLiveParity(t *testing.T) {
 // one-pass path, whose working set scales with live addresses × candidate
 // instances instead of region length.
 func TestOnePassFitsWhereMaterializedExceedsBudget(t *testing.T) {
-	_, _, tr, err := pipeline.CompileAndTrace("budget.c", testprog.BudgetDemo(12000))
+	_, _, tr, err := testprog.CompileAndTrace("budget.c", testprog.BudgetDemo(12000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ void main() {
   }
 }
 `
-	mod, _, tr, err := pipeline.CompileAndTrace("degrade.c", src)
+	mod, _, tr, err := testprog.CompileAndTrace("degrade.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ void main() {
 // kernel pool must actually recycle (hits > 0 once more regions than workers
 // have run) and the footprint gauges must register the live working set.
 func TestOnePassPoolAndFootprintCounters(t *testing.T) {
-	_, _, tr, err := pipeline.CompileAndTrace("pool.c", repeatedKernel(8))
+	_, _, tr, err := testprog.CompileAndTrace("pool.c", repeatedKernel(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestOnePassPoolAndFootprintCounters(t *testing.T) {
 // chunks in flight to the workers.
 func TestRelaxReductionsRetainsPerRegion(t *testing.T) {
 	const workers = 2
-	mod, _, tr, err := pipeline.CompileAndTrace("relax.c", repeatedKernel(32))
+	mod, _, tr, err := testprog.CompileAndTrace("relax.c", repeatedKernel(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestOnePassPeakMemoryVsMaterialized(t *testing.T) {
 		fmt.Fprintf(&sb, "    a[i] = ((a[i-1] * 0.5 + b[i] * 1.5) * 0.25 + a[i] * 0.125) + %d.0;\n", s)
 	}
 	sb.WriteString("  }\n}\n")
-	_, _, tr, err := pipeline.CompileAndTrace("wide.c", sb.String())
+	_, _, tr, err := testprog.CompileAndTrace("wide.c", sb.String())
 	if err != nil {
 		t.Fatal(err)
 	}

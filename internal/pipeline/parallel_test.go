@@ -28,7 +28,7 @@ func TestRandomProgramsParallelDeterminism(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			src := testprog.Random(seed)
-			_, _, tr, err := pipeline.CompileAndTrace(fmt.Sprintf("par%d.c", seed), src)
+			_, _, tr, err := testprog.CompileAndTrace(fmt.Sprintf("par%d.c", seed), src)
 			if err != nil {
 				t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
 			}
@@ -71,7 +71,7 @@ void main() {
   print(s);
 }
 `
-	mod, _, tr, err := pipeline.CompileAndTrace("regions.c", src)
+	mod, _, tr, err := testprog.CompileAndTrace("regions.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ void main() {
 		t.Fatalf("expected 8 dynamic regions, got %d", len(got))
 	}
 	for i := range got {
-		sub, err := pipeline.LoopRegion(tr, innerLine, i)
+		sub, err := testprog.LoopRegion(tr, innerLine, i)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Package pipeline wires the front end, interpreter, tracer, and analyses
-// into the convenience entry points used by the command-line tools, the
+// into the entry points used by the command-line tools, the service, the
 // examples, and the benchmark harness: compile a MiniC source, execute it
-// under instrumentation, and capture per-loop sub-traces.
+// under instrumentation, and analyze loop regions — or the whole run — as
+// the events stream past, without holding the trace.
 package pipeline
 
 import (
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/example/vectrace/internal/baseline"
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/interp"
@@ -81,19 +83,16 @@ func RunCtx(ctx context.Context, mod *ir.Module, countLoops bool, budget core.Bu
 	return m.RunContext(ctx, "main")
 }
 
-// Trace executes the module's main function under full instrumentation and
-// returns both the execution summary and the captured trace.
-func Trace(mod *ir.Module) (*interp.Result, *trace.Trace, error) {
-	return TraceCtxOpts(context.Background(), mod, core.Budget{}, core.Options{})
-}
-
 // sinkPool recycles TraceSinks (and so their event backing arrays) across
 // traces: Reset retains capacity, so steady-state tracing of same-sized
 // programs allocates no event storage at all.
 var sinkPool = sync.Pool{New: func() any { return new(interp.TraceSink) }}
 
-// TraceCtxOpts is Trace with cooperative cancellation and the budget's
-// interpreter limits applied. No analysis option changes what the
+// TraceCtxOpts executes the module's main function under full
+// instrumentation, with cooperative cancellation and the budget's
+// interpreter limits applied, and returns both the execution summary and
+// the whole recorded trace — the materializing form the Tables sampler
+// still samples regions from. No analysis option changes what the
 // interpreter records, so the core.Options parameter is ignored; it keeps
 // the call shape of the analysis entry points.
 func TraceCtxOpts(ctx context.Context, mod *ir.Module, budget core.Budget, _ core.Options) (*interp.Result, *trace.Trace, error) {
@@ -113,19 +112,6 @@ func TraceCtxOpts(ctx context.Context, mod *ir.Module, budget core.Budget, _ cor
 		tr.Events[i] = trace.Event{ID: ev.ID, Addr: ev.Addr}
 	}
 	return res, tr, nil
-}
-
-// CompileAndTrace is Compile followed by Trace.
-func CompileAndTrace(filename, src string) (*ir.Module, *interp.Result, *trace.Trace, error) {
-	mod, err := Compile(filename, src)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	res, tr, err := Trace(mod)
-	if err != nil {
-		return mod, nil, nil, err
-	}
-	return mod, res, tr, nil
 }
 
 // RegionReport pairs one dynamic region (sub-trace) of a loop with its
@@ -152,14 +138,14 @@ type RegionReport struct {
 	Elapsed time.Duration
 }
 
-// AnalyzeRegion analyzes one region sub-trace: its events run through a
-// pooled one-pass stream kernel (the fused ingest→analyze pass, no graph).
+// AnalyzeRegion analyzes one region sub-trace held in memory: its events
+// run through a pooled one-pass stream kernel (no graph).
 // Under RelaxReductions, a region in which some column qualifies as a
 // reduction is fed twice: the first feed finds the accumulator operands
 // and the replay timestamps those columns without them (see
 // core.StreamKernel.Relax). It is the single-region building block behind
-// every analysis of held events — the region dispatcher's relaxed regions,
-// whole-program analysis, and the report package's region sampling.
+// every analysis of held events — the region dispatcher's relaxed regions
+// and the report package's region sampling.
 // Cancellation is polled at the scanner's granularity, but only from the
 // second poll window on — regions shorter than the poll interval behave
 // exactly like AnalyzeCtx on the graph, which for a candidate-free region
@@ -205,17 +191,50 @@ func findLoop(mod *ir.Module, line int) (*ir.LoopMeta, error) {
 	return lm, nil
 }
 
-// LoopRegion returns the idx-th dynamic sub-trace of the source loop whose
-// "for"/"while" keyword is on the given source line. It returns an error if
-// the loop or region does not exist — e.g. when the loop never executed.
-func LoopRegion(tr *trace.Trace, line, idx int) (*trace.Trace, error) {
-	lm, err := findLoop(tr.Module, line)
+// AnalyzeKumarCtx is the single-region analysis behind `vectrace analyze
+// -baselines`: region instance of the loop on the given source line (line
+// 0: the whole run), from a live run of mod (src nil) or from the trace
+// src, analyzed by the stream kernel while the same events replay through
+// Kumar's critical-path baseline. Neither the trace nor a graph is held.
+func AnalyzeKumarCtx(ctx context.Context, mod *ir.Module, src trace.EventSource, line, instance int, dopts ddg.Options, copts core.Options) (*core.Report, *baseline.Stream, error) {
+	var kumar *baseline.Stream
+	var kumarErr error
+	tap := func() trace.RegionSink {
+		return &kumarSink{s: baseline.NewKumar(mod), done: func(index int, s *baseline.Stream, err error) {
+			if index == instance {
+				kumar, kumarErr = s, err
+			}
+		}}
+	}
+	var regs []RegionReport
+	var err error
+	if src == nil {
+		_, regs, err = analyzeLive(ctx, mod, line, instance, dopts, copts, core.Budget{}, tap)
+	} else {
+		regs, err = analyzeStream(ctx, mod, src, line, instance, dopts, copts, tap)
+	}
+	if err == nil {
+		err = kumarErr
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	regions := tr.Regions(lm.ID)
-	if idx < 0 || idx >= len(regions) {
-		return nil, fmt.Errorf("pipeline: loop on line %d has %d dynamic regions, want index %d", line, len(regions), idx)
-	}
-	return tr.Slice(regions[idx]), nil
+	return regs[0].Report, kumar, nil
 }
+
+// kumarSink replays one region through a Kumar stream and hands the
+// stream to done when the region closes.
+type kumarSink struct {
+	s    *baseline.Stream
+	err  error
+	done func(index int, s *baseline.Stream, err error)
+}
+
+func (k *kumarSink) Event(ev trace.Event) {
+	if k.err == nil {
+		_, k.err = k.s.Feed(ev.ID, ev.Addr)
+	}
+}
+
+func (k *kumarSink) Close(index int) { k.done(index, k.s, k.err) }
+func (k *kumarSink) Abort()          {}

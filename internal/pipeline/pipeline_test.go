@@ -1,12 +1,14 @@
 package pipeline_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 )
 
 func TestCompileErrors(t *testing.T) {
@@ -35,17 +37,25 @@ void main() {
   for (i = 0; i < 3; i++) { g = g + 1.0; }
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("t.c", src)
+	mod, err := pipeline.Compile("t.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipeline.LoopRegion(tr, 999, 0); err == nil || !strings.Contains(err.Error(), "no loop on line") {
+	region := func(line, idx int) error {
+		_, err := pipeline.AnalyzeSourceCtx(context.Background(), "t.c", src, line, idx, ddg.Options{}, core.Options{}, core.Budget{})
+		_, _, kerr := pipeline.AnalyzeKumarCtx(context.Background(), mod, nil, line, idx, ddg.Options{}, core.Options{})
+		if (err == nil) != (kerr == nil) || err != nil && err.Error() != kerr.Error() {
+			t.Errorf("line %d region %d: analysis error %v, baseline-path error %v", line, idx, err, kerr)
+		}
+		return err
+	}
+	if err := region(999, 0); err == nil || !strings.Contains(err.Error(), "no loop on line") {
 		t.Errorf("missing-line error = %v", err)
 	}
-	if _, err := pipeline.LoopRegion(tr, 5, 7); err == nil || !strings.Contains(err.Error(), "dynamic regions") {
+	if err := region(5, 7); err == nil || !strings.Contains(err.Error(), "dynamic regions") {
 		t.Errorf("bad-instance error = %v", err)
 	}
-	if _, err := pipeline.LoopRegion(tr, 5, 0); err != nil {
+	if err := region(5, 0); err != nil {
 		t.Errorf("valid region: %v", err)
 	}
 }
@@ -82,7 +92,7 @@ void main() {
   print(c[63]);
 }
 `
-	mod, _, tr, err := pipeline.CompileAndTrace("calls.c", src)
+	mod, _, tr, err := testprog.CompileAndTrace("calls.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +103,7 @@ void main() {
 			hotLine = n + 1
 		}
 	}
-	region, err := pipeline.LoopRegion(tr, hotLine, 0)
+	region, err := testprog.LoopRegion(tr, hotLine, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,13 +26,13 @@ func TestRandomProgramsInvariants(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			src := testprog.Random(seed)
-			mod, res, tr, err := pipeline.CompileAndTrace(fmt.Sprintf("rand%d.c", seed), src)
+			mod, res, tr, err := testprog.CompileAndTrace(fmt.Sprintf("rand%d.c", seed), src)
 			if err != nil {
 				t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
 			}
 
 			// Determinism.
-			_, _, tr2, err := pipeline.CompileAndTrace("again.c", src)
+			_, _, tr2, err := testprog.CompileAndTrace("again.c", src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +176,7 @@ func TestRandomProgramsOptimizerEquivalence(t *testing.T) {
 func TestRandomProgramsRelaxationMonotone(t *testing.T) {
 	for seed := int64(100); seed < 115; seed++ {
 		src := testprog.Random(seed)
-		_, _, tr, err := pipeline.CompileAndTrace("r.c", src)
+		_, _, tr, err := testprog.CompileAndTrace("r.c", src)
 		if err != nil {
 			t.Fatal(err)
 		}

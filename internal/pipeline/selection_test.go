@@ -55,7 +55,7 @@ func TestInstanceSelectionMatchesReference(t *testing.T) {
 	copts := core.Options{Workers: 2}
 	for name, src := range programs {
 		t.Run(name, func(t *testing.T) {
-			mod, _, tr, err := pipeline.CompileAndTrace(name+".c", src)
+			mod, _, tr, err := testprog.CompileAndTrace(name+".c", src)
 			if err != nil {
 				t.Fatal(err)
 			}

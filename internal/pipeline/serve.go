@@ -20,14 +20,15 @@ import (
 // AnalyzeSourceCtx compiles src, executes it under the budget's
 // interpreter limits, and analyzes live, without holding the trace, every
 // dynamic region of the loop on the given source line (instance < 0) or
-// just region `instance`. It backs `vectrace analyze file.c -line N` and
-// the service's source-only jobs alike.
+// just region `instance`; line 0 analyzes the whole run as one region. It
+// backs `vectrace analyze file.c [-line N]` and the service's source-only
+// jobs alike.
 func AnalyzeSourceCtx(ctx context.Context, filename, src string, line, instance int, dopts ddg.Options, copts core.Options, budget core.Budget) ([]RegionReport, error) {
 	mod, err := CompileCtx(ctx, filename, src)
 	if err != nil {
 		return nil, err
 	}
-	_, regs, err := analyzeLive(ctx, mod, line, instance, dopts, copts, budget)
+	_, regs, err := analyzeLive(ctx, mod, line, instance, dopts, copts, budget, nil)
 	return regs, err
 }
 

@@ -67,6 +67,14 @@ func RecordCtx(ctx context.Context, mod *ir.Module, w io.Writer, budget core.Bud
 	return record(ctx, mod, budget, enc.Write, enc.Close)
 }
 
+// StreamCtx executes the module's main function under full
+// instrumentation, handing every event to put as it is produced; an error
+// from put aborts the run. Nothing is buffered: it is the primitive for
+// consumers that fold the event stream themselves.
+func StreamCtx(ctx context.Context, mod *ir.Module, budget core.Budget, put func(trace.Event) error) (*interp.Result, error) {
+	return record(ctx, mod, budget, put, func() error { return nil })
+}
+
 // record runs the module's main function with every event handed to put,
 // then flushes the writer with done: the body of both recording formats.
 func record(ctx context.Context, mod *ir.Module, budget core.Budget, put func(trace.Event) error, done func() error) (*interp.Result, error) {
@@ -109,14 +117,15 @@ func record(ctx context.Context, mod *ir.Module, budget core.Budget, put func(tr
 // alongside the corruption diagnostic, so a truncated multi-gigabyte trace
 // still yields every intact region.
 func AnalyzeLoopRegionsStreamCtx(ctx context.Context, mod *ir.Module, src trace.EventSource, line int, dopts ddg.Options, copts core.Options) ([]RegionReport, error) {
-	return analyzeStream(ctx, mod, src, line, -1, dopts, copts)
+	return analyzeStream(ctx, mod, src, line, -1, dopts, copts, nil)
 }
 
 // analyzeStream is the sequential scan behind AnalyzeLoopRegionsStreamCtx
 // and the unindexed trace files, selecting region want (< 0: every
-// region). A selected scan stops reading once region want closes.
-func analyzeStream(ctx context.Context, mod *ir.Module, src trace.EventSource, line, want int, dopts ddg.Options, copts core.Options) ([]RegionReport, error) {
-	return analyzeRegionsOnePassStream(ctx, mod, line, want, dopts, copts,
+// region), with tap as in analyzeRegionsOnePassStream. A selected scan
+// stops reading once region want closes.
+func analyzeStream(ctx context.Context, mod *ir.Module, src trace.EventSource, line, want int, dopts ddg.Options, copts core.Options, tap trace.SinkFactory) ([]RegionReport, error) {
+	return analyzeRegionsOnePassStream(ctx, mod, line, want, dopts, copts, tap,
 		func(ctx context.Context, loopID int, factory trace.SinkFactory) (int, error) {
 			return trace.FeedRegions(ctx, mod, loopID, want, src, factory)
 		})
@@ -236,160 +245,76 @@ func chargeHeld(n int, b core.Budget) error {
 	return nil
 }
 
-// analyzeRegionsOnePassStream is the region dispatcher behind every
-// streamed region analysis: drive pushes the trace through a RegionFeed
-// whose sinks hand each open region's events to a dedicated per-region
-// worker. A worker feeds a pooled StreamKernel; only under RelaxReductions,
-// whose replay feeds the region twice, does it hold the region's events
-// (charged to the analysis budget chunk by chunk) and hand them to
-// AnalyzeRegion at close. Workers are bounded by copts.WorkerCount();
-// nested target regions (recursion into the analyzed loop) oversubscribe
-// the pool rather than block the feed, since an open outer region can only
-// drain while the feed advances.
-//
-// want selects one close-order index (want < 0: every region), following
-// the feed's selection rule: a region that closes with another index, or
-// is aborted once region want has closed, is released without a report
-// and without counting in the region lifecycle. The result is then the one
-// report of region want, or the out-of-range error naming how many
-// regions the loop has.
-func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line, want int, dopts ddg.Options, copts core.Options, drive func(context.Context, int, trace.SinkFactory) (int, error)) ([]RegionReport, error) {
-	lm, err := findLoop(mod, line)
-	if err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, span := obs.StartSpan(ctx, "region-analyze")
-	defer span.End()
-	rec := obs.FromContext(ctx)
+// dispatcher is the region dispatcher behind every streamed region
+// analysis: its sink factories hand each open region's events to a
+// dedicated per-region worker. A worker feeds a pooled StreamKernel; only
+// under RelaxReductions, whose replay feeds the region twice, does it hold
+// the region's events (charged to the analysis budget chunk by chunk) and
+// hand them to AnalyzeRegion at close. Workers are bounded by
+// copts.WorkerCount(); nested target regions (recursion into the analyzed
+// loop) oversubscribe the pool rather than block the feed, since an open
+// outer region can only drain while the feed advances. One dispatcher can
+// serve the feeds of several loops in one run.
+type dispatcher struct {
+	onePassDispatch
+	ctx   context.Context
+	mod   *ir.Module
+	dopts ddg.Options
+	inner core.Options // copts with Workers=1: one region per worker
+	sem   chan struct{}
+	wg    sync.WaitGroup
+}
+
+func newDispatcher(ctx context.Context, mod *ir.Module, dopts ddg.Options, copts core.Options) *dispatcher {
 	inner := copts
 	inner.Workers = 1
-
-	var (
-		mu  sync.Mutex
-		out []RegionReport
-	)
-	place := func(rr RegionReport) {
-		mu.Lock()
-		defer mu.Unlock()
-		slot := rr.Index
-		if want >= 0 {
-			slot = 0
-		}
-		for len(out) <= slot {
-			out = append(out, RegionReport{})
-		}
-		out[slot] = rr
+	return &dispatcher{
+		onePassDispatch: onePassDispatch{rec: obs.FromContext(ctx)},
+		ctx:             ctx, mod: mod, dopts: dopts, inner: inner,
+		sem: make(chan struct{}, copts.WorkerCount()),
 	}
+}
 
-	d := &onePassDispatch{rec: rec}
-	sem := make(chan struct{}, copts.WorkerCount())
-	var wg sync.WaitGroup
+// regionSet collects the reports of one feed's selection: one close-order
+// index want (want < 0: every region), following the feed's selection
+// rule. A region that closes with another index, or is aborted once region
+// want has closed, is released without a report and without counting in
+// the region lifecycle; the selected region's report lands in slot 0.
+type regionSet struct {
+	want int
+	mu   sync.Mutex
+	out  []RegionReport
+}
 
-	run := func(s *onePassSink) {
-		defer wg.Done()
-		life := startRegion(rec)
-		// A relaxed region holds its events for AnalyzeRegion's replay;
-		// any other region feeds a kernel as its chunks arrive.
-		relax := inner.RelaxReductions
-		var k *core.StreamKernel
-		var held []trace.Event
-		if !relax {
-			k = core.AcquireStreamKernel(mod, dopts, inner, rec)
-		}
-		events := 0
-		var feedErr error
-		for chunk := range s.ch {
-			n := int64(len(chunk))
-			switch {
-			case feedErr != nil:
-				// Chunks keep draining after a failure (the region is
-				// degraded, not the stream): stopping would deadlock the feed.
-				d.outstanding.Add(-n)
-			case relax:
-				// Held events stay counted as retained until the region ends.
-				if feedErr = chargeHeld(len(held)+len(chunk), inner.Budget); feedErr != nil {
-					d.outstanding.Add(-int64(len(held)) - n)
-					held = nil
-				} else {
-					held = append(held, chunk...)
-				}
-			default:
-				sw := rec.StartTimer("tile-sweep")
-				feedErr = core.Guard(0, "region", -1, func() error {
-					for _, ev := range chunk {
-						if err := k.Feed(ev.ID, ev.Addr); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				sw.Stop()
-				d.outstanding.Add(-n)
-			}
-			events += len(chunk)
-			d.putChunk(chunk)
-		}
-		keep := want < 0 || s.idx == want // an aborted sink has idx -1
-		rr := RegionReport{Index: s.idx, Events: events}
-		err := feedErr
-		switch {
-		case s.aborted || !keep:
-			// The stream failed or was canceled while this region was open
-			// (it has no close index and no report slot), or the region is
-			// not the selected one.
-		case err == nil:
-			err = core.Guard(s.idx, "region", int64(s.idx), func() error {
-				var ferr error
-				if relax {
-					rr.Report, ferr = AnalyzeRegion(ctx, &trace.Trace{Module: mod, Events: held}, dopts, inner)
-				} else {
-					rr.Report, ferr = k.Finish(ctx)
-				}
-				return ferr
-			})
-		default:
-			// The feed ran before the close index existed; patch the
-			// placeholder labels of any recovered panic.
-			for _, ue := range core.UnitErrors(err) {
-				if ue.Kind == "region" && ue.ID == -1 {
-					ue.Unit = s.idx
-					ue.ID = int64(s.idx)
-				}
-			}
-		}
-		if k != nil {
-			k.Release()
-		}
-		d.outstanding.Add(-int64(len(held)))
-		switch {
-		case !keep:
-		case s.aborted:
-			life.abort()
-		default:
-			life.finish(&rr, err)
-			place(rr)
-		}
-		rec.GaugeDec(obs.ResidentRegions)
-		if s.hasSem {
-			<-sem
-		}
+func (rs *regionSet) place(rr RegionReport) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	slot := rr.Index
+	if rs.want >= 0 {
+		slot = 0
 	}
+	for len(rs.out) <= slot {
+		rs.out = append(rs.out, RegionReport{})
+	}
+	rs.out[slot] = rr
+}
 
-	factory := func() trace.RegionSink {
+// factory returns the sink factory of one region feed, placing its
+// reports into set.
+func (ds *dispatcher) factory(set *regionSet) trace.SinkFactory {
+	return func() trace.RegionSink {
+		d := &ds.onePassDispatch
 		s := &onePassSink{d: d, idx: -1}
 		acquired := false
 		select {
-		case sem <- struct{}{}:
+		case ds.sem <- struct{}{}:
 			acquired = true
 		default:
 			if d.open == 0 {
 				select {
-				case sem <- struct{}{}:
+				case ds.sem <- struct{}{}:
 					acquired = true
-				case <-ctx.Done():
+				case <-ds.ctx.Done():
 					s.inert = true
 					return s
 				}
@@ -402,16 +327,144 @@ func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line, want
 		s.hasSem = acquired
 		s.ch = make(chan []trace.Event, streamChunkQueue)
 		d.open++
-		rec.GaugeInc(obs.ResidentRegions, obs.PeakResidentRegions)
-		wg.Add(1)
-		go run(s)
+		d.rec.GaugeInc(obs.ResidentRegions, obs.PeakResidentRegions)
+		ds.wg.Add(1)
+		go ds.run(s, set)
 		return s
 	}
+}
 
-	closed, scanErr := drive(ctx, lm.ID, factory)
-	wg.Wait()
+// run is one region's worker: it drains the sink's chunks into a kernel
+// (or holds them, under RelaxReductions) and settles the region's report.
+func (ds *dispatcher) run(s *onePassSink, set *regionSet) {
+	defer ds.wg.Done()
+	d, rec, inner := &ds.onePassDispatch, ds.rec, ds.inner
+	life := startRegion(rec)
+	// A relaxed region holds its events for AnalyzeRegion's replay; any
+	// other region feeds a kernel as its chunks arrive.
+	relax := inner.RelaxReductions
+	var k *core.StreamKernel
+	var held []trace.Event
+	if !relax {
+		k = core.AcquireStreamKernel(ds.mod, ds.dopts, inner, rec)
+	}
+	events := 0
+	var feedErr error
+	for chunk := range s.ch {
+		n := int64(len(chunk))
+		switch {
+		case feedErr != nil:
+			// Chunks keep draining after a failure (the region is
+			// degraded, not the stream): stopping would deadlock the feed.
+			d.outstanding.Add(-n)
+		case relax:
+			// Held events stay counted as retained until the region ends.
+			if feedErr = chargeHeld(len(held)+len(chunk), inner.Budget); feedErr != nil {
+				d.outstanding.Add(-int64(len(held)) - n)
+				held = nil
+			} else {
+				held = append(held, chunk...)
+			}
+		default:
+			sw := rec.StartTimer("tile-sweep")
+			feedErr = core.Guard(0, "region", -1, func() error {
+				for _, ev := range chunk {
+					if err := k.Feed(ev.ID, ev.Addr); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			sw.Stop()
+			d.outstanding.Add(-n)
+		}
+		events += len(chunk)
+		d.putChunk(chunk)
+	}
+	keep := set.want < 0 || s.idx == set.want // an aborted sink has idx -1
+	rr := RegionReport{Index: s.idx, Events: events}
+	err := feedErr
+	switch {
+	case s.aborted || !keep:
+		// The stream failed or was canceled while this region was open
+		// (it has no close index and no report slot), or the region is
+		// not the selected one.
+	case err == nil:
+		err = core.Guard(s.idx, "region", int64(s.idx), func() error {
+			var ferr error
+			if relax {
+				rr.Report, ferr = AnalyzeRegion(ds.ctx, &trace.Trace{Module: ds.mod, Events: held}, ds.dopts, inner)
+			} else {
+				rr.Report, ferr = k.Finish(ds.ctx)
+			}
+			return ferr
+		})
+	default:
+		// The feed ran before the close index existed; patch the
+		// placeholder labels of any recovered panic.
+		for _, ue := range core.UnitErrors(err) {
+			if ue.Kind == "region" && ue.ID == -1 {
+				ue.Unit = s.idx
+				ue.ID = int64(s.idx)
+			}
+		}
+	}
+	if k != nil {
+		k.Release()
+	}
+	d.outstanding.Add(-int64(len(held)))
+	switch {
+	case !keep:
+	case s.aborted:
+		life.abort()
+	default:
+		life.finish(&rr, err)
+		set.place(rr)
+	}
+	rec.GaugeDec(obs.ResidentRegions)
+	if s.hasSem {
+		<-ds.sem
+	}
+}
+
+// teeSink hands a region to the dispatcher's sink and to a tap's.
+type teeSink struct{ a, b trace.RegionSink }
+
+func (t teeSink) Event(ev trace.Event) { t.a.Event(ev); t.b.Event(ev) }
+func (t teeSink) Close(index int)      { t.a.Close(index); t.b.Close(index) }
+func (t teeSink) Abort()               { t.a.Abort(); t.b.Abort() }
+
+// analyzeRegionsOnePassStream analyzes region want (< 0: every region) of
+// the loop on the given source line — line 0 selects the whole run as one
+// region — through the dispatcher: drive pushes the trace through a region
+// feed built on the factory it is handed. A non-nil tap receives every
+// region the feed opens, alongside the dispatcher. The result is the
+// selected region's one report, or the out-of-range error naming how many
+// regions the loop has.
+func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line, want int, dopts ddg.Options, copts core.Options, tap trace.SinkFactory, drive func(context.Context, int, trace.SinkFactory) (int, error)) ([]RegionReport, error) {
+	loopID := trace.WholeRun
+	if line != 0 {
+		lm, err := findLoop(mod, line)
+		if err != nil {
+			return nil, err
+		}
+		loopID = lm.ID
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, span := obs.StartSpan(ctx, "region-analyze")
+	defer span.End()
+	ds := newDispatcher(ctx, mod, dopts, copts)
+	set := &regionSet{want: want}
+	factory := ds.factory(set)
+	if base := factory; tap != nil {
+		factory = func() trace.RegionSink { return teeSink{base(), tap()} }
+	}
+	closed, scanErr := drive(ctx, loopID, factory)
+	ds.wg.Wait()
 	if off, ok := trace.CorruptOffset(scanErr); ok {
-		rec.SetCorruptByte(off)
+		ds.rec.SetCorruptByte(off)
 	}
 	if scanErr == nil && ctx.Err() == nil {
 		if want >= 0 && closed <= want {
@@ -421,7 +474,7 @@ func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line, want
 			return nil, fmt.Errorf("pipeline: loop on line %d never executed", line)
 		}
 	}
-	return collectRegions(ctx, out, scanErr)
+	return collectRegions(ctx, set.out, scanErr)
 }
 
 // regionRangeError reports a selected region index the loop never reached.
@@ -510,32 +563,25 @@ func collectRegions(ctx context.Context, out []RegionReport, scanErr error) ([]R
 // program runs: the fully fused record→scan→analyze pipeline, with no
 // trace materialized at any layer. Region reports are byte-identical to
 // recording the trace and running AnalyzeLoopRegionsStreamCtx over it.
+// Line 0 analyzes the whole run as one region.
 func AnalyzeLoopRegionsLiveCtx(ctx context.Context, mod *ir.Module, line int, dopts ddg.Options, copts core.Options, budget core.Budget) (*interp.Result, []RegionReport, error) {
-	return analyzeLive(ctx, mod, line, -1, dopts, copts, budget)
+	return analyzeLive(ctx, mod, line, -1, dopts, copts, budget, nil)
 }
 
 // analyzeLive is AnalyzeLoopRegionsLiveCtx selecting region want (< 0:
-// every region). The program always runs to completion; a selected run
-// stops feeding kernels once region want closes, and a program failure
-// fails it outright, with no regions and the interpreter's own error.
-func analyzeLive(ctx context.Context, mod *ir.Module, line, want int, dopts ddg.Options, copts core.Options, budget core.Budget) (*interp.Result, []RegionReport, error) {
+// every region), with tap as in analyzeRegionsOnePassStream. The program
+// always runs to completion; a selected run stops feeding kernels once
+// region want closes, and a program failure fails it outright, with no
+// regions and the interpreter's own error.
+func analyzeLive(ctx context.Context, mod *ir.Module, line, want int, dopts ddg.Options, copts core.Options, budget core.Budget, tap trace.SinkFactory) (*interp.Result, []RegionReport, error) {
 	var res *interp.Result
 	var runErr error
-	regs, err := analyzeRegionsOnePassStream(ctx, mod, line, want, dopts, copts,
+	regs, err := analyzeRegionsOnePassStream(ctx, mod, line, want, dopts, copts, tap,
 		func(ctx context.Context, loopID int, factory trace.SinkFactory) (int, error) {
 			feed := trace.NewRegionFeed(ctx, mod, loopID, want, factory)
-			sink := &eventSink{put: feed.Push}
-			ictx, sp := obs.StartSpan(ctx, "interp")
-			m := interp.New(mod, interpConfig(budget, sink, true))
-			res, runErr = m.RunContext(ictx, "main")
-			sp.End()
-			if sink.err != nil {
-				return feed.Closed(), sink.err
-			}
-			if runErr != nil {
-				return feed.Closed(), feed.Fail(runErr)
-			}
-			return feed.Finish()
+			var scanErr error
+			res, runErr, scanErr = runFeeds(ctx, mod, budget, feed)
+			return feed.Closed(), scanErr
 		})
 	if want >= 0 && runErr != nil {
 		return res, nil, runErr
@@ -543,60 +589,85 @@ func analyzeLive(ctx context.Context, mod *ir.Module, line, want int, dopts ddg.
 	return res, regs, err
 }
 
-// LoopRegionStream returns the idx-th dynamic sub-trace of the source loop
-// whose "for"/"while" keyword is on the given source line, reading only as
-// much of the stream as needed to materialize it. It runs the region feed
-// under the dispatcher's selection rule, so memory stays bounded by the
-// regions open at once — one, for a loop that does not recurse into
-// itself — even when the requested region is deep into the trace. Their
-// held events count toward the recorder's scan_peak_retained_events.
-func LoopRegionStream(ctx context.Context, mod *ir.Module, src trace.EventSource, line, idx int) (*trace.Trace, error) {
-	lm, err := findLoop(mod, line)
-	if err != nil {
-		return nil, err
+// runFeeds executes the module's main function with every event pushed to
+// each feed, then finishes the feeds. It returns the interpreter's result
+// and error, and the first feed error (a program failure fails the feeds
+// with it).
+func runFeeds(ctx context.Context, mod *ir.Module, budget core.Budget, feeds ...*trace.RegionFeed) (*interp.Result, error, error) {
+	put := feeds[0].Push
+	if len(feeds) > 1 {
+		put = func(ev trace.Event) error {
+			for _, f := range feeds {
+				if err := f.Push(ev); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	}
-	c := &regionCapture{rec: obs.FromContext(ctx), want: idx}
-	n, err := trace.FeedRegions(ctx, mod, lm.ID, idx, src, func() trace.RegionSink { return &captureSink{c: c} })
-	if err != nil {
-		return nil, err
+	sink := &eventSink{put: put}
+	ictx, sp := obs.StartSpan(ctx, "interp")
+	m := interp.New(mod, interpConfig(budget, sink, true))
+	res, runErr := m.RunContext(ictx, "main")
+	sp.End()
+	scanErr := sink.err
+	for _, f := range feeds {
+		var err error
+		switch {
+		case sink.err != nil:
+			err = f.Fail(sink.err) // aborts the other feeds' open regions
+		case runErr != nil:
+			err = f.Fail(runErr)
+		default:
+			_, err = f.Finish()
+		}
+		if scanErr == nil {
+			scanErr = err
+		}
 	}
-	if c.got == nil {
-		return nil, regionRangeError(line, n, idx)
+	return res, runErr, scanErr
+}
+
+// AnalyzeFirstRegionsLiveCtx executes the module's main function once and
+// analyzes, live, the first dynamic region (in close order) of each loop in
+// loopIDs; the reports come back in loopIDs order, with a zero
+// RegionReport for a loop that never ran. taps, when non-nil, holds for
+// each loop an optional sink factory that receives every region of that
+// loop as well. The returned error joins the per-region errors and any
+// stream error.
+func AnalyzeFirstRegionsLiveCtx(ctx context.Context, mod *ir.Module, loopIDs []int, taps []trace.SinkFactory, dopts ddg.Options, copts core.Options, budget core.Budget) (*interp.Result, []RegionReport, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return &trace.Trace{Module: mod, Events: c.got}, nil
-}
-
-// regionCapture is LoopRegionStream's shared state: the selected region's
-// events once it closes, and the events its open sinks hold.
-type regionCapture struct {
-	rec  *obs.Recorder
-	want int
-	live int64
-	got  []trace.Event
-}
-
-// captureSink holds one region's events while the region is open.
-type captureSink struct {
-	c      *regionCapture
-	events []trace.Event
-}
-
-func (s *captureSink) Event(ev trace.Event) {
-	s.events = append(s.events, ev)
-	s.c.live++
-}
-
-func (s *captureSink) Close(index int) {
-	if index == s.c.want {
-		s.c.got = s.events
+	ctx, span := obs.StartSpan(ctx, "region-analyze")
+	defer span.End()
+	ds := newDispatcher(ctx, mod, dopts, copts)
+	sets := make([]*regionSet, len(loopIDs))
+	feeds := make([]*trace.RegionFeed, 0, 2*len(loopIDs))
+	for i, id := range loopIDs {
+		sets[i] = &regionSet{want: 0}
+		feeds = append(feeds, trace.NewRegionFeed(ctx, mod, id, 0, ds.factory(sets[i])))
+		if taps != nil && taps[i] != nil {
+			feeds = append(feeds, trace.NewRegionFeed(ctx, mod, id, -1, taps[i]))
+		}
 	}
-	s.Abort()
-}
-
-// Abort releases the sink's events. Held events only grow between
-// releases, so the retained peak is sampled here.
-func (s *captureSink) Abort() {
-	s.c.rec.Max(obs.ScanPeakRetainedEvents, s.c.live)
-	s.c.live -= int64(len(s.events))
-	s.events = nil
+	var res *interp.Result
+	var runErr, scanErr error
+	if len(feeds) > 0 {
+		res, runErr, scanErr = runFeeds(ctx, mod, budget, feeds...)
+	} else {
+		res, runErr = RunCtx(ctx, mod, true, budget)
+	}
+	ds.wg.Wait()
+	if runErr != nil {
+		return res, nil, runErr
+	}
+	out := make([]RegionReport, len(loopIDs))
+	for i, set := range sets {
+		if len(set.out) > 0 {
+			out[i] = set.out[0]
+		}
+	}
+	outs, err := collectRegions(ctx, out, scanErr)
+	return res, outs, err
 }

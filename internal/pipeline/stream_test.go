@@ -37,7 +37,7 @@ func TestStreamingMatchesInMemoryRandomPrograms(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			src := testprog.Random(seed)
-			mod, _, tr, err := pipeline.CompileAndTrace(fmt.Sprintf("s%d.c", seed), src)
+			mod, _, tr, err := testprog.CompileAndTrace(fmt.Sprintf("s%d.c", seed), src)
 			if err != nil {
 				t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
 			}
@@ -83,33 +83,42 @@ func TestStreamingMatchesInMemoryRandomPrograms(t *testing.T) {
 	}
 }
 
-// TestLoopRegionStreamMatches: the single-region streaming lookup agrees
-// with the in-memory one, including error text for out-of-range indices.
+// TestLoopRegionStreamMatches: the single-region analysis of a streamed
+// trace agrees with analyzing the in-memory region, and an out-of-range
+// index names how many regions the loop has.
 func TestLoopRegionStreamMatches(t *testing.T) {
 	src := testprog.Random(42)
-	mod, _, tr, err := pipeline.CompileAndTrace("s.c", src)
+	mod, _, tr, err := testprog.CompileAndTrace("s.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	encoded := encodeTrace(t, tr)
 	for _, lm := range mod.Loops {
 		for idx := 0; idx < 4; idx++ {
-			want, wantErr := pipeline.LoopRegion(tr, lm.Line, idx)
-			dec := trace.NewDecoder(bytes.NewReader(encoded))
-			got, gotErr := pipeline.LoopRegionStream(context.Background(), mod, dec, lm.Line, idx)
+			o, err := trace.OpenTrace(bytes.NewReader(encoded), int64(len(encoded)), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotErr := pipeline.AnalyzeOpened(context.Background(), o, mod, lm.Line, idx, ddg.Options{}, core.Options{}, -1)
+			want, wantErr := testprog.LoopRegion(tr, lm.Line, idx)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("loop line %d idx %d: in-memory err %v, streaming err %v",
 					lm.Line, idx, wantErr, gotErr)
 			}
 			if wantErr != nil {
-				if wantErr.Error() != gotErr.Error() {
-					t.Fatalf("loop line %d idx %d: error text differs: %q vs %q",
-						lm.Line, idx, wantErr, gotErr)
+				n := len(tr.Regions(lm.ID))
+				wantText := fmt.Sprintf("pipeline: loop on line %d has %d dynamic regions, want index %d", lm.Line, n, idx)
+				if gotErr.Error() != wantText {
+					t.Fatalf("loop line %d idx %d: error %q, want %q", lm.Line, idx, gotErr, wantText)
 				}
 				continue
 			}
-			if !reflect.DeepEqual(got.Events, want.Events) {
-				t.Fatalf("loop line %d idx %d: region events differ", lm.Line, idx)
+			rep, err := pipeline.AnalyzeRegion(context.Background(), want, ddg.Options{}, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0].Events != want.Len() || got[0].Report.String() != rep.String() {
+				t.Fatalf("loop line %d idx %d: streamed region differs from the in-memory one", lm.Line, idx)
 			}
 		}
 	}
@@ -149,7 +158,7 @@ void main() {
   print(s);
 }
 `
-	mod, _, tr, err := pipeline.CompileAndTrace("k.c", src)
+	mod, _, tr, err := testprog.CompileAndTrace("k.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}

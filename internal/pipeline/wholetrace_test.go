@@ -10,6 +10,7 @@ import (
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 )
 
 // tableKernels returns the programs behind the paper's Tables 1–3: every
@@ -40,7 +41,7 @@ func TestAnalyzeRegionWholeTraceMatchesGraph(t *testing.T) {
 	var events int
 	var streamTime, graphTime time.Duration
 	for _, k := range ks {
-		_, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
+		_, _, tr, err := testprog.CompileAndTrace(k.Name+".c", k.Source)
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}

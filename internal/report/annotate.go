@@ -13,7 +13,6 @@ import (
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/profile"
 	"github.com/example/vectrace/internal/staticvec"
-	"github.com/example/vectrace/internal/trace"
 )
 
 // LineAnnotation summarizes the dynamic analysis for one source line that
@@ -28,13 +27,15 @@ type LineAnnotation struct {
 	Reduction  bool    // any reduction-shaped instruction on the line
 }
 
-// AnnotateSource runs the whole-program analysis and attaches per-line
-// annotations, the "point the expert at the right region" view of §4.2.
-func AnnotateSource(tr *trace.Trace, opts core.Options) ([]LineAnnotation, error) {
-	rep, err := pipeline.AnalyzeRegion(context.Background(), tr, ddg.Options{}, opts)
+// AnnotateSource compiles and runs the program, analyzing the whole run
+// live as one region, and attaches per-line annotations: the "point the
+// expert at the right region" view of §4.2.
+func AnnotateSource(filename, src string, opts core.Options) ([]LineAnnotation, error) {
+	regs, err := pipeline.AnalyzeSourceCtx(context.Background(), filename, src, 0, 0, ddg.Options{}, opts, core.Budget{})
 	if err != nil {
 		return nil, err
 	}
+	rep := regs[0].Report
 
 	byLine := make(map[int]*LineAnnotation)
 	type acc struct {

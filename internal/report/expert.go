@@ -8,7 +8,6 @@ import (
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
-	"github.com/example/vectrace/internal/interp"
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/profile"
@@ -106,20 +105,40 @@ func ClassifyBlocker(reason string) BlockerClass {
 
 // RankOpportunities profiles an execution, analyzes every hot loop's first
 // dynamic region, and ranks the loops by unexploited, cycle-weighted
-// vectorization potential.
-func RankOpportunities(mod *ir.Module, res *interp.Result, tr *trace.Trace, threshold float64) ([]Opportunity, error) {
+// vectorization potential. An untraced counting run picks the hot loops;
+// one live run then analyzes their first regions and counts their control
+// signatures over every region, without holding the trace.
+func RankOpportunities(mod *ir.Module, threshold float64) ([]Opportunity, error) {
+	ctx := context.Background()
+	res, err := pipeline.RunCtx(ctx, mod, true, core.Budget{})
+	if err != nil {
+		return nil, err
+	}
 	verdicts := staticvec.AnalyzeModule(mod)
-	prof := profile.Build(mod, res, verdicts)
+	hot := profile.Build(mod, res, verdicts).Hot(threshold)
+	ids := make([]int, len(hot))
+	shapes := make([]*core.RegularityCounter, len(hot))
+	taps := make([]trace.SinkFactory, len(hot))
+	for i, st := range hot {
+		ids[i] = st.LoopID
+		shapes[i] = core.NewRegularityCounter(mod, st.LoopID)
+		taps[i] = shapes[i].Sink
+	}
+	_, first, err := pipeline.AnalyzeFirstRegionsLiveCtx(ctx, mod, ids, taps, ddg.Options{}, core.Options{}, core.Budget{})
+	for i, st := range hot {
+		if first[i].Err != nil {
+			return nil, fmt.Errorf("loop %s:%d: %w", st.Func, st.Line, first[i].Err)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
 
 	var out []Opportunity
-	for _, st := range prof.Hot(threshold) {
-		regions := tr.Regions(st.LoopID)
-		if len(regions) == 0 {
-			continue
-		}
-		rep, err := pipeline.AnalyzeRegion(context.Background(), tr.Slice(regions[0]), ddg.Options{}, core.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("loop %s:%d: %w", st.Func, st.Line, err)
+	for i, st := range hot {
+		rep := first[i].Report
+		if rep == nil {
+			continue // the loop never ran
 		}
 		o := Opportunity{
 			Func:          st.Func,
@@ -133,7 +152,7 @@ func RankOpportunities(mod *ir.Module, res *interp.Result, tr *trace.Trace, thre
 		if o.Gap < 0 {
 			o.Gap = 0
 		}
-		o.Regularity = core.ControlRegularity(tr, st.LoopID).ModalFraction
+		o.Regularity = shapes[i].Result().ModalFraction
 		o.Score = o.Gap * o.PercentCycles / 100
 		if v, ok := verdicts[st.LoopID]; ok && !v.Vectorized {
 			o.CompilerReason = v.Reason
@@ -145,18 +164,13 @@ func RankOpportunities(mod *ir.Module, res *interp.Result, tr *trace.Trace, thre
 	return out, nil
 }
 
-// RankKernel is the one-call form used by the CLI: compile, run, trace,
-// rank.
+// RankKernel is the one-call form used by the CLI: compile, then rank.
 func RankKernel(filename, src string, threshold float64) ([]Opportunity, error) {
 	mod, err := pipeline.Compile(filename, src)
 	if err != nil {
 		return nil, err
 	}
-	res, tr, err := pipeline.Trace(mod)
-	if err != nil {
-		return nil, err
-	}
-	return RankOpportunities(mod, res, tr, threshold)
+	return RankOpportunities(mod, threshold)
 }
 
 // RenderOpportunities renders the ranking.

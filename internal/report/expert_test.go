@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"context"
+	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/report"
 )
 
@@ -104,7 +106,7 @@ func TestClassifyBlocker(t *testing.T) {
 // verbatim: "The analysis classified two out of the eight addition
 // operations ... as vectorizable" for the original Gauss-Seidel statement.
 func TestGaussSeidelTwoOfEightAdditions(t *testing.T) {
-	rows, err := report.Table2()
+	rows, err := report.Table2Ctx(context.Background(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,11 +79,11 @@ func TestGoldenTraceFormatParity(t *testing.T) {
 			if len(tr1.Regions(lm.ID)) == 0 {
 				continue
 			}
-			rep1, err := RepresentativeReport(tr1, lm.ID, 3, core.Options{})
+			rep1, err := RepresentativeReportCtx(context.Background(), tr1, lm.ID, 3, core.Options{})
 			if err != nil {
 				t.Fatalf("%s L%d vtr1: %v", k.Name, lm.ID, err)
 			}
-			rep2, err := RepresentativeReport(tr2, lm.ID, 3, core.Options{})
+			rep2, err := RepresentativeReportCtx(context.Background(), tr2, lm.ID, 3, core.Options{})
 			if err != nil {
 				t.Fatalf("%s L%d vtr2: %v", k.Name, lm.ID, err)
 			}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -66,7 +67,7 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 func TestGoldenTable1(t *testing.T) {
-	rows, err := Table1Opts(core.Options{})
+	rows, err := Table1Ctx(context.Background(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestGoldenTable1(t *testing.T) {
 }
 
 func TestGoldenTable2(t *testing.T) {
-	rows, err := Table2Opts(core.Options{})
+	rows, err := Table2Ctx(context.Background(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestGoldenTable2(t *testing.T) {
 }
 
 func TestGoldenTable3(t *testing.T) {
-	rows, err := Table3Opts(core.Options{})
+	rows, err := Table3Ctx(context.Background(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

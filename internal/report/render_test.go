@@ -4,9 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"context"
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/report"
+	"github.com/example/vectrace/internal/testprog"
 )
 
 func TestRenderTable1(t *testing.T) {
@@ -90,13 +91,13 @@ void main() {
   for (i = 0; i < 0; i++) { g = g * 2.0; }  /* never iterates */
 }
 `
-	_, _, tr, err := pipeline.CompileAndTrace("rep.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("rep.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The inner loop runs five times; the representative is the median of
 	// three sampled regions — all identical here, so any is fine.
-	rep, err := report.RepresentativeReport(tr, 1, 3, core.Options{})
+	rep, err := report.RepresentativeReportCtx(context.Background(), tr, 1, 3, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ void main() {
 	}
 
 	// A loop absent from the trace has no representative.
-	if _, err := report.RepresentativeReport(tr, 99, 3, core.Options{}); err == nil {
+	if _, err := report.RepresentativeReportCtx(context.Background(), tr, 99, 3, core.Options{}); err == nil {
 		t.Error("missing loop should error")
 	}
 }

@@ -35,20 +35,15 @@ type LoopAnalysis struct {
 	Report         *core.Report
 }
 
-// RepresentativeReport analyzes up to maxRegions dynamic executions of a
-// loop and returns the median one (by candidate-operation count), the way
-// the paper "randomly chose several instances of the loop, analyzed each
-// corresponding subtrace ... and chose one representative subtrace to be
-// included in the measurements". Sampling is deterministic: the first,
+// RepresentativeReportCtx analyzes up to maxRegions dynamic executions of
+// a loop and returns the median one (by candidate-operation count), the
+// way the paper "randomly chose several instances of the loop, analyzed
+// each corresponding subtrace ... and chose one representative subtrace to
+// be included in the measurements". Sampling is deterministic: the first,
 // middle, and last regions, covering warm-up and steady-state executions.
-func RepresentativeReport(tr *trace.Trace, loopID int, maxRegions int, opts core.Options) (*core.Report, error) {
-	return RepresentativeReportCtx(context.Background(), tr, loopID, maxRegions, opts)
-}
-
-// RepresentativeReportCtx is RepresentativeReport with cooperative
-// cancellation: ctx is threaded through the region fan-out and each
-// region's analysis, so a deadline cuts the sampling short with an error
-// wrapping core.ErrCanceled.
+// ctx is threaded through the region fan-out and each region's analysis,
+// so a deadline cuts the sampling short with an error wrapping
+// core.ErrCanceled.
 func RepresentativeReportCtx(ctx context.Context, tr *trace.Trace, loopID int, maxRegions int, opts core.Options) (*core.Report, error) {
 	regions := tr.Regions(loopID)
 	if len(regions) == 0 {
@@ -133,19 +128,11 @@ type T1Row struct {
 	LoopAnalysis
 }
 
-// Table1 regenerates Table 1 over the SPEC-shaped kernel suite.
-func Table1() ([]T1Row, error) { return Table1Opts(core.Options{}) }
-
-// Table1Opts regenerates Table 1 with explicit analysis options. Each row's
-// kernel is compiled, traced, and analyzed independently, so the rows fan
-// out across opts.WorkerCount() workers; results are merged by row index,
-// keeping the table identical to a sequential regeneration.
-func Table1Opts(opts core.Options) ([]T1Row, error) {
-	return Table1Ctx(context.Background(), opts)
-}
-
-// Table1Ctx is Table1Opts with cooperative cancellation threaded through
-// every row's trace and analysis.
+// Table1Ctx regenerates Table 1 over the SPEC-shaped kernel suite. Each
+// row's kernel is compiled, traced, and analyzed independently, so the
+// rows fan out across opts.WorkerCount() workers; results are merged by
+// row index, keeping the table identical to a sequential regeneration.
+// Cancellation is threaded through every row's trace and analysis.
 func Table1Ctx(ctx context.Context, opts core.Options) ([]T1Row, error) {
 	type job struct {
 		bench, label, marker string
@@ -196,17 +183,9 @@ type T2Row struct {
 	LoopAnalysis
 }
 
-// Table2 regenerates Table 2: the 2-D Gauss-Seidel stencil and the 2-D PDE
-// grid solver.
-func Table2() ([]T2Row, error) { return Table2Opts(core.Options{}) }
-
-// Table2Opts regenerates Table 2 with explicit analysis options, fanning
-// the two kernels out across opts.WorkerCount() workers.
-func Table2Opts(opts core.Options) ([]T2Row, error) {
-	return Table2Ctx(context.Background(), opts)
-}
-
-// Table2Ctx is Table2Opts with cooperative cancellation.
+// Table2Ctx regenerates Table 2 — the 2-D Gauss-Seidel stencil and the
+// 2-D PDE grid solver — fanning the two kernels out across
+// opts.WorkerCount() workers, with cooperative cancellation.
 func Table2Ctx(ctx context.Context, opts core.Options) ([]T2Row, error) {
 	specs := []struct {
 		name   string
@@ -255,17 +234,10 @@ type T3Row struct {
 	LoopAnalysis
 }
 
-// Table3 regenerates Table 3 over the UTDSP pairs.
-func Table3() ([]T3Row, error) { return Table3Opts(core.Options{}) }
-
-// Table3Opts regenerates Table 3 with explicit analysis options. The
-// Array/Pointer variants of every UTDSP pair are flattened into one job list
-// and fanned out across opts.WorkerCount() workers, merged by job index.
-func Table3Opts(opts core.Options) ([]T3Row, error) {
-	return Table3Ctx(context.Background(), opts)
-}
-
-// Table3Ctx is Table3Opts with cooperative cancellation.
+// Table3Ctx regenerates Table 3 over the UTDSP pairs. The Array/Pointer
+// variants of every pair are flattened into one job list and fanned out
+// across opts.WorkerCount() workers, merged by job index, with cooperative
+// cancellation.
 func Table3Ctx(ctx context.Context, opts core.Options) ([]T3Row, error) {
 	type job struct {
 		bench, style string
@@ -436,12 +408,54 @@ func RenderFigure(rows []FigureRow) string {
 	return b.String()
 }
 
-func figureRows(k kernels.Kernel, stmts map[string]string, larusMarker string) ([]FigureRow, error) {
-	mod, _, tr, err := pipeline.CompileAndTrace(k.Name+".c", k.Source)
-	if err != nil {
-		return nil, err
+// tsGroups counts one statement's instances per timestamp: under any of
+// the three analyses, the instances sharing a timestamp form a partition.
+type tsGroups map[int32]int
+
+func (g tsGroups) row(analysis, label string) FigureRow {
+	row := FigureRow{Analysis: analysis, Statement: label, Partitions: len(g)}
+	total := 0
+	for _, n := range g {
+		total += n
+		row.MaxSize = max(row.MaxSize, n)
 	}
-	g, err := ddg.Build(tr)
+	if len(g) > 0 {
+		row.AvgSize = float64(total) / float64(len(g))
+	}
+	return row
+}
+
+// larusSink replays one region of the Larus loop, grouping the watched
+// statements' instances by finish time; done receives the groups when the
+// region closes.
+type larusSink struct {
+	s      *baseline.Stream
+	groups map[int32]tsGroups
+	err    error
+	done   func(index int, groups map[int32]tsGroups, err error)
+}
+
+func (l *larusSink) Event(ev trace.Event) {
+	if l.err != nil {
+		return
+	}
+	var ts int32
+	ts, l.err = l.s.Feed(ev.ID, ev.Addr)
+	if g := l.groups[ev.ID]; g != nil {
+		g[ts]++
+	}
+}
+
+func (l *larusSink) Close(index int) { l.done(index, l.groups, l.err) }
+func (l *larusSink) Abort()          {}
+
+// figureRows runs the kernel once, live: every event feeds the stream
+// kernel (Algorithm 1) and Kumar's baseline, and the first region of the
+// Larus loop (when larusMarker names one) feeds Larus' baseline. Each
+// analysis' partitions of a labeled statement are its instances grouped by
+// timestamp.
+func figureRows(k kernels.Kernel, stmts map[string]string, larusMarker string) ([]FigureRow, error) {
+	mod, err := pipeline.Compile(k.Name+".c", k.Source)
 	if err != nil {
 		return nil, err
 	}
@@ -465,65 +479,85 @@ func figureRows(k kernels.Kernel, stmts map[string]string, larusMarker string) (
 		}
 		instrOf[label] = found
 	}
-
-	summarize := func(analysis, label string, groups [][]int32) FigureRow {
-		row := FigureRow{Analysis: analysis, Statement: label, Partitions: len(groups)}
-		total := 0
-		for _, grp := range groups {
-			total += len(grp)
-			if len(grp) > row.MaxSize {
-				row.MaxSize = len(grp)
-			}
-		}
-		if len(groups) > 0 {
-			row.AvgSize = float64(total) / float64(len(groups))
-		}
-		return row
-	}
-
-	var rows []FigureRow
 	labels := make([]string, 0, len(instrOf))
 	for label := range instrOf {
 		labels = append(labels, label)
 	}
 	sort.Strings(labels)
-
-	kumarTS := baseline.KumarTimestamps(g)
-	for _, label := range labels {
-		id := instrOf[label]
-		parts := core.Partitions(g, id, core.Options{})
-		groups := make([][]int32, len(parts))
-		for i := range parts {
-			groups[i] = parts[i].Nodes
+	watch := func() map[int32]tsGroups {
+		m := make(map[int32]tsGroups, len(instrOf))
+		for _, id := range instrOf {
+			m[id] = tsGroups{}
 		}
-		rows = append(rows, summarize("Algorithm 1", label, groups))
-		rows = append(rows, summarize("Kumar", label, baseline.PartitionsByTimestamp(g, id, kumarTS)))
+		return m
 	}
 
+	ctx := context.Background()
+	alg1 := core.AcquireStreamKernel(mod, ddg.Options{}, core.Options{}, nil)
+	defer alg1.Release()
+	kumar, kumarTS := baseline.NewKumar(mod), watch()
+	var larus *trace.RegionFeed
+	var larusTS map[int32]tsGroups
+	var larusErr error
 	if larusMarker != "" {
-		larusLine, err := k.FindLine(larusMarker)
+		line, err := k.FindLine(larusMarker)
 		if err != nil {
 			return nil, err
 		}
-		lm := mod.LoopByLine(larusLine)
+		lm := mod.LoopByLine(line)
 		if lm == nil {
 			return nil, fmt.Errorf("%s: no loop at %s", k.Name, larusMarker)
 		}
-		regions := tr.Regions(lm.ID)
-		if len(regions) == 0 {
-			return nil, fmt.Errorf("%s: loop %s never ran", k.Name, larusMarker)
+		larus = trace.NewRegionFeed(ctx, mod, lm.ID, 0, func() trace.RegionSink {
+			return &larusSink{s: baseline.NewLarus(mod, lm.ID), groups: watch(),
+				done: func(index int, groups map[int32]tsGroups, err error) {
+					if index == 0 {
+						larusTS, larusErr = groups, err
+					}
+				}}
+		})
+	}
+	_, err = pipeline.StreamCtx(ctx, mod, core.Budget{}, func(ev trace.Event) error {
+		if err := alg1.Feed(ev.ID, ev.Addr); err != nil {
+			return err
 		}
-		rg, err := ddg.Build(tr.Slice(regions[0]))
+		ts, err := kumar.Feed(ev.ID, ev.Addr)
 		if err != nil {
+			return err
+		}
+		if g := kumarTS[ev.ID]; g != nil {
+			g[ts]++
+		}
+		if larus != nil {
+			return larus.Push(ev)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	var rows []FigureRow
+	for _, label := range labels {
+		id := instrOf[label]
+		parts := tsGroups{}
+		for _, ts := range alg1.InstanceTimestamps(id) {
+			parts[ts]++
+		}
+		rows = append(rows, parts.row("Algorithm 1", label), kumarTS[id].row("Kumar", label))
+	}
+	if larus != nil {
+		if _, err := larus.Finish(); err != nil {
 			return nil, err
 		}
-		lr := baseline.Larus(rg, lm.ID)
-		// Partition statement instances by Larus finish time, resolving
-		// instruction IDs inside the region graph.
+		if larusTS == nil {
+			return nil, fmt.Errorf("%s: loop %s never ran", k.Name, larusMarker)
+		}
+		if larusErr != nil {
+			return nil, larusErr
+		}
 		for _, label := range labels {
-			id := instrOf[label]
-			rows = append(rows, summarize("Larus", label,
-				baseline.PartitionsByTimestamp(rg, id, lr.Finish)))
+			rows = append(rows, larusTS[instrOf[label]].row("Larus", label))
 		}
 	}
 	return rows, nil

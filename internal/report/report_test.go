@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"context"
+	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/report"
 )
 
@@ -12,7 +14,7 @@ import (
 // analysis finds unit-stride versus non-unit-stride potential, and the
 // reduction anomaly (Percent Packed exceeding both Vec. Ops columns).
 func TestTable1Shape(t *testing.T) {
-	rows, err := report.Table1()
+	rows, err := report.Table1Ctx(context.Background(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestTable1Shape(t *testing.T) {
 // partitions, while Gauss-Seidel splits between a unit-stride component
 // (the row-(i-1) sums) and a dominant non-unit (wavefront) component.
 func TestTable2Shape(t *testing.T) {
-	rows, err := report.Table2()
+	rows, err := report.Table2Ctx(context.Background(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func TestTable2Shape(t *testing.T) {
 // identical per kernel, and Percent Packed is zero for every pointer
 // version but positive for the vectorizable array versions.
 func TestTable3Shape(t *testing.T) {
-	rows, err := report.Table3()
+	rows, err := report.Table3Ctx(context.Background(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

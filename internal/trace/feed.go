@@ -35,6 +35,11 @@ type RegionSink interface {
 // once per target-loop entry, at the loop.begin marker.
 type SinkFactory func() RegionSink
 
+// WholeRun is the target "loop" of a feed that treats the entire event
+// stream as one region: its sink opens before the first event, receives
+// every event, and closes as index 0 when the stream finishes.
+const WholeRun = -1
+
 // openSink is one open target-loop region and its sink. start (the absolute
 // index of the region's first event) is unique per open region and ties a
 // tracker-closed Region back to its sink.
@@ -76,7 +81,8 @@ type RegionFeed struct {
 const scanCtxCheckInterval = 4096
 
 // NewRegionFeed returns a feed dispatching the dynamic regions of the given
-// source loop to sinks from factory, validating events against mod. want
+// source loop (or WholeRun) to sinks from factory, validating events
+// against mod. want
 // selects one close-order index (want < 0 selects every region). The
 // context is polled every scanCtxCheckInterval events; on cancellation
 // open sinks are aborted.
@@ -171,6 +177,9 @@ func (f *RegionFeed) Push(ev Event) error {
 			ev.ID, f.mod.NumInstrs, ErrCorruptTrace))
 	}
 	in := f.mod.InstrAt(ev.ID)
+	if f.loopID == WholeRun && f.idx == 0 {
+		f.open = append(f.open, openSink{start: 0, sink: f.make()})
+	}
 	for _, r := range f.tk.step(f.idx, in) {
 		f.closeRegion(r)
 	}
@@ -202,6 +211,12 @@ func (f *RegionFeed) Finish() (int, error) {
 	}
 	for _, r := range f.tk.finish(f.idx) {
 		f.closeRegion(r)
+	}
+	if f.loopID == WholeRun {
+		if f.idx == 0 {
+			f.open = append(f.open, openSink{start: 0, sink: f.make()})
+		}
+		f.closeRegion(Region{LoopID: WholeRun, Start: 0, End: f.idx})
 	}
 	f.flushStats()
 	return f.closed, nil

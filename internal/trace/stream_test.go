@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"github.com/example/vectrace/internal/ir"
-	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
@@ -168,10 +168,55 @@ func TestDecoderReservedAddrError(t *testing.T) {
 	}
 }
 
-// checkLoopRegionStreamParity asserts the streaming region lookup yields
-// exactly the regions Trace.Regions finds, with identical event content,
-// both from an in-memory source and through a full encode/decode cycle,
-// and the out-of-range error one index past the last region.
+// regionCapture is a region sink set that keeps the events of the
+// selected region and tracks how many events its open sinks hold at once.
+type regionCapture struct {
+	want       int
+	live, peak int
+	got        []trace.Event
+}
+
+type captureSink struct {
+	c      *regionCapture
+	events []trace.Event
+}
+
+func (s *captureSink) Event(ev trace.Event) {
+	s.events = append(s.events, ev)
+	s.c.live++
+	s.c.peak = max(s.c.peak, s.c.live)
+}
+
+func (s *captureSink) Close(index int) {
+	if index == s.c.want {
+		s.c.got = s.events
+	}
+	s.Abort()
+}
+
+func (s *captureSink) Abort() {
+	s.c.live -= len(s.events)
+	s.events = nil
+}
+
+// loopRegionStream feeds src through a region feed selecting region idx
+// of the loop and returns that region's events (nil when the loop has
+// fewer regions), the number of regions dispatched, and the peak number
+// of events the feed's open sinks held at once.
+func loopRegionStream(t *testing.T, mod *ir.Module, src trace.EventSource, loopID, idx int) ([]trace.Event, int, int) {
+	t.Helper()
+	c := &regionCapture{want: idx}
+	n, err := trace.FeedRegions(context.Background(), mod, loopID, idx, src, func() trace.RegionSink { return &captureSink{c: c} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.got, n, c.peak
+}
+
+// checkLoopRegionStreamParity asserts the region feed's single-region
+// selection yields exactly the regions Trace.Regions finds, with identical
+// event content, both from an in-memory source and through a full
+// encode/decode cycle, and nothing one index past the last region.
 func checkLoopRegionStreamParity(t *testing.T, tr *trace.Trace, lm ir.LoopMeta) {
 	t.Helper()
 	want := tr.Regions(lm.ID)
@@ -186,33 +231,26 @@ func checkLoopRegionStreamParity(t *testing.T, tr *trace.Trace, lm ir.LoopMeta) 
 	}
 	for name, src := range sources {
 		for i, r := range want {
-			sub, err := pipeline.LoopRegionStream(context.Background(), tr.Module, src(), lm.Line, i)
-			if err != nil {
-				t.Fatalf("%s: region %d: %v", name, i, err)
-			}
+			sub, _, _ := loopRegionStream(t, tr.Module, src(), lm.ID, i)
 			ref := tr.RegionEvents(r)
-			if len(sub.Events) != len(ref) {
-				t.Fatalf("%s: region %d has %d events, want %d", name, i, len(sub.Events), len(ref))
+			if len(sub) != len(ref) {
+				t.Fatalf("%s: region %d has %d events, want %d", name, i, len(sub), len(ref))
 			}
 			for j := range ref {
-				if sub.Events[j] != ref[j] {
-					t.Fatalf("%s: region %d event %d = %+v, want %+v", name, i, j, sub.Events[j], ref[j])
+				if sub[j] != ref[j] {
+					t.Fatalf("%s: region %d event %d = %+v, want %+v", name, i, j, sub[j], ref[j])
 				}
 			}
-			if sub.Module != tr.Module {
-				t.Fatalf("%s: region %d does not share the module", name, i)
-			}
 		}
-		_, err := pipeline.LoopRegionStream(context.Background(), tr.Module, src(), lm.Line, len(want))
-		wantErr := fmt.Sprintf("pipeline: loop on line %d has %d dynamic regions, want index %d", lm.Line, len(want), len(want))
-		if err == nil || err.Error() != wantErr {
-			t.Fatalf("%s: out-of-range lookup: got %v, want %q", name, err, wantErr)
+		sub, n, _ := loopRegionStream(t, tr.Module, src(), lm.ID, len(want))
+		if sub != nil || n != len(want) {
+			t.Fatalf("%s: out-of-range selection: got %d events after %d regions, want none after %d", name, len(sub), n, len(want))
 		}
 	}
 }
 
-// TestLoopRegionStreamParity covers the region-boundary cases the feed
-// under LoopRegionStream must get right: nesting, loops in callees, early
+// TestLoopRegionStreamParity covers the region-boundary cases a feed
+// selecting one region must get right: nesting, loops in callees, early
 // returns that skip the loop.end marker, and loops that never iterate.
 func TestLoopRegionStreamParity(t *testing.T) {
 	programs := map[string]string{
@@ -273,9 +311,10 @@ void main() {
 	}
 }
 
-// TestLoopRegionStreamBoundedRetention: the events LoopRegionStream holds
-// at once track the size of one region, not the number of regions — even
-// for the last region, which makes it hold and release every earlier one.
+// TestLoopRegionStreamBoundedRetention: the events a feed selecting one
+// region makes its sinks hold at once track the size of one region, not
+// the number of regions — even for the last region, which makes it hold
+// and release every earlier one.
 func TestLoopRegionStreamBoundedRetention(t *testing.T) {
 	program := func(reps int) string {
 		return fmt.Sprintf(`
@@ -288,16 +327,12 @@ void main() {
 }
 `, reps)
 	}
-	peak := func(reps int) (retained int64, total int) {
+	peak := func(reps int) (retained int, total int) {
 		tr := traceFor(t, program(reps))
-		rec := obs.New()
-		sub, err := pipeline.LoopRegionStream(obs.WithRecorder(context.Background(), rec), tr.Module,
-			&trace.SliceSource{Events: tr.Events}, 6, reps-1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if retained = rec.Get(obs.ScanPeakRetainedEvents); retained < int64(sub.Len()) {
-			t.Fatalf("peak retention %d below the returned region's %d events", retained, sub.Len())
+		sub, _, retained := loopRegionStream(t, tr.Module, &trace.SliceSource{Events: tr.Events},
+			tr.Module.LoopByLine(6).ID, reps-1)
+		if retained < len(sub) {
+			t.Fatalf("peak retention %d below the returned region's %d events", retained, len(sub))
 		}
 		return retained, tr.Len()
 	}
@@ -347,7 +382,7 @@ void main() {
   print(s);
 }
 `
-	mod, _, tr, err := pipeline.CompileAndTrace("t.c", src)
+	mod, _, tr, err := testprog.CompileAndTrace("t.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}

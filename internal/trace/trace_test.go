@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 
 	"github.com/example/vectrace/internal/ir"
-	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
@@ -152,7 +152,7 @@ func TestCompactness(t *testing.T) {
 // traceFor builds a full-program trace for a source string.
 func traceFor(t *testing.T, src string) *trace.Trace {
 	t.Helper()
-	_, _, tr, err := pipeline.CompileAndTrace("t.c", src)
+	_, _, tr, err := testprog.CompileAndTrace("t.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
