@@ -165,8 +165,11 @@ type Job struct {
 	// Spec is the validated job configuration.
 	Spec JobSpec
 
+	// source and payload (the optional uploaded trace) are the job's
+	// inputs; releaseInputs drops them once no run of the job can read
+	// them, so a terminal job holds only its result.
 	source  string
-	payload []byte // optional uploaded trace
+	payload []byte
 	rec     *obs.Recorder
 	ctx     context.Context
 	cancel  context.CancelCauseFunc
@@ -275,6 +278,15 @@ func (j *Job) finish(state string, reportJS []byte, err error) bool {
 	return true
 }
 
+// releaseInputs drops the job's source and uploaded trace. The worker
+// calls it once the job's computation — its own run, or the single-flight
+// leader's it waited on — has returned.
+func (j *Job) releaseInputs() {
+	j.mu.Lock()
+	j.source, j.payload = "", nil
+	j.mu.Unlock()
+}
+
 // CancelRequest implements client- and drain-initiated cancellation: a
 // queued job terminates immediately; a running job has its context
 // cancelled with the given cause and terminates when its worker observes
@@ -292,6 +304,7 @@ func (j *Job) CancelRequest(cause error) bool {
 	if queued {
 		j.state = StateCancelled
 		j.err = cause
+		j.source, j.payload = "", nil // the job will never run
 	}
 	j.mu.Unlock()
 	j.cancel(cause)

@@ -359,6 +359,7 @@ func (s *Server) runJob(j *Job) {
 		})
 		return rep, rerr
 	})
+	j.releaseInputs()
 
 	// A cancelled job stays cancelled even when the computation raced to
 	// completion first (tiny jobs can finish before the cooperative
