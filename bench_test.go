@@ -125,7 +125,7 @@ func BenchmarkTable4(b *testing.B) {
 	var rows []report.T4Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = report.Table4()
+		rows, err = report.Table4Ctx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -308,7 +308,8 @@ func BenchmarkTimestamps(b *testing.B) {
 	}
 }
 
-// BenchmarkKumarBaseline measures the whole-graph critical-path analysis.
+// BenchmarkKumarBaseline measures the critical-path analysis of a whole
+// trace, replayed through the streaming baseline.
 func BenchmarkKumarBaseline(b *testing.B) {
 	k := kernels.Listing1(64)
 	mod, err := pipeline.Compile(k.Name+".c", k.Source)
@@ -319,13 +320,18 @@ func BenchmarkKumarBaseline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		baseline.Kumar(g)
+		replayBaseline(b, baseline.NewKumar(mod), tr.Events)
+	}
+}
+
+// replayBaseline feeds events through a baseline stream.
+func replayBaseline(b *testing.B, s *baseline.Stream, events []trace.Event) {
+	for _, ev := range events {
+		if _, err := s.Feed(ev.ID, ev.Addr); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -441,14 +447,10 @@ func BenchmarkLarusBaseline(b *testing.B) {
 		b.Fatal(err)
 	}
 	lm := mod.LoopByLine(k.LineOf("@main-loop"))
-	regions := tr.Regions(lm.ID)
-	g, err := ddg.Build(tr.Slice(regions[0]))
-	if err != nil {
-		b.Fatal(err)
-	}
+	region := tr.RegionEvents(tr.Regions(lm.ID)[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		baseline.Larus(g, lm.ID)
+		replayBaseline(b, baseline.NewLarus(mod, lm.ID), region)
 	}
 }
 
@@ -593,9 +595,11 @@ func BenchmarkControlRegularity(b *testing.B) {
 	b.ResetTimer()
 	var r core.Regularity
 	for i := 0; i < b.N; i++ {
-		if r, err = testprog.ControlRegularity(tr, lm.ID); err != nil {
+		c := core.NewRegularityCounter(mod, lm.ID)
+		if _, err := trace.FeedRegions(context.Background(), mod, lm.ID, -1, &trace.SliceSource{Events: tr.Events}, c.Sink); err != nil {
 			b.Fatal(err)
 		}
+		r = c.Result()
 	}
 	b.ReportMetric(r.ModalFraction, "modal-fraction")
 }

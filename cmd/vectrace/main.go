@@ -433,20 +433,27 @@ func analyzeCmd(file, src string, rest []string) error {
 		if *line == 0 {
 			inst = 0
 		}
-		if *compare {
-			// The Kumar baseline replays the same region's events in the
-			// same pass; a trace file is scanned sequentially up to it.
-			mod, err := pipeline.CompileCtx(ctx, file, src)
+		var mod *ir.Module
+		var o *trace.Opened
+		if *traceFile != "" || *compare {
+			var err error
+			if mod, err = pipeline.CompileCtx(ctx, file, src); err != nil {
+				return err
+			}
+		}
+		if *traceFile != "" {
+			f, opened, err := openTrace()
 			if err != nil {
 				return err
 			}
+			defer f.Close()
+			o = opened
+		}
+		if *compare {
+			// The Kumar baseline replays the same region's events in the
+			// same pass; a trace file is scanned sequentially up to it.
 			var events trace.EventSource
-			if *traceFile != "" {
-				f, o, err := openTrace()
-				if err != nil {
-					return err
-				}
-				defer f.Close()
+			if o != nil {
 				events = o.Source()
 			}
 			rep, kumar, err := pipeline.AnalyzeKumarCtx(ctx, mod, events, *line, inst, opts, copts)
@@ -466,21 +473,13 @@ func analyzeCmd(file, src string, rest []string) error {
 		// wraps), so the report bytes match the service's. A program runs
 		// live and never holds its trace. Trace files stream region by
 		// region, or seek and fan out across -scan-workers when indexed.
-		regs, err := func() ([]pipeline.RegionReport, error) {
-			if *traceFile == "" {
-				return pipeline.AnalyzeSourceCtx(ctx, file, src, *line, inst, opts, copts, core.Budget{})
-			}
-			mod, err := pipeline.CompileCtx(ctx, file, src)
-			if err != nil {
-				return nil, err
-			}
-			f, o, err := openTrace()
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			return pipeline.AnalyzeOpened(ctx, o, mod, *line, inst, opts, copts, tf.ScanWorkers)
-		}()
+		var regs []pipeline.RegionReport
+		var err error
+		if o == nil {
+			regs, err = pipeline.AnalyzeSourceCtx(ctx, file, src, *line, inst, opts, copts, core.Budget{})
+		} else {
+			regs, err = pipeline.AnalyzeOpened(ctx, o, mod, *line, inst, opts, copts, tf.ScanWorkers)
+		}
 		if inst < 0 {
 			printRegions(regs, err)
 			return err

@@ -3,12 +3,14 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/pipeline"
-	"github.com/example/vectrace/internal/testprog"
 )
 
 // TestLiveCommandsHeap is the memory-regression smoke for the commands that
@@ -70,7 +72,7 @@ func TestLiveCommandsHeap(t *testing.T) {
 			}
 		}
 		runCmd() // warm the pools
-		return testprog.PeakHeap(runCmd)
+		return peakHeap(runCmd)
 	}
 	for _, tc := range []struct {
 		name string
@@ -93,4 +95,44 @@ func TestLiveCommandsHeap(t *testing.T) {
 			t.Errorf("%s: heap peak grew %.1f B per added candidate fp-op, want ≤ 128", tc.name, perOp)
 		}
 	}
+}
+
+// peakHeap runs f while sampling the live heap (HeapAlloc), returning the
+// observed peak growth over the post-GC baseline before the run. Sampling
+// is coarse (every 200µs): it resolves growth that tracks program length,
+// not small constant differences.
+func peakHeap(f func()) uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+	peak := base
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				var m runtime.MemStats
+				runtime.ReadMemStats(&m)
+				if m.HeapAlloc > peak {
+					peak = m.HeapAlloc
+				}
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+	}()
+	f()
+	close(stop)
+	wg.Wait()
+	var end runtime.MemStats
+	runtime.ReadMemStats(&end)
+	if end.HeapAlloc > peak {
+		peak = end.HeapAlloc
+	}
+	return peak - base
 }

@@ -1,5 +1,5 @@
 // Package baseline implements the two prior dynamic-analysis styles the
-// paper contrasts with in §2, over the same DDG:
+// paper contrasts with in §2, over the same flow dependences as the DDG:
 //
 //   - Kumar-style fine-grained critical-path analysis [Kumar 1988]: every
 //     dynamic operation is timestamped one past the maximum of its inputs'
@@ -15,171 +15,193 @@
 package baseline
 
 import (
-	"github.com/example/vectrace/internal/ddg"
+	"fmt"
+
 	"github.com/example/vectrace/internal/ir"
+	"github.com/example/vectrace/internal/trace"
 )
 
-// KumarTimestamps computes the classic fine-grained parallelism timestamps:
-// every node is scheduled one step after the latest of its predecessors,
-// regardless of which static instruction it instantiates.
-func KumarTimestamps(g *ddg.Graph) []int32 {
-	ts := make([]int32, len(g.Nodes))
-	var preds []int32
-	for i := range g.Nodes {
-		var max int32
-		preds = g.Preds(int32(i), preds[:0])
-		for _, p := range preds {
-			if ts[p] > max {
-				max = ts[p]
-			}
-		}
-		ts[i] = max + 1
-	}
-	return ts
-}
-
-// KumarProfile summarizes the Kumar analysis.
-type KumarProfile struct {
-	// CriticalPath is the largest timestamp: the DAG's critical path length.
-	CriticalPath int32
-	// Histogram[t-1] is the number of operations with timestamp t — the
-	// "parallelism profile".
-	Histogram []int
-	// AvgParallelism is nodes / critical path.
-	AvgParallelism float64
-}
-
-// Kumar computes the critical-path parallelism profile of the whole graph.
-func Kumar(g *ddg.Graph) KumarProfile {
-	ts := KumarTimestamps(g)
-	var cp int32
-	for _, t := range ts {
-		if t > cp {
-			cp = t
-		}
-	}
-	p := KumarProfile{CriticalPath: cp, Histogram: make([]int, cp)}
-	for _, t := range ts {
-		p.Histogram[t-1]++
-	}
-	if cp > 0 {
-		p.AvgParallelism = float64(len(g.Nodes)) / float64(cp)
-	}
-	return p
-}
-
-// PartitionsByTimestamp groups the instances of static instruction id by an
-// arbitrary timestamp assignment (Kumar or Larus), for comparison with
-// Algorithm 1's partitions. The returned slice is ordered by timestamp.
-func PartitionsByTimestamp(g *ddg.Graph, id int32, ts []int32) [][]int32 {
-	byTS := make(map[int32][]int32)
-	var order []int32
-	for i := range g.Nodes {
-		if g.Nodes[i].Instr != id {
-			continue
-		}
-		if _, ok := byTS[ts[i]]; !ok {
-			order = append(order, ts[i])
-		}
-		byTS[ts[i]] = append(byTS[ts[i]], int32(i))
-	}
-	// Sort timestamps ascending (insertion order may interleave).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && order[j] < order[j-1]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	out := make([][]int32, 0, len(order))
-	for _, t := range order {
-		out = append(out, byTS[t])
-	}
-	return out
-}
-
-// LarusResult summarizes the loop-level analysis of one loop region.
-type LarusResult struct {
-	// Iterations is the number of loop iterations observed.
-	Iterations int
-	// Finish[i] is the completion time of node i under the loop-level
-	// execution model (0 for nodes outside any iteration).
-	Finish []int32
-	// Span is the parallel execution time: max finish.
-	Span int32
-	// SequentialTime is the number of in-iteration operations (each costs
-	// one step), so Speedup = SequentialTime/Span is the loop-level
-	// parallelism.
-	SequentialTime int64
-}
-
-// Speedup returns the loop-level parallelism uncovered by the model.
-func (r *LarusResult) Speedup() float64 {
-	if r.Span == 0 {
-		return 1
-	}
-	return float64(r.SequentialTime) / float64(r.Span)
-}
-
-// Larus runs the loop-level parallelism model over a region DDG of the
-// given loop: iterations of loopID may run concurrently, but each iteration
-// executes its statements in program order, stalling at any statement that
-// depends on a not-yet-executed statement instance of another iteration.
+// Stream computes either baseline over an event stream in one forward
+// pass, without a graph. Both are forward recurrences in trace order over
+// flow predecessors only, so the replay needs the last-writer state of the
+// graph builder and nothing else: per frame an int32 register file holding
+// each register producer's time, and an int32 map holding the time of each
+// address's last store. Memory is O(live registers + distinct addresses),
+// independent of the number of events.
 //
-// Iteration boundaries come from the loop's OpLoopIter markers. Nested-loop
-// and called-function events belong to the iteration that spawned them (the
-// model serializes them within the iteration, exactly how Larus' original
-// formulation treats the loop body as a sequential unit).
-// Loop-control instructions (a for-loop's init/condition/increment) are
-// excluded: at the statement level Larus' model analyzes, loop control is
-// implicit in the loop construct, so the induction-variable update chain
-// must not serialize the iterations. Dependences reaching a statement
-// through control instructions are likewise ignored.
-func Larus(g *ddg.Graph, loopID int) *LarusResult {
-	res := &LarusResult{Finish: make([]int32, len(g.Nodes))}
-	iter := -1
-	var curTime int32
-	var preds []int32
-	depth := 0 // nesting depth relative to the analyzed loop's own level
-	for i := range g.Nodes {
-		in := g.Mod.InstrAt(g.Nodes[i].Instr)
-		if in.Op == ir.OpLoopIter && int(in.Loop) == loopID {
-			iter++
-			res.Iterations++
-			curTime = 0
-			continue
-		}
-		// Track call depth only to keep the iteration attribution honest if
-		// regions ever nest functions that themselves contain the loop.
-		switch in.Op {
-		case ir.OpCall:
-			depth++
-		case ir.OpRet:
-			if depth > 0 {
-				depth--
-			}
-		}
-		if iter < 0 || in.Ctl {
-			continue // loop-header events and loop control are not statements
-		}
-		switch in.Op {
-		case ir.OpLoopBegin, ir.OpLoopEnd, ir.OpLoopIter, ir.OpBr:
-			continue // structural markers cost nothing
-		}
-		start := curTime
-		preds = g.Preds(int32(i), preds[:0])
-		for _, p := range preds {
-			if g.Mod.InstrAt(g.Nodes[p].Instr).Ctl {
-				continue // values from loop control are free
-			}
-			if res.Finish[p] > start {
-				start = res.Finish[p]
-			}
-		}
-		res.Finish[i] = start + 1
-		curTime = res.Finish[i]
-		res.SequentialTime++
-		if res.Finish[i] > res.Span {
-			res.Span = res.Finish[i]
-		}
+// A producer-less operand contributes time 0, which is exact for both
+// baselines: every Kumar timestamp is at least 1, and a Larus finish time
+// is never below the iteration clock it is compared against.
+//
+// A Stream is also the trace.RegionSink of one region: Event feeds it,
+// and the optional hooks see each event's time and the region's close.
+type Stream struct {
+	// OnTime, when set, receives each event fed through Event with its
+	// time; OnClose receives the region's close-order index.
+	OnTime  func(id int32, t int32)
+	OnClose func(index int)
+
+	mod    *ir.Module
+	loopID int // Larus' analyzed loop; -1 selects Kumar
+	frames []streamFrame
+	store  map[int64]int32
+	args   []int32 // call-argument scratch
+	err    error
+
+	nodes int64
+	span  int32
+	// The Larus iteration clock.
+	inIter bool
+	cur    int32
+}
+
+type streamFrame struct {
+	fn        *ir.Function
+	regs      []int32
+	callerDst ir.Reg
+}
+
+// NewKumar returns a stream computing Kumar's timestamps: every event is
+// scheduled one step after the latest of its flow predecessors.
+func NewKumar(mod *ir.Module) *Stream { return NewLarus(mod, -1) }
+
+// NewLarus returns a stream computing Larus' loop-level finish times for
+// the given loop, with the model of Larus: iterations of loopID run
+// concurrently, each executing its statements in program order. A
+// negative loopID selects Kumar's rule instead.
+func NewLarus(mod *ir.Module, loopID int) *Stream {
+	return &Stream{mod: mod, loopID: loopID, store: make(map[int64]int32)}
+}
+
+// Feed consumes the next event in trace order and returns its time: the
+// Kumar timestamp, or the Larus finish time (0 for events outside any
+// iteration, loop control, and structural markers). A region sliced
+// mid-call is reported as an error, which latches.
+func (s *Stream) Feed(id int32, addr int64) (int32, error) {
+	if s.err != nil {
+		return 0, s.err
 	}
-	return res
+	in := s.mod.InstrAt(id)
+	fn := s.mod.FuncOfInstr(id)
+	if len(s.frames) == 0 {
+		s.push(fn, ir.RegNone)
+	}
+	f := &s.frames[len(s.frames)-1]
+	if f.fn != fn {
+		s.err = fmt.Errorf("baseline: event %d (instr %d in %s) does not match current frame %s",
+			s.nodes, id, fn.Name, f.fn.Name)
+		return 0, s.err
+	}
+	var pred int32 // the latest flow predecessor's time
+	switch in.Op {
+	case ir.OpLoad:
+		pred = max(reg(f, in.X), s.store[addr])
+	case ir.OpCall:
+		s.args = s.args[:0]
+		for _, a := range in.Args {
+			s.args = append(s.args, reg(f, a))
+			pred = max(pred, reg(f, a))
+		}
+	case ir.OpRet:
+		if in.X.Kind == ir.KindReg {
+			pred = reg(f, in.X)
+		}
+	default:
+		pred = max(reg(f, in.X), reg(f, in.Y))
+	}
+	out := s.time(in, pred)
+	switch {
+	case in.Op == ir.OpStore:
+		s.store[addr] = out
+	case in.Op == ir.OpCall:
+		// The callee's parameters are the arguments' producers, not the
+		// call: the call is a node of its own whose time nobody consumes.
+		copy(s.push(s.mod.Funcs[in.Callee], in.Dst).regs, s.args)
+	case in.Op == ir.OpRet:
+		// The caller receives the returned value's producer; a return
+		// without one clears the caller's register.
+		dst := f.callerDst
+		s.frames = s.frames[:len(s.frames)-1]
+		if len(s.frames) > 0 && dst != ir.RegNone {
+			s.frames[len(s.frames)-1].regs[dst] = pred
+		}
+	case in.Dst != ir.RegNone:
+		f.regs[in.Dst] = out
+	}
+	s.nodes++
+	s.span = max(s.span, out)
+	return out, nil
+}
+
+// Event feeds one region event (trace.RegionSink); a failure latches and
+// is reported by Err.
+func (s *Stream) Event(ev trace.Event) {
+	if t, err := s.Feed(ev.ID, ev.Addr); err == nil && s.OnTime != nil {
+		s.OnTime(ev.ID, t)
+	}
+}
+
+// Close ends the region (trace.RegionSink).
+func (s *Stream) Close(index int) {
+	if s.OnClose != nil {
+		s.OnClose(index)
+	}
+}
+
+// Abort drops a region that never closed (trace.RegionSink).
+func (s *Stream) Abort() {}
+
+// Err returns the error that stopped the stream, if any.
+func (s *Stream) Err() error { return s.err }
+
+// time applies the baseline's rule to one event whose latest flow
+// predecessor has time pred.
+func (s *Stream) time(in *ir.Instr, pred int32) int32 {
+	if s.loopID < 0 {
+		return pred + 1
+	}
+	switch {
+	case in.Op == ir.OpLoopIter && int(in.Loop) == s.loopID:
+		s.inIter = true
+		s.cur = 0
+		return 0
+	case !s.inIter || in.Ctl:
+		// Loop-header events and loop control are not statements; a
+		// value produced by loop control is free (time 0).
+		return 0
+	}
+	switch in.Op {
+	case ir.OpLoopBegin, ir.OpLoopEnd, ir.OpLoopIter, ir.OpBr:
+		return 0 // structural markers cost nothing
+	}
+	s.cur = max(s.cur, pred) + 1
+	return s.cur
+}
+
+// push opens a frame for fn with every register unwritten.
+func (s *Stream) push(fn *ir.Function, callerDst ir.Reg) *streamFrame {
+	s.frames = append(s.frames, streamFrame{fn: fn, regs: make([]int32, fn.NumRegs), callerDst: callerDst})
+	return &s.frames[len(s.frames)-1]
+}
+
+// reg returns the time of an operand's producer, 0 for constants and
+// unwritten registers.
+func reg(f *streamFrame, o ir.Operand) int32 {
+	if o.Kind == ir.KindReg && int(o.Reg) < len(f.regs) {
+		return f.regs[o.Reg]
+	}
+	return 0
+}
+
+// CriticalPath returns the largest time so far: Kumar's critical path, or
+// the Larus span (the loop's parallel execution time).
+func (s *Stream) CriticalPath() int32 { return s.span }
+
+// AvgParallelism returns Kumar's average parallelism so far: events per
+// critical-path step.
+func (s *Stream) AvgParallelism() float64 {
+	if s.span == 0 {
+		return 0
+	}
+	return float64(s.nodes) / float64(s.span)
 }

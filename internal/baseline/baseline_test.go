@@ -24,15 +24,28 @@ func buildGraph(t *testing.T, src string) (*ddg.Graph, *trace.Trace) {
 	return g, tr
 }
 
+// times feeds events through s and returns each event's time.
+func times(t *testing.T, s *baseline.Stream, events []trace.Event) []int32 {
+	t.Helper()
+	out := make([]int32, len(events))
+	for i, ev := range events {
+		var err error
+		if out[i], err = s.Feed(ev.ID, ev.Addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 func TestKumarTimestampsMonotone(t *testing.T) {
-	g, _ := buildGraph(t, `
+	g, tr := buildGraph(t, `
 double s;
 void main() {
   int i;
   for (i = 0; i < 8; i++) { s = s + 1.0; }
 }
 `)
-	ts := baseline.KumarTimestamps(g)
+	ts := times(t, baseline.NewKumar(tr.Module), tr.Events)
 	var preds []int32
 	for i := range g.Nodes {
 		preds = g.Preds(int32(i), preds[:0])
@@ -50,17 +63,14 @@ void main() {
 func TestKumarChainCriticalPath(t *testing.T) {
 	// A pure accumulation chain of length N forces a critical path of at
 	// least N (the adds serialize).
-	g, _ := buildGraph(t, `
+	g, tr := buildGraph(t, `
 double s;
 void main() {
   int i;
   for (i = 0; i < 32; i++) { s = s + 1.0; }
 }
 `)
-	p := baseline.Kumar(g)
-	if p.CriticalPath < 32 {
-		t.Fatalf("critical path = %d, want >= 32", p.CriticalPath)
-	}
+	p := kumar(g)
 	sum := 0
 	for _, c := range p.Histogram {
 		sum += c
@@ -68,8 +78,13 @@ void main() {
 	if sum != g.NumNodes() {
 		t.Fatalf("histogram sums to %d, want %d", sum, g.NumNodes())
 	}
-	if p.AvgParallelism < 1 {
-		t.Fatalf("avg parallelism = %v", p.AvgParallelism)
+	s := baseline.NewKumar(tr.Module)
+	times(t, s, tr.Events)
+	if s.CriticalPath() < 32 {
+		t.Fatalf("critical path = %d, want >= 32", s.CriticalPath())
+	}
+	if s.AvgParallelism() < 1 {
+		t.Fatalf("avg parallelism = %v", s.AvgParallelism())
 	}
 }
 
@@ -92,8 +107,8 @@ void main() {
 	if addID < 0 {
 		t.Fatal("no add candidate")
 	}
-	ts := baseline.KumarTimestamps(g)
-	parts := baseline.PartitionsByTimestamp(g, addID, ts)
+	ts := kumarTimestamps(g)
+	parts := partitionsByTimestamp(g, addID, ts)
 	total := 0
 	prevTS := int32(-1)
 	for _, p := range parts {
@@ -117,8 +132,42 @@ void main() {
 	}
 }
 
-// larusFor runs the loop-level model on the sole region of loop 0.
-func larusFor(t *testing.T, src string, loopID int) *baseline.LarusResult {
+// larusSummary is the loop-level model's summary of one loop region.
+type larusSummary struct {
+	// Iterations is the number of loop iterations observed.
+	Iterations int
+	// Span is the parallel execution time: max finish.
+	Span int32
+	// SequentialTime is the number of in-iteration operations (each costs
+	// one step), so SequentialTime/Span is the loop-level parallelism.
+	SequentialTime int64
+}
+
+// Speedup returns the loop-level parallelism uncovered by the model.
+func (r larusSummary) Speedup() float64 {
+	if r.Span == 0 {
+		return 1
+	}
+	return float64(r.SequentialTime) / float64(r.Span)
+}
+
+// summarize derives the summary from a region's events and finish times.
+func summarize(mod *ir.Module, loopID int, events []trace.Event, finish []int32) larusSummary {
+	var r larusSummary
+	for i, ev := range events {
+		if in := mod.InstrAt(ev.ID); in.Op == ir.OpLoopIter && int(in.Loop) == loopID {
+			r.Iterations++
+		}
+		if finish[i] > 0 {
+			r.SequentialTime++
+			r.Span = max(r.Span, finish[i])
+		}
+	}
+	return r
+}
+
+// larusFor runs the loop-level model on the sole region of the loop.
+func larusFor(t *testing.T, src string, loopID int) larusSummary {
 	t.Helper()
 	_, _, tr, err := testprog.CompileAndTrace("t.c", src)
 	if err != nil {
@@ -128,11 +177,8 @@ func larusFor(t *testing.T, src string, loopID int) *baseline.LarusResult {
 	if len(regions) != 1 {
 		t.Fatalf("regions = %d", len(regions))
 	}
-	g, err := ddg.Build(tr.Slice(regions[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return baseline.Larus(g, loopID)
+	events := tr.RegionEvents(regions[0])
+	return summarize(tr.Module, loopID, events, times(t, baseline.NewLarus(tr.Module, loopID), events))
 }
 
 func TestLarusIndependentIterations(t *testing.T) {
@@ -181,25 +227,27 @@ func TestLarusFinishRespectsDependences(t *testing.T) {
 	k := kernels.Listing2(8)
 	lm := tr.Module.LoopByLine(k.LineOf("@main-loop"))
 	regions := tr.Regions(lm.ID)
-	g, err := ddg.Build(tr.Slice(regions[0]))
+	sub := tr.Slice(regions[0])
+	g, err := ddg.Build(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr := baseline.Larus(g, lm.ID)
+	s := baseline.NewLarus(tr.Module, lm.ID)
+	finish := times(t, s, sub.Events)
 	var preds []int32
 	for i := range g.Nodes {
-		if lr.Finish[i] == 0 {
+		if finish[i] == 0 {
 			continue
 		}
 		preds = g.Preds(int32(i), preds[:0])
 		for _, p := range preds {
-			if lr.Finish[p] > 0 && lr.Finish[p] >= lr.Finish[i] {
+			if finish[p] > 0 && finish[p] >= finish[i] {
 				t.Fatalf("node %d finishes at %d, before/with its pred %d at %d",
-					i, lr.Finish[i], p, lr.Finish[p])
+					i, finish[i], p, finish[p])
 			}
 		}
 	}
-	if lr.SequentialTime <= int64(lr.Span) {
+	if lr := summarize(tr.Module, lm.ID, sub.Events, finish); lr.SequentialTime <= int64(lr.Span) {
 		t.Fatalf("sequential time %d should exceed span %d", lr.SequentialTime, lr.Span)
 	}
 }
@@ -217,9 +265,9 @@ func TestKumarNeverBeatsAlgorithm1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kts := baseline.KumarTimestamps(g)
+		kts := times(t, baseline.NewKumar(tr.Module), tr.Events)
 		for id := range g.CandidateInstances() {
-			kparts := baseline.PartitionsByTimestamp(g, id, kts)
+			kparts := partitionsByTimestamp(g, id, kts)
 			aparts := corePartitions(g, id)
 			if len(kparts) < len(aparts) {
 				t.Fatalf("%s: instr %d: Kumar produced fewer partitions (%d) than Algorithm 1 (%d)",
@@ -266,5 +314,3 @@ func algorithm1(g *ddg.Graph, id int32) []int32 {
 	}
 	return ts
 }
-
-var _ = trace.Event{}

@@ -57,7 +57,7 @@ func candidateAt(t *testing.T, g *ddg.Graph, k kernels.Kernel, marker string, bi
 func TestFigure1Partitions(t *testing.T) {
 	const n = 16
 	k := kernels.Listing1(n)
-	g, _ := buildGraph(t, k)
+	g, tr := buildGraph(t, k)
 	s2 := candidateAt(t, g, k, "@S2", ir.MulOp)
 
 	parts := core.Partitions(g, s2, core.Options{})
@@ -82,8 +82,17 @@ func TestFigure1Partitions(t *testing.T) {
 	// Kumar partitions the same instances by whole-graph timestamps: more
 	// partitions, hence smaller average size (the paper's "2(N-1) versus
 	// N-1" observation, §2.1).
-	kts := baseline.KumarTimestamps(g)
-	kparts := baseline.PartitionsByTimestamp(g, s2, kts)
+	kumar := baseline.NewKumar(tr.Module)
+	kparts := map[int32]bool{}
+	for _, ev := range tr.Events {
+		ts, err := kumar.Feed(ev.ID, ev.Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.ID == s2 {
+			kparts[ts] = true
+		}
+	}
 	if len(kparts) <= len(parts) {
 		t.Fatalf("Kumar partitions = %d, want more than Algorithm 1's %d", len(kparts), len(parts))
 	}
@@ -171,15 +180,24 @@ func TestFigure2Partitions(t *testing.T) {
 	if len(regions) != 1 {
 		t.Fatalf("main loop regions = %d, want 1", len(regions))
 	}
-	rg, err := ddg.Build(tr.Slice(regions[0]))
-	if err != nil {
-		t.Fatalf("region DDG: %v", err)
+	larus := baseline.NewLarus(tr.Module, lm.ID)
+	iterations, sequential := 0, 0
+	for _, ev := range tr.RegionEvents(regions[0]) {
+		finish, err := larus.Feed(ev.ID, ev.Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in := tr.Module.InstrAt(ev.ID); in.Op == ir.OpLoopIter && int(in.Loop) == lm.ID {
+			iterations++
+		}
+		if finish > 0 {
+			sequential++
+		}
 	}
-	lr := baseline.Larus(rg, lm.ID)
-	if lr.Iterations != n-1 {
-		t.Fatalf("Larus iterations = %d, want %d", lr.Iterations, n-1)
+	if iterations != n-1 {
+		t.Fatalf("Larus iterations = %d, want %d", iterations, n-1)
 	}
-	if sp := lr.Speedup(); sp > 4 {
+	if sp := float64(sequential) / float64(larus.CriticalPath()); sp > 4 {
 		t.Fatalf("Larus speedup = %.2f; expected the dependence staircase to cap it well below the available %d-way parallelism", sp, n-1)
 	}
 }
@@ -189,19 +207,26 @@ func TestFigure2Partitions(t *testing.T) {
 func TestKumarProfile(t *testing.T) {
 	const n = 16
 	k := kernels.Listing1(n)
-	g, _ := buildGraph(t, k)
-	p := baseline.Kumar(g)
-	if p.CriticalPath < int32(n-1) {
-		t.Fatalf("critical path = %d, want >= %d (S1 chain)", p.CriticalPath, n-1)
+	g, tr := buildGraph(t, k)
+	p := baseline.NewKumar(tr.Module)
+	histogram := map[int32]int{}
+	for _, ev := range tr.Events {
+		ts, err := p.Feed(ev.ID, ev.Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		histogram[ts]++
 	}
-	total := 0
-	for _, c := range p.Histogram {
-		total += c
+	if p.CriticalPath() < int32(n-1) {
+		t.Fatalf("critical path = %d, want >= %d (S1 chain)", p.CriticalPath(), n-1)
 	}
-	if total != g.NumNodes() {
-		t.Fatalf("histogram total = %d, want %d", total, g.NumNodes())
+	if len(histogram) != int(p.CriticalPath()) {
+		t.Fatalf("%d distinct timestamps, want one per critical-path step (%d)", len(histogram), p.CriticalPath())
 	}
-	if p.AvgParallelism <= 1 {
-		t.Fatalf("avg parallelism = %v, want > 1", p.AvgParallelism)
+	if g.NumNodes() != len(tr.Events) {
+		t.Fatalf("graph has %d nodes for %d events", g.NumNodes(), len(tr.Events))
+	}
+	if p.AvgParallelism() <= 1 {
+		t.Fatalf("avg parallelism = %v, want > 1", p.AvgParallelism())
 	}
 }

@@ -37,7 +37,7 @@ func TestParallelismProfileListing1(t *testing.T) {
 		return -1
 	}
 
-	s2 := core.Profile(g, instrAt("@S2", ir.MulOp), core.Options{})
+	s2 := profileOf(g, instrAt("@S2", ir.MulOp), core.Options{})
 	if s2.CriticalPath != n-1 {
 		t.Fatalf("S2 critical path = %d, want %d", s2.CriticalPath, n-1)
 	}
@@ -50,7 +50,7 @@ func TestParallelismProfileListing1(t *testing.T) {
 		t.Fatalf("S2 avg parallelism = %v, want %d", s2.AvgParallelism, n)
 	}
 
-	s1 := core.Profile(g, instrAt("@S1", ir.MulOp), core.Options{})
+	s1 := profileOf(g, instrAt("@S1", ir.MulOp), core.Options{})
 	if s1.CriticalPath != n-1 || s1.AvgParallelism != 1 {
 		t.Fatalf("S1 profile = %+v, want serial staircase", s1)
 	}
@@ -74,7 +74,7 @@ func TestProfileMatchesPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := range g.CandidateInstances() {
-		prof := core.Profile(g, id, core.Options{})
+		prof := profileOf(g, id, core.Options{})
 		parts := core.Partitions(g, id, core.Options{})
 		total := 0
 		for _, p := range parts {
@@ -92,4 +92,39 @@ func TestProfileMatchesPartitions(t *testing.T) {
 			t.Fatalf("instr %d: histogram total %d != instances %d", id, sum, total)
 		}
 	}
+}
+
+// parallelismProfile is the per-instruction analogue of Kumar's parallelism
+// profile: Histogram[t-1] counts the instances of the analyzed instruction
+// scheduled at timestamp t. The paper's Figure 1 visualizes exactly this
+// data for Listing 1's S2.
+type parallelismProfile struct {
+	Histogram []int
+	// CriticalPath is the number of sequential steps (the largest
+	// timestamp).
+	CriticalPath int32
+	// AvgParallelism is instances / critical path.
+	AvgParallelism float64
+}
+
+// profileOf computes the parallelism profile of static instruction id.
+func profileOf(g *ddg.Graph, id int32, opts core.Options) parallelismProfile {
+	inst := g.Instances(id)
+	ts := core.Timestamps(g, id, opts)
+	var max int32
+	for _, n := range inst {
+		if ts[n] > max {
+			max = ts[n]
+		}
+	}
+	p := parallelismProfile{CriticalPath: max, Histogram: make([]int, max)}
+	for _, n := range inst {
+		if ts[n] > 0 {
+			p.Histogram[ts[n]-1]++
+		}
+	}
+	if max > 0 {
+		p.AvgParallelism = float64(len(inst)) / float64(max)
+	}
+	return p
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"hash"
 	"hash/fnv"
 	"sort"
@@ -98,8 +99,7 @@ func (s *regularitySink) Event(ev trace.Event) {
 		}
 	}
 	if s.inIteration {
-		s.buf = [4]byte{byte(ev.ID), byte(ev.ID >> 8), byte(ev.ID >> 16), byte(ev.ID >> 24)}
-		s.h.Write(s.buf[:])
+		s.h.Write(binary.LittleEndian.AppendUint32(s.buf[:0], uint32(ev.ID)))
 	}
 }
 

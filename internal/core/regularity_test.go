@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
@@ -21,11 +22,11 @@ func traceOf(t *testing.T, name, src string) *trace.Trace {
 // regularity counts the loop's control signatures over every region of tr.
 func regularity(t *testing.T, tr *trace.Trace, loopID int) core.Regularity {
 	t.Helper()
-	r, err := testprog.ControlRegularity(tr, loopID)
-	if err != nil {
+	c := core.NewRegularityCounter(tr.Module, loopID)
+	if _, err := trace.FeedRegions(context.Background(), tr.Module, loopID, -1, &trace.SliceSource{Events: tr.Events}, c.Sink); err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return c.Result()
 }
 
 func TestRegularityStreamingLoop(t *testing.T) {

@@ -297,18 +297,6 @@ type StatementGroup struct {
 	Instrs   []InstrReport
 }
 
-// VectorizableInstrs counts member instructions with any unit-stride
-// vectorizable instances.
-func (s *StatementGroup) VectorizableInstrs() int {
-	n := 0
-	for _, ir := range s.Instrs {
-		if ir.Unit.VecOps > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // GroupByStatement partitions the report's per-instruction entries by their
 // originating source assignment, ordered by first appearance.
 func (r *Report) GroupByStatement() []StatementGroup {

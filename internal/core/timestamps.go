@@ -59,17 +59,12 @@ type Options struct {
 // scheduled as early as possible.
 func Timestamps(g *ddg.Graph, id int32, opts Options) []int32 {
 	ts := make([]int32, len(g.Nodes))
-	fillTimestamps(g, id, opts, ts)
-	return ts
-}
-
-// fillTimestamps is Timestamps with a caller-provided buffer.
-func fillTimestamps(g *ddg.Graph, id int32, opts Options, ts []int32) {
 	var red *reductionInfo
 	if opts.RelaxReductions {
 		red = detectReduction(g, id)
 	}
 	fillTimestampsRed(g, id, red, ts)
+	return ts
 }
 
 // fillTimestampsRed is the per-candidate Algorithm 1 kernel: one linear
@@ -136,41 +131,6 @@ func Partitions(g *ddg.Graph, id int32, opts Options) []Partition {
 	// A fresh (non-pooled) scratch: the partitions escape to the caller.
 	sc := new(instrScratch)
 	return sc.partition(inst, instTS)
-}
-
-// ParallelismProfile is the per-instruction analogue of Kumar's parallelism
-// profile: Histogram[t-1] counts the instances of the analyzed instruction
-// scheduled at timestamp t. The paper's Figure 1 visualizes exactly this
-// data for Listing 1's S2.
-type ParallelismProfile struct {
-	Histogram []int
-	// CriticalPath is the number of sequential steps (the largest
-	// timestamp).
-	CriticalPath int32
-	// AvgParallelism is instances / critical path.
-	AvgParallelism float64
-}
-
-// Profile computes the parallelism profile of static instruction id.
-func Profile(g *ddg.Graph, id int32, opts Options) ParallelismProfile {
-	inst := g.Instances(id)
-	ts := Timestamps(g, id, opts)
-	var max int32
-	for _, n := range inst {
-		if ts[n] > max {
-			max = ts[n]
-		}
-	}
-	p := ParallelismProfile{CriticalPath: max, Histogram: make([]int, max)}
-	for _, n := range inst {
-		if ts[n] > 0 {
-			p.Histogram[ts[n]-1]++
-		}
-	}
-	if max > 0 {
-		p.AvgParallelism = float64(len(inst)) / float64(max)
-	}
-	return p
 }
 
 // tupleOf returns the memory-access tuple the stride analysis sorts by:

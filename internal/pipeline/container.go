@@ -56,14 +56,14 @@ func RecordContainerCtx(ctx context.Context, mod *ir.Module, w io.Writer, budget
 // reports, error texts, lifecycle counters — is byte-identical to the
 // sequential scan at any worker count.
 func analyzeLoopRegionsIndexed(ctx context.Context, c *trace.Container, mod *ir.Module, line, want int, dopts ddg.Options, copts core.Options, scanWorkers int) ([]RegionReport, error) {
-	lm, err := findLoop(mod, line)
+	loopID, err := findLoop(mod, line)
 	if err != nil {
 		return nil, err
 	}
 	ctx, span := obs.StartSpan(ctx, "region-analyze")
 	defer span.End()
 	rec := obs.FromContext(ctx)
-	regions := c.RegionsOf(lm.ID)
+	regions := c.RegionsOf(loopID)
 	if want >= len(regions) {
 		return nil, regionRangeError(line, len(regions), want)
 	}
@@ -97,7 +97,7 @@ func analyzeLoopRegionsIndexed(ctx context.Context, c *trace.Container, mod *ir.
 		return collectRegions(ctx, []RegionReport{analyze(want, r, sub, derr)}, nil)
 	}
 	out := make([]RegionReport, len(regions))
-	_ = c.ScanIndexedRegions(ctx, mod, lm.ID, scanWorkers, func(k int, r trace.IndexRegion, sub *trace.Trace, derr error) {
+	_ = c.ScanIndexedRegions(ctx, mod, loopID, scanWorkers, func(k int, r trace.IndexRegion, sub *trace.Trace, derr error) {
 		out[k] = analyze(k, r, sub, derr)
 	})
 	return collectRegions(ctx, out, nil)

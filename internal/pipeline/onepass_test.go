@@ -349,7 +349,7 @@ func TestOnePassPeakMemoryVsMaterialized(t *testing.T) {
 	const loopLine = 5
 	copts := core.Options{Workers: 1}
 	runOnePass := func() uint64 {
-		return testprog.PeakHeap(func() {
+		return peakLiveBytes(func() {
 			if _, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), tr.Module,
 				&trace.SliceSource{Events: tr.Events}, loopLine, ddg.Options{}, copts); err != nil {
 				t.Error(err)
@@ -357,7 +357,7 @@ func TestOnePassPeakMemoryVsMaterialized(t *testing.T) {
 		})
 	}
 	runMaterialized := func() uint64 {
-		return testprog.PeakHeap(func() {
+		return peakLiveBytes(func() {
 			if _, err := referenceRegions(tr, loopLine, ddg.Options{}, copts); err != nil {
 				t.Error(err)
 			}
@@ -455,7 +455,7 @@ func TestInstanceHeapFlatInProgramLength(t *testing.T) {
 			}
 		}
 		analyze() // warm the pools
-		return testprog.PeakHeap(analyze)
+		return peakLiveBytes(analyze)
 	}
 	small, large := peak(steps), peak(4*steps)
 	t.Logf("heap peak above baseline: T=%d %d B, T=%d %d B (%.2f×)", steps, small, 4*steps, large, float64(large)/float64(max(small, 1)))

@@ -181,14 +181,17 @@ func feedEvents(ctx context.Context, k *core.StreamKernel, events []trace.Event)
 	return nil
 }
 
-// findLoop resolves the loop whose "for"/"while" keyword is on the given
-// source line.
-func findLoop(mod *ir.Module, line int) (*ir.LoopMeta, error) {
+// findLoop resolves the ID of the loop whose "for"/"while" keyword is on
+// the given source line; line 0 selects the whole run (trace.WholeRun).
+func findLoop(mod *ir.Module, line int) (int, error) {
+	if line == 0 {
+		return trace.WholeRun, nil
+	}
 	lm := mod.LoopByLine(line)
 	if lm == nil {
-		return nil, fmt.Errorf("pipeline: no loop on line %d", line)
+		return 0, fmt.Errorf("pipeline: no loop on line %d", line)
 	}
-	return lm, nil
+	return lm.ID, nil
 }
 
 // AnalyzeKumarCtx is the single-region analysis behind `vectrace analyze
@@ -198,13 +201,14 @@ func findLoop(mod *ir.Module, line int) (*ir.LoopMeta, error) {
 // Kumar's critical-path baseline. Neither the trace nor a graph is held.
 func AnalyzeKumarCtx(ctx context.Context, mod *ir.Module, src trace.EventSource, line, instance int, dopts ddg.Options, copts core.Options) (*core.Report, *baseline.Stream, error) {
 	var kumar *baseline.Stream
-	var kumarErr error
 	tap := func() trace.RegionSink {
-		return &kumarSink{s: baseline.NewKumar(mod), done: func(index int, s *baseline.Stream, err error) {
+		s := baseline.NewKumar(mod)
+		s.OnClose = func(index int) {
 			if index == instance {
-				kumar, kumarErr = s, err
+				kumar = s
 			}
-		}}
+		}
+		return s
 	}
 	var regs []RegionReport
 	var err error
@@ -214,27 +218,10 @@ func AnalyzeKumarCtx(ctx context.Context, mod *ir.Module, src trace.EventSource,
 		regs, err = analyzeStream(ctx, mod, src, line, instance, dopts, copts, tap)
 	}
 	if err == nil {
-		err = kumarErr
+		err = kumar.Err()
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 	return regs[0].Report, kumar, nil
 }
-
-// kumarSink replays one region through a Kumar stream and hands the
-// stream to done when the region closes.
-type kumarSink struct {
-	s    *baseline.Stream
-	err  error
-	done func(index int, s *baseline.Stream, err error)
-}
-
-func (k *kumarSink) Event(ev trace.Event) {
-	if k.err == nil {
-		_, k.err = k.s.Feed(ev.ID, ev.Addr)
-	}
-}
-
-func (k *kumarSink) Close(index int) { k.done(index, k.s, k.err) }
-func (k *kumarSink) Abort()          {}

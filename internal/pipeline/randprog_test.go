@@ -70,7 +70,13 @@ func TestRandomProgramsInvariants(t *testing.T) {
 			}
 
 			instances := g.CandidateInstances()
-			kumarTS := baseline.KumarTimestamps(g)
+			kumar := baseline.NewKumar(mod)
+			kumarTS := make([]int32, len(tr.Events))
+			for i, ev := range tr.Events {
+				if kumarTS[i], err = kumar.Feed(ev.ID, ev.Addr); err != nil {
+					t.Fatal(err)
+				}
+			}
 			small := g.NumNodes() <= 4000
 			for id, nodes := range instances {
 				ts := core.Timestamps(g, id, core.Options{})
@@ -103,7 +109,10 @@ func TestRandomProgramsInvariants(t *testing.T) {
 				}
 
 				// Property 3.2 against Kumar.
-				kparts := baseline.PartitionsByTimestamp(g, id, kumarTS)
+				kparts := map[int32]bool{}
+				for _, n := range nodes {
+					kparts[kumarTS[n]] = true
+				}
 				if len(kparts) < len(parts) {
 					t.Fatalf("instr %d: Kumar %d partitions < Algorithm 1 %d",
 						id, len(kparts), len(parts))

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -142,18 +143,7 @@ const (
 	streamChunkQueue  = 4
 )
 
-// onePassDispatch is the shared state of one streaming one-pass run: the
-// chunk freelist and the retained-event accounting behind the
-// ScanPeakRetainedEvents gauge.
-type onePassDispatch struct {
-	rec         *obs.Recorder
-	outstanding atomic.Int64
-	chunkMu     sync.Mutex
-	chunkFree   [][]trace.Event
-	open        int // open sinks; touched only by the feed goroutine
-}
-
-func (d *onePassDispatch) getChunk() []trace.Event {
+func (d *dispatcher) getChunk() []trace.Event {
 	d.chunkMu.Lock()
 	defer d.chunkMu.Unlock()
 	if n := len(d.chunkFree); n > 0 {
@@ -165,7 +155,7 @@ func (d *onePassDispatch) getChunk() []trace.Event {
 	return make([]trace.Event, 0, streamChunkEvents)
 }
 
-func (d *onePassDispatch) putChunk(c []trace.Event) {
+func (d *dispatcher) putChunk(c []trace.Event) {
 	d.chunkMu.Lock()
 	d.chunkFree = append(d.chunkFree, c)
 	d.chunkMu.Unlock()
@@ -177,7 +167,7 @@ func (d *onePassDispatch) putChunk(c []trace.Event) {
 // the synchronization point. An inert sink (cancellation hit while waiting
 // for a worker slot) discards everything.
 type onePassSink struct {
-	d       *onePassDispatch
+	d       *dispatcher
 	ch      chan []trace.Event
 	cur     []trace.Event
 	idx     int
@@ -255,24 +245,29 @@ func chargeHeld(n int, b core.Budget) error {
 // loop) oversubscribe the pool rather than block the feed, since an open
 // outer region can only drain while the feed advances. One dispatcher can
 // serve the feeds of several loops in one run.
+//
+// Besides the workers, the dispatcher owns the chunk freelist and the
+// retained-event accounting behind the ScanPeakRetainedEvents gauge.
 type dispatcher struct {
-	onePassDispatch
 	ctx   context.Context
+	rec   *obs.Recorder
 	mod   *ir.Module
 	dopts ddg.Options
 	inner core.Options // copts with Workers=1: one region per worker
 	sem   chan struct{}
 	wg    sync.WaitGroup
+
+	outstanding atomic.Int64
+	chunkMu     sync.Mutex
+	chunkFree   [][]trace.Event
+	open        int // open sinks; touched only by the feed goroutine
 }
 
 func newDispatcher(ctx context.Context, mod *ir.Module, dopts ddg.Options, copts core.Options) *dispatcher {
 	inner := copts
 	inner.Workers = 1
-	return &dispatcher{
-		onePassDispatch: onePassDispatch{rec: obs.FromContext(ctx)},
-		ctx:             ctx, mod: mod, dopts: dopts, inner: inner,
-		sem: make(chan struct{}, copts.WorkerCount()),
-	}
+	return &dispatcher{ctx: ctx, rec: obs.FromContext(ctx), mod: mod, dopts: dopts, inner: inner,
+		sem: make(chan struct{}, copts.WorkerCount())}
 }
 
 // regionSet collects the reports of one feed's selection: one close-order
@@ -303,14 +298,13 @@ func (rs *regionSet) place(rr RegionReport) {
 // reports into set.
 func (ds *dispatcher) factory(set *regionSet) trace.SinkFactory {
 	return func() trace.RegionSink {
-		d := &ds.onePassDispatch
-		s := &onePassSink{d: d, idx: -1}
+		s := &onePassSink{d: ds, idx: -1}
 		acquired := false
 		select {
 		case ds.sem <- struct{}{}:
 			acquired = true
 		default:
-			if d.open == 0 {
+			if ds.open == 0 {
 				select {
 				case ds.sem <- struct{}{}:
 					acquired = true
@@ -319,15 +313,15 @@ func (ds *dispatcher) factory(set *regionSet) trace.SinkFactory {
 					return s
 				}
 			}
-			// d.open > 0 means the new region nests inside an open one
+			// ds.open > 0 means the new region nests inside an open one
 			// (recursion into the target loop). Blocking for a slot here
 			// would deadlock: the outer region's worker can only finish
 			// once the feed advances. Oversubscribe by the nesting depth.
 		}
 		s.hasSem = acquired
 		s.ch = make(chan []trace.Event, streamChunkQueue)
-		d.open++
-		d.rec.GaugeInc(obs.ResidentRegions, obs.PeakResidentRegions)
+		ds.open++
+		ds.rec.GaugeInc(obs.ResidentRegions, obs.PeakResidentRegions)
 		ds.wg.Add(1)
 		go ds.run(s, set)
 		return s
@@ -338,7 +332,7 @@ func (ds *dispatcher) factory(set *regionSet) trace.SinkFactory {
 // (or holds them, under RelaxReductions) and settles the region's report.
 func (ds *dispatcher) run(s *onePassSink, set *regionSet) {
 	defer ds.wg.Done()
-	d, rec, inner := &ds.onePassDispatch, ds.rec, ds.inner
+	rec, inner := ds.rec, ds.inner
 	life := startRegion(rec)
 	// A relaxed region holds its events for AnalyzeRegion's replay; any
 	// other region feeds a kernel as its chunks arrive.
@@ -356,11 +350,11 @@ func (ds *dispatcher) run(s *onePassSink, set *regionSet) {
 		case feedErr != nil:
 			// Chunks keep draining after a failure (the region is
 			// degraded, not the stream): stopping would deadlock the feed.
-			d.outstanding.Add(-n)
+			ds.outstanding.Add(-n)
 		case relax:
 			// Held events stay counted as retained until the region ends.
 			if feedErr = chargeHeld(len(held)+len(chunk), inner.Budget); feedErr != nil {
-				d.outstanding.Add(-int64(len(held)) - n)
+				ds.outstanding.Add(-int64(len(held)) - n)
 				held = nil
 			} else {
 				held = append(held, chunk...)
@@ -376,10 +370,10 @@ func (ds *dispatcher) run(s *onePassSink, set *regionSet) {
 				return nil
 			})
 			sw.Stop()
-			d.outstanding.Add(-n)
+			ds.outstanding.Add(-n)
 		}
 		events += len(chunk)
-		d.putChunk(chunk)
+		ds.putChunk(chunk)
 	}
 	keep := set.want < 0 || s.idx == set.want // an aborted sink has idx -1
 	rr := RegionReport{Index: s.idx, Events: events}
@@ -412,7 +406,7 @@ func (ds *dispatcher) run(s *onePassSink, set *regionSet) {
 	if k != nil {
 		k.Release()
 	}
-	d.outstanding.Add(-int64(len(held)))
+	ds.outstanding.Add(-int64(len(held)))
 	switch {
 	case !keep:
 	case s.aborted:
@@ -442,13 +436,9 @@ func (t teeSink) Abort()               { t.a.Abort(); t.b.Abort() }
 // selected region's one report, or the out-of-range error naming how many
 // regions the loop has.
 func analyzeRegionsOnePassStream(ctx context.Context, mod *ir.Module, line, want int, dopts ddg.Options, copts core.Options, tap trace.SinkFactory, drive func(context.Context, int, trace.SinkFactory) (int, error)) ([]RegionReport, error) {
-	loopID := trace.WholeRun
-	if line != 0 {
-		lm, err := findLoop(mod, line)
-		if err != nil {
-			return nil, err
-		}
-		loopID = lm.ID
+	loopID, err := findLoop(mod, line)
+	if err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -594,36 +584,27 @@ func analyzeLive(ctx context.Context, mod *ir.Module, line, want int, dopts ddg.
 // and error, and the first feed error (a program failure fails the feeds
 // with it).
 func runFeeds(ctx context.Context, mod *ir.Module, budget core.Budget, feeds ...*trace.RegionFeed) (*interp.Result, error, error) {
-	put := feeds[0].Push
-	if len(feeds) > 1 {
-		put = func(ev trace.Event) error {
-			for _, f := range feeds {
-				if err := f.Push(ev); err != nil {
-					return err
-				}
+	sink := &eventSink{put: func(ev trace.Event) error {
+		for _, f := range feeds {
+			if err := f.Push(ev); err != nil {
+				return err
 			}
-			return nil
 		}
-	}
-	sink := &eventSink{put: put}
+		return nil
+	}}
 	ictx, sp := obs.StartSpan(ctx, "interp")
 	m := interp.New(mod, interpConfig(budget, sink, true))
 	res, runErr := m.RunContext(ictx, "main")
 	sp.End()
-	scanErr := sink.err
+	var scanErr error
 	for _, f := range feeds {
 		var err error
-		switch {
-		case sink.err != nil:
-			err = f.Fail(sink.err) // aborts the other feeds' open regions
-		case runErr != nil:
-			err = f.Fail(runErr)
-		default:
+		if fail := cmp.Or(sink.err, runErr); fail != nil {
+			err = f.Fail(fail) // aborts every feed's open regions
+		} else {
 			_, err = f.Finish()
 		}
-		if scanErr == nil {
-			scanErr = err
-		}
+		scanErr = cmp.Or(scanErr, err)
 	}
 	return res, runErr, scanErr
 }
@@ -631,14 +612,11 @@ func runFeeds(ctx context.Context, mod *ir.Module, budget core.Budget, feeds ...
 // AnalyzeFirstRegionsLiveCtx executes the module's main function once and
 // analyzes, live, the first dynamic region (in close order) of each loop in
 // loopIDs; the reports come back in loopIDs order, with a zero
-// RegionReport for a loop that never ran. taps, when non-nil, holds for
-// each loop an optional sink factory that receives every region of that
-// loop as well. The returned error joins the per-region errors and any
-// stream error.
+// RegionReport for a loop that never ran, and a failed region's error in
+// its report's Err. taps, when non-nil, holds for each loop an optional
+// sink factory that receives every region of that loop as well. The
+// returned error is the program's or the stream's.
 func AnalyzeFirstRegionsLiveCtx(ctx context.Context, mod *ir.Module, loopIDs []int, taps []trace.SinkFactory, dopts ddg.Options, copts core.Options, budget core.Budget) (*interp.Result, []RegionReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, span := obs.StartSpan(ctx, "region-analyze")
 	defer span.End()
 	ds := newDispatcher(ctx, mod, dopts, copts)
@@ -651,13 +629,7 @@ func AnalyzeFirstRegionsLiveCtx(ctx context.Context, mod *ir.Module, loopIDs []i
 			feeds = append(feeds, trace.NewRegionFeed(ctx, mod, id, -1, taps[i]))
 		}
 	}
-	var res *interp.Result
-	var runErr, scanErr error
-	if len(feeds) > 0 {
-		res, runErr, scanErr = runFeeds(ctx, mod, budget, feeds...)
-	} else {
-		res, runErr = RunCtx(ctx, mod, true, budget)
-	}
+	res, runErr, scanErr := runFeeds(ctx, mod, budget, feeds...)
 	ds.wg.Wait()
 	if runErr != nil {
 		return res, nil, runErr
@@ -668,6 +640,5 @@ func AnalyzeFirstRegionsLiveCtx(ctx context.Context, mod *ir.Module, loopIDs []i
 			out[i] = set.out[0]
 		}
 	}
-	outs, err := collectRegions(ctx, out, scanErr)
-	return res, outs, err
+	return res, out, cmp.Or(scanErr, core.Canceled(ctx))
 }

@@ -10,12 +10,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
-	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
@@ -35,6 +37,45 @@ void main() {
 }
 
 const repeatedKernelLoopLine = 7
+
+// peakLiveBytes runs f while sampling the live heap, returning the observed
+// peak growth over the pre-run baseline. Sampling is coarse, but the
+// in-memory/streaming gap it has to resolve is an order of magnitude.
+func peakLiveBytes(f func()) uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+	peak := base
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				var m runtime.MemStats
+				runtime.ReadMemStats(&m)
+				if m.HeapAlloc > peak {
+					peak = m.HeapAlloc
+				}
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+	}()
+	f()
+	close(stop)
+	wg.Wait()
+	var end runtime.MemStats
+	runtime.ReadMemStats(&end)
+	if end.HeapAlloc > peak {
+		peak = end.HeapAlloc
+	}
+	return peak - base
+}
 
 func benchTraceBytes(b *testing.B, reps int) []byte {
 	b.Helper()
@@ -61,7 +102,7 @@ func BenchmarkStreamingAnalyze(b *testing.B) {
 			b.ResetTimer()
 			var peak uint64
 			for i := 0; i < b.N; i++ {
-				p := testprog.PeakHeap(func() {
+				p := peakLiveBytes(func() {
 					dec := trace.NewDecoder(bytes.NewReader(encoded))
 					if _, err := pipeline.AnalyzeLoopRegionsStreamCtx(context.Background(), mod, dec, repeatedKernelLoopLine, ddg.Options{}, core.Options{Workers: 1}); err != nil {
 						b.Fatal(err)
@@ -88,7 +129,7 @@ func BenchmarkInMemoryAnalyze(b *testing.B) {
 			b.ResetTimer()
 			var peak uint64
 			for i := 0; i < b.N; i++ {
-				p := testprog.PeakHeap(func() {
+				p := peakLiveBytes(func() {
 					events, err := trace.Decode(bytes.NewReader(encoded))
 					if err != nil {
 						b.Fatal(err)

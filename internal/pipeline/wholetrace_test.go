@@ -8,9 +8,25 @@ import (
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
+	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/pipeline"
 	"github.com/example/vectrace/internal/testprog"
 )
+
+// tableKernels returns the programs behind the paper's Tables 1–3: every
+// SPEC benchmark kernel, the two Table 2 case studies, and both variants of
+// each UTDSP pair.
+func tableKernels() []kernels.Kernel {
+	var ks []kernels.Kernel
+	for _, b := range kernels.SPEC() {
+		ks = append(ks, b.Kernel)
+	}
+	ks = append(ks, kernels.GaussSeidel(32, 2), kernels.PDESolver(16, 4))
+	for _, p := range kernels.UTDSP() {
+		ks = append(ks, p.Array, p.Pointer)
+	}
+	return ks
+}
 
 // TestAnalyzeRegionWholeTraceMatchesGraph pins the whole-program route
 // (vectrace analyze without -line, annotate): on the full trace of every
@@ -18,7 +34,7 @@ import (
 // whole-run region (line 0) equal the per-candidate graph reference, with
 // and without RelaxReductions.
 func TestAnalyzeRegionWholeTraceMatchesGraph(t *testing.T) {
-	ks := testprog.TableKernels()
+	ks := tableKernels()
 	if len(ks) != 38 {
 		t.Fatalf("%d Table 1–3 kernels, want 38", len(ks))
 	}

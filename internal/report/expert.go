@@ -125,11 +125,6 @@ func RankOpportunities(mod *ir.Module, threshold float64) ([]Opportunity, error)
 		taps[i] = shapes[i].Sink
 	}
 	_, first, err := pipeline.AnalyzeFirstRegionsLiveCtx(ctx, mod, ids, taps, ddg.Options{}, core.Options{}, core.Budget{})
-	for i, st := range hot {
-		if first[i].Err != nil {
-			return nil, fmt.Errorf("loop %s:%d: %w", st.Func, st.Line, first[i].Err)
-		}
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -137,6 +132,9 @@ func RankOpportunities(mod *ir.Module, threshold float64) ([]Opportunity, error)
 	var out []Opportunity
 	for i, st := range hot {
 		rep := first[i].Report
+		if first[i].Err != nil {
+			return nil, fmt.Errorf("loop %s:%d: %w", st.Func, st.Line, first[i].Err)
+		}
 		if rep == nil {
 			continue // the loop never ran
 		}

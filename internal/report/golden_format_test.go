@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -60,9 +61,17 @@ func TestGoldenTraceFormatParity(t *testing.T) {
 		if _, err := pipeline.RecordContainer(mod, &f2, trace.ContainerOptions{BlockBytes: 512, Codec: "flate"}); err != nil {
 			t.Fatal(err)
 		}
-		evs1, err := trace.ReadAll(trace.NewDecoder(bytes.NewReader(f1.Bytes())))
-		if err != nil {
-			t.Fatal(err)
+		var evs1 []trace.Event
+		dec := trace.NewDecoder(bytes.NewReader(f1.Bytes()))
+		for {
+			ev, err := dec.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs1 = append(evs1, ev)
 		}
 		c, err := trace.OpenContainer(bytes.NewReader(f2.Bytes()), int64(f2.Len()), nil)
 		if err != nil {

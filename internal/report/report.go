@@ -319,12 +319,10 @@ func (c *caseRun) loopTimeAt(line int, m simd.Machine) (float64, error) {
 	return simd.LoopTime(c.mod, c.res, c.verdicts, m, lm.ID), nil
 }
 
-// Table4 regenerates Table 4: for each §4.4 case study, the modeled time of
-// the original and manually transformed versions on the three machines.
-func Table4() ([]T4Row, error) { return Table4Ctx(context.Background()) }
-
-// Table4Ctx is Table4 with cooperative cancellation threaded through each
-// case study's instrumented runs.
+// Table4Ctx regenerates Table 4: for each §4.4 case study, the modeled
+// time of the original and manually transformed versions on the three
+// machines, with cooperative cancellation threaded through each case
+// study's instrumented runs.
 func Table4Ctx(ctx context.Context) ([]T4Row, error) {
 	var rows []T4Row
 	for _, cs := range kernels.CaseStudies() {
@@ -425,30 +423,6 @@ func (g tsGroups) row(analysis, label string) FigureRow {
 	return row
 }
 
-// larusSink replays one region of the Larus loop, grouping the watched
-// statements' instances by finish time; done receives the groups when the
-// region closes.
-type larusSink struct {
-	s      *baseline.Stream
-	groups map[int32]tsGroups
-	err    error
-	done   func(index int, groups map[int32]tsGroups, err error)
-}
-
-func (l *larusSink) Event(ev trace.Event) {
-	if l.err != nil {
-		return
-	}
-	var ts int32
-	ts, l.err = l.s.Feed(ev.ID, ev.Addr)
-	if g := l.groups[ev.ID]; g != nil {
-		g[ts]++
-	}
-}
-
-func (l *larusSink) Close(index int) { l.done(index, l.groups, l.err) }
-func (l *larusSink) Abort()          {}
-
 // figureRows runs the kernel once, live: every event feeds the stream
 // kernel (Algorithm 1) and Kumar's baseline, and the first region of the
 // Larus loop (when larusMarker names one) feeds Larus' baseline. Each
@@ -484,10 +458,16 @@ func figureRows(k kernels.Kernel, stmts map[string]string, larusMarker string) (
 		labels = append(labels, label)
 	}
 	sort.Strings(labels)
-	watch := func() map[int32]tsGroups {
+	// timed groups the labeled statements' instances by the time s gives.
+	timed := func(s *baseline.Stream) map[int32]tsGroups {
 		m := make(map[int32]tsGroups, len(instrOf))
 		for _, id := range instrOf {
 			m[id] = tsGroups{}
+		}
+		s.OnTime = func(id, t int32) {
+			if g := m[id]; g != nil {
+				g[t]++
+			}
 		}
 		return m
 	}
@@ -495,10 +475,11 @@ func figureRows(k kernels.Kernel, stmts map[string]string, larusMarker string) (
 	ctx := context.Background()
 	alg1 := core.AcquireStreamKernel(mod, ddg.Options{}, core.Options{}, nil)
 	defer alg1.Release()
-	kumar, kumarTS := baseline.NewKumar(mod), watch()
+	kumar := baseline.NewKumar(mod)
+	kumarTS := timed(kumar)
 	var larus *trace.RegionFeed
 	var larusTS map[int32]tsGroups
-	var larusErr error
+	var larusRun *baseline.Stream
 	if larusMarker != "" {
 		line, err := k.FindLine(larusMarker)
 		if err != nil {
@@ -509,30 +490,28 @@ func figureRows(k kernels.Kernel, stmts map[string]string, larusMarker string) (
 			return nil, fmt.Errorf("%s: no loop at %s", k.Name, larusMarker)
 		}
 		larus = trace.NewRegionFeed(ctx, mod, lm.ID, 0, func() trace.RegionSink {
-			return &larusSink{s: baseline.NewLarus(mod, lm.ID), groups: watch(),
-				done: func(index int, groups map[int32]tsGroups, err error) {
-					if index == 0 {
-						larusTS, larusErr = groups, err
-					}
-				}}
+			s := baseline.NewLarus(mod, lm.ID)
+			groups := timed(s)
+			s.OnClose = func(index int) {
+				if index == 0 {
+					larusTS, larusRun = groups, s
+				}
+			}
+			return s
 		})
 	}
 	_, err = pipeline.StreamCtx(ctx, mod, core.Budget{}, func(ev trace.Event) error {
 		if err := alg1.Feed(ev.ID, ev.Addr); err != nil {
 			return err
 		}
-		ts, err := kumar.Feed(ev.ID, ev.Addr)
-		if err != nil {
-			return err
-		}
-		if g := kumarTS[ev.ID]; g != nil {
-			g[ts]++
-		}
-		if larus != nil {
+		if kumar.Event(ev); larus != nil {
 			return larus.Push(ev)
 		}
 		return nil
 	})
+	if err == nil {
+		err = kumar.Err()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -550,11 +529,11 @@ func figureRows(k kernels.Kernel, stmts map[string]string, larusMarker string) (
 		if _, err := larus.Finish(); err != nil {
 			return nil, err
 		}
-		if larusTS == nil {
+		if larusRun == nil {
 			return nil, fmt.Errorf("%s: loop %s never ran", k.Name, larusMarker)
 		}
-		if larusErr != nil {
-			return nil, larusErr
+		if err := larusRun.Err(); err != nil {
+			return nil, err
 		}
 		for _, label := range labels {
 			rows = append(rows, larusTS[instrOf[label]].row("Larus", label))

@@ -216,7 +216,7 @@ func TestTable3Shape(t *testing.T) {
 // machine, and the AVX machine (4 lanes) gains at least as much as the SSE
 // machines on the heavily vectorized PDE study.
 func TestTable4Shape(t *testing.T) {
-	rows, err := report.Table4()
+	rows, err := report.Table4Ctx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,8 +166,8 @@ type Job struct {
 	Spec JobSpec
 
 	// source and payload (the optional uploaded trace) are the job's
-	// inputs; releaseInputs drops them once no run of the job can read
-	// them, so a terminal job holds only its result.
+	// inputs; they are dropped once no run of the job can read them, so a
+	// terminal job holds only its result.
 	source  string
 	payload []byte
 	rec     *obs.Recorder
@@ -276,15 +276,6 @@ func (j *Job) finish(state string, reportJS []byte, err error) bool {
 	j.cancel(nil) // release the job context's resources
 	close(j.done)
 	return true
-}
-
-// releaseInputs drops the job's source and uploaded trace. The worker
-// calls it once the job's computation — its own run, or the single-flight
-// leader's it waited on — has returned.
-func (j *Job) releaseInputs() {
-	j.mu.Lock()
-	j.source, j.payload = "", nil
-	j.mu.Unlock()
 }
 
 // CancelRequest implements client- and drain-initiated cancellation: a

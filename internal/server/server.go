@@ -359,7 +359,11 @@ func (s *Server) runJob(j *Job) {
 		})
 		return rep, rerr
 	})
-	j.releaseInputs()
+	// The job's computation — its own run, or the single-flight leader's
+	// it waited on — has returned: nothing reads its inputs any more.
+	j.mu.Lock()
+	j.source, j.payload = "", nil
+	j.mu.Unlock()
 
 	// A cancelled job stays cancelled even when the computation raced to
 	// completion first (tiny jobs can finish before the cooperative

@@ -325,31 +325,3 @@ void main() {
 	}
 	return out
 }
-
-// TableKernel is one program behind the paper's Tables 1–3 with the
-// markers of the loops its table rows analyze.
-type TableKernel struct {
-	kernels.Kernel
-	Markers []string
-}
-
-// TableKernels returns the 38 programs behind Tables 1–3: every SPEC
-// benchmark kernel, the two Table 2 case studies, and both variants of
-// each UTDSP pair, at the sizes the tables use.
-func TableKernels() []TableKernel {
-	var ks []TableKernel
-	for _, b := range kernels.SPEC() {
-		tk := TableKernel{Kernel: b.Kernel}
-		for _, target := range b.Targets {
-			tk.Markers = append(tk.Markers, target.Marker)
-		}
-		ks = append(ks, tk)
-	}
-	ks = append(ks,
-		TableKernel{kernels.GaussSeidel(32, 2), []string{"@time-loop"}},
-		TableKernel{kernels.PDESolver(16, 4), []string{"@grid-j"}})
-	for _, p := range kernels.UTDSP() {
-		ks = append(ks, TableKernel{p.Array, []string{"@hot"}}, TableKernel{p.Pointer, []string{"@hot"}})
-	}
-	return ks
-}

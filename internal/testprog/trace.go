@@ -25,10 +25,7 @@ func CompileAndTrace(filename, src string) (*ir.Module, *interp.Result, *trace.T
 		return nil, nil, nil, err
 	}
 	res, tr, err := Trace(mod)
-	if err != nil {
-		return mod, nil, nil, err
-	}
-	return mod, res, tr, nil
+	return mod, res, tr, err
 }
 
 // LoopRegion returns the idx-th dynamic sub-trace of the source loop whose
@@ -43,12 +40,4 @@ func LoopRegion(tr *trace.Trace, line, idx int) (*trace.Trace, error) {
 		return nil, fmt.Errorf("testprog: loop on line %d has %d dynamic regions, want index %d", line, len(regions), idx)
 	}
 	return tr.Slice(regions[idx]), nil
-}
-
-// ControlRegularity feeds every region of the loop in tr through a
-// core.RegularityCounter and returns its result.
-func ControlRegularity(tr *trace.Trace, loopID int) (core.Regularity, error) {
-	c := core.NewRegularityCounter(tr.Module, loopID)
-	_, err := trace.FeedRegions(context.Background(), tr.Module, loopID, -1, &trace.SliceSource{Events: tr.Events}, c.Sink)
-	return c.Result(), err
 }

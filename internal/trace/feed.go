@@ -36,8 +36,8 @@ type RegionSink interface {
 type SinkFactory func() RegionSink
 
 // WholeRun is the target "loop" of a feed that treats the entire event
-// stream as one region: its sink opens before the first event, receives
-// every event, and closes as index 0 when the stream finishes.
+// stream as one region: its sink opens with the feed, receives every
+// event, and closes as index 0 when the stream finishes.
 const WholeRun = -1
 
 // openSink is one open target-loop region and its sink. start (the absolute
@@ -90,11 +90,15 @@ func NewRegionFeed(ctx context.Context, mod *ir.Module, loopID, want int, factor
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &RegionFeed{
+	f := &RegionFeed{
 		mod: mod, ctx: ctx, loopID: loopID, want: want, make: factory,
 		tk:  regionTracker{target: loopID},
 		rec: obs.FromContext(ctx),
 	}
+	if loopID == WholeRun {
+		f.open = append(f.open, openSink{start: 0, sink: factory()})
+	}
+	return f
 }
 
 // Closed returns the number of target-loop regions closed so far.
@@ -177,9 +181,6 @@ func (f *RegionFeed) Push(ev Event) error {
 			ev.ID, f.mod.NumInstrs, ErrCorruptTrace))
 	}
 	in := f.mod.InstrAt(ev.ID)
-	if f.loopID == WholeRun && f.idx == 0 {
-		f.open = append(f.open, openSink{start: 0, sink: f.make()})
-	}
 	for _, r := range f.tk.step(f.idx, in) {
 		f.closeRegion(r)
 	}
@@ -213,9 +214,6 @@ func (f *RegionFeed) Finish() (int, error) {
 		f.closeRegion(r)
 	}
 	if f.loopID == WholeRun {
-		if f.idx == 0 {
-			f.open = append(f.open, openSink{start: 0, sink: f.make()})
-		}
 		f.closeRegion(Region{LoopID: WholeRun, Start: 0, End: f.idx})
 	}
 	f.flushStats()

@@ -72,19 +72,3 @@ func OpenTrace(r io.ReaderAt, size int64, rec *obs.Recorder) (*Opened, error) {
 		return nil, corruptAt("reading magic", 0, "bad magic %q", m[:])
 	}
 }
-
-// ReadAll drains src into a slice — the whole-trace materialization used
-// by full-graph analyses and format transcoding.
-func ReadAll(src EventSource) ([]Event, error) {
-	var events []Event
-	for {
-		ev, err := src.Next()
-		if err == io.EOF {
-			return events, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		events = append(events, ev)
-	}
-}
