@@ -206,7 +206,7 @@ func BenchmarkDDGAnalysisPerNode(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Analyze(g, core.Options{})
+		mustAnalyze(b, g, core.Options{})
 	}
 	b.StopTimer()
 	nsPerNode := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(g.NumNodes())
@@ -236,7 +236,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				core.Analyze(g, core.Options{Workers: w})
+				mustAnalyze(b, g, core.Options{Workers: w})
 			}
 			b.ReportMetric(float64(candidates), "candidates")
 		})
@@ -402,7 +402,7 @@ func BenchmarkDependenceCategoryAblation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				core.Analyze(g, core.Options{})
+				mustAnalyze(b, g, core.Options{})
 			}
 		})
 	}
@@ -428,7 +428,7 @@ func BenchmarkAnalysisScaling(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.Analyze(g, core.Options{})
+				mustAnalyze(b, g, core.Options{})
 			}
 			b.ReportMetric(float64(g.NumNodes()), "nodes")
 		})
@@ -602,4 +602,14 @@ func BenchmarkControlRegularity(b *testing.B) {
 		r = c.Result()
 	}
 	b.ReportMetric(r.ModalFraction, "modal-fraction")
+}
+
+// mustAnalyze runs the graph reference, failing the test on error.
+func mustAnalyze(tb testing.TB, g *ddg.Graph, opts core.Options) *core.Report {
+	tb.Helper()
+	rep, err := core.AnalyzeCtx(context.Background(), g, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
 }

@@ -296,7 +296,7 @@ func TestBudgetAnalysisBytes(t *testing.T) {
 func TestAnalyzeCtxMatchesAnalyze(t *testing.T) {
 	for _, src := range parallelTestSources {
 		g := buildKernelGraph(t, src)
-		want := core.Analyze(g, core.Options{Workers: 2})
+		want := mustAnalyze(t, g, core.Options{Workers: 2})
 		got, err := core.AnalyzeCtx(context.Background(), g, core.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)

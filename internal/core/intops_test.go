@@ -47,7 +47,7 @@ void main() {
 	if g.NumCandidateOps() == 0 {
 		t.Fatal("integer characterization found no candidates")
 	}
-	rep := core.Analyze(g, core.Options{})
+	rep := mustAnalyze(t, g, core.Options{})
 	if rep.TotalCandidateOps < 128 {
 		t.Fatalf("candidate ops = %d, want >= 128 (both loops)", rep.TotalCandidateOps)
 	}

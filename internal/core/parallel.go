@@ -120,7 +120,7 @@ func Guard(unit int, kind string, id int64, f func() error) (err error) {
 // instrScratch holds the reusable buffers of one per-instruction analysis:
 // the Algorithm 1 timestamp vector and the dense partition buckets. One
 // scratch is checked out per analysis unit and recycled through a pool, so
-// a full Analyze sweep performs O(workers) buffer allocations instead of
+// a full AnalyzeCtx sweep performs O(workers) buffer allocations instead of
 // O(candidates).
 type instrScratch struct {
 	// ts is the per-node timestamp buffer filled by the graph sweep's

@@ -6,6 +6,7 @@ package core_test
 // (the plain sequential loop) as the oracle.
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -94,9 +95,9 @@ func TestAnalyzeDeterministic(t *testing.T) {
 	for si, src := range parallelTestSources {
 		g := buildKernelGraph(t, src)
 		for _, relax := range []bool{false, true} {
-			seq := core.Analyze(g, core.Options{Workers: 1, RelaxReductions: relax})
+			seq := mustAnalyze(t, g, core.Options{Workers: 1, RelaxReductions: relax})
 			for _, w := range []int{0, 2, 3, 4, 8} {
-				par := core.Analyze(g, core.Options{Workers: w, RelaxReductions: relax})
+				par := mustAnalyze(t, g, core.Options{Workers: w, RelaxReductions: relax})
 				if !reflect.DeepEqual(seq, par) {
 					t.Errorf("source %d relax=%v: Workers=%d report differs from sequential\nseq: %+v\npar: %+v",
 						si, relax, w, seq, par)
@@ -110,7 +111,7 @@ func TestAnalyzeDeterministic(t *testing.T) {
 // against the fanned-out pipeline, entry by entry.
 func TestAnalyzeInstrMatchesAnalyze(t *testing.T) {
 	g := buildKernelGraph(t, parallelTestSources[0])
-	rep := core.Analyze(g, core.Options{Workers: 4})
+	rep := mustAnalyze(t, g, core.Options{Workers: 4})
 	if len(rep.PerInstr) == 0 {
 		t.Fatal("no candidates analyzed")
 	}
@@ -127,11 +128,21 @@ func TestAnalyzeInstrMatchesAnalyze(t *testing.T) {
 // returned dirty and trusted clean) shows up as a diverging report.
 func TestAnalyzeRepeatedReuse(t *testing.T) {
 	g := buildKernelGraph(t, parallelTestSources[1])
-	base := core.Analyze(g, core.Options{Workers: 1})
+	base := mustAnalyze(t, g, core.Options{Workers: 1})
 	for round := 0; round < 10; round++ {
 		w := 1 + round%4
-		if got := core.Analyze(g, core.Options{Workers: w}); !reflect.DeepEqual(base, got) {
+		if got := mustAnalyze(t, g, core.Options{Workers: w}); !reflect.DeepEqual(base, got) {
 			t.Fatalf("round %d (workers=%d): report diverged", round, w)
 		}
 	}
+}
+
+// mustAnalyze runs the graph reference, failing the test on error.
+func mustAnalyze(tb testing.TB, g *ddg.Graph, opts core.Options) *core.Report {
+	tb.Helper()
+	rep, err := core.AnalyzeCtx(context.Background(), g, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
 }

@@ -88,7 +88,7 @@ type Report struct {
 // is never set outside tests (see SetAnalyzeUnitHook in export_test.go).
 var analyzeUnitHook func(id int32)
 
-// Analyze runs the complete §3 pipeline over the graph: Algorithm 1 per
+// AnalyzeCtx runs the complete §3 pipeline over the graph: Algorithm 1 per
 // candidate instruction, unit-stride subpartitioning of every parallel
 // partition, and the non-unit stride analysis of the leftovers.
 //
@@ -97,24 +97,11 @@ var analyzeUnitHook func(id int32)
 // opts.WorkerCount() workers. Results land in index-addressed slots and
 // all aggregation happens afterwards over integer counters in candidate-id
 // order, making the output byte-identical for every worker count.
-func Analyze(g *ddg.Graph, opts Options) *Report {
-	rep, err := AnalyzeCtx(context.Background(), g, opts)
-	if err != nil {
-		// Without a cancelable context or budget the pipeline has no
-		// failure mode of its own; an error here means a unit panicked on a
-		// poisoned graph, which this legacy convenience entry point cannot
-		// report. Callers use AnalyzeCtx to receive the typed error instead
-		// of this panic.
-		panic(err)
-	}
-	return rep
-}
-
-// AnalyzeCtx is Analyze with the full failure model: cooperative
-// cancellation through ctx (checked between candidates), the
-// opts.Budget.MaxAnalysisBytes working-set bound (exceeded ⇒ an error
-// wrapping ErrResourceLimit, before any large allocation), and per-unit
-// panic isolation (a poisoned candidate surfaces as a *UnitError naming
+//
+// Its failure model: cooperative cancellation through ctx (checked
+// between candidates), the opts.Budget.MaxAnalysisBytes working-set bound
+// (exceeded ⇒ an error wrapping ErrResourceLimit, before any large
+// allocation), and per-unit panic isolation (a poisoned candidate surfaces as a *UnitError naming
 // it, while every other candidate's row is computed normally).
 //
 // On error the returned report is still populated with the successful
@@ -240,7 +227,7 @@ func AnalyzeInstr(g *ddg.Graph, id int32, opts Options) InstrReport {
 // analyzeInstr is the complete per-candidate pipeline — one Algorithm 1
 // sweep for this candidate alone, then the shared post-timestamp stages —
 // over the precomputed instance list, using the scratch's recycled buffers.
-// It is the unit of work of Analyze and AnalyzeInstr, and it only reads
+// It is the unit of work of AnalyzeCtx and AnalyzeInstr, and it only reads
 // shared state.
 func analyzeInstr(g *ddg.Graph, id int32, inst []int32, opts Options, sc *instrScratch) InstrReport {
 	red := detectReductionInst(g, id, inst)

@@ -296,7 +296,7 @@ func TestListing3NonUnitStride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := core.Analyze(g, core.Options{})
+	rep := mustAnalyze(t, g, core.Options{})
 	if rep.UnitVecOpsPct != 0 {
 		t.Errorf("AoS loop unit vec ops = %.1f%%, want 0 (stride 16)", rep.UnitVecOpsPct)
 	}
@@ -318,7 +318,7 @@ func TestListing3NonUnitStride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep4 := core.Analyze(g4, core.Options{})
+	rep4 := mustAnalyze(t, g4, core.Options{})
 	if rep4.UnitVecOpsPct < 99 {
 		t.Errorf("SoA loop unit vec ops = %.1f%%, want ~100%%", rep4.UnitVecOpsPct)
 	}
@@ -340,7 +340,7 @@ func TestListing3ColumnStride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := core.Analyze(g, core.Options{})
+	rep := mustAnalyze(t, g, core.Options{})
 	// The recurrence runs along j (within a row); the i direction is
 	// parallel but strided by the row size: non-unit potential dominates.
 	if rep.NonUnitVecOpsPct <= rep.UnitVecOpsPct {

@@ -1,6 +1,7 @@
 package kernels_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,7 +26,7 @@ func analyzeRegion(t *testing.T, k kernels.Kernel, marker string) *core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.Analyze(g, core.Options{})
+	return mustAnalyze(t, g, core.Options{})
 }
 
 // TestSizeStability reproduces the §4.1 claim that "although metrics such
@@ -104,4 +105,14 @@ func TestSizeStability(t *testing.T) {
 			}
 		}
 	})
+}
+
+// mustAnalyze runs the graph reference, failing the test on error.
+func mustAnalyze(tb testing.TB, g *ddg.Graph, opts core.Options) *core.Report {
+	tb.Helper()
+	rep, err := core.AnalyzeCtx(context.Background(), g, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
 }

@@ -30,7 +30,7 @@ func analyzeHot(t *testing.T, k kernels.Kernel) (*core.Report, []float64) {
 	if err != nil {
 		t.Fatalf("%s: DDG: %v", k.Name, err)
 	}
-	return core.Analyze(g, core.Options{}), res.Output
+	return mustAnalyze(t, g, core.Options{}), res.Output
 }
 
 // hotVectorized reports whether any loop inside the kernel's @hot loop

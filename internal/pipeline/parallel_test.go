@@ -36,9 +36,9 @@ func TestRandomProgramsParallelDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq := core.Analyze(g, core.Options{Workers: 1})
+			seq := mustAnalyze(t, g, core.Options{Workers: 1})
 			for _, w := range []int{2, 4, 8} {
-				par := core.Analyze(g, core.Options{Workers: w})
+				par := mustAnalyze(t, g, core.Options{Workers: w})
 				if !reflect.DeepEqual(seq, par) {
 					t.Fatalf("seed %d: Workers=%d report differs from sequential\nprogram:\n%s", seed, w, src)
 				}
@@ -92,7 +92,7 @@ void main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := pipeline.RegionReport{Index: i, Events: sub.Len(), Report: core.Analyze(g, core.Options{})}
+		want := pipeline.RegionReport{Index: i, Events: sub.Len(), Report: mustAnalyze(t, g, core.Options{})}
 		if got[i].Index != want.Index || got[i].Events != want.Events ||
 			!reflect.DeepEqual(got[i].Report, want.Report) {
 			t.Fatalf("region %d: fan-out result differs from sequential", i)

@@ -111,7 +111,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := core.Analyze(g, core.Options{})
+	rep := mustAnalyze(t, g, core.Options{})
 	// Per call: combine runs twice (2 muls + 1 add each... plus the sum):
 	// all FP work lives in the callees, executed 64 independent times.
 	if rep.TotalCandidateOps < 64*6 {
@@ -174,4 +174,14 @@ void main() {
 	if err == nil || !strings.Contains(err.Error(), "invalid address") {
 		t.Fatalf("error = %v, want invalid address", err)
 	}
+}
+
+// mustAnalyze runs the graph reference, failing the test on error.
+func mustAnalyze(tb testing.TB, g *ddg.Graph, opts core.Options) *core.Report {
+	tb.Helper()
+	rep, err := core.AnalyzeCtx(context.Background(), g, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
 }

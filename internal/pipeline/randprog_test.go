@@ -130,7 +130,7 @@ func TestRandomProgramsInvariants(t *testing.T) {
 			}
 
 			// Report-level sanity.
-			rep := core.Analyze(g, core.Options{})
+			rep := mustAnalyze(t, g, core.Options{})
 			if rep.UnitVecOpsPct+rep.NonUnitVecOpsPct > 100.000001 {
 				t.Fatalf("vec ops exceed 100%%: %v + %v", rep.UnitVecOpsPct, rep.NonUnitVecOpsPct)
 			}

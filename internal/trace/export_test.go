@@ -17,3 +17,8 @@ func ReadAll(src EventSource) ([]Event, error) {
 		events = append(events, ev)
 	}
 }
+
+// Append records one event: how the tests build small traces by hand.
+func (t *Trace) Append(id int32, addr int64) {
+	t.Events = append(t.Events, Event{ID: id, Addr: addr})
+}

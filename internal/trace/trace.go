@@ -48,11 +48,6 @@ type Trace struct {
 // Len returns the number of dynamic instruction instances.
 func (t *Trace) Len() int { return len(t.Events) }
 
-// Append records one event.
-func (t *Trace) Append(id int32, addr int64) {
-	t.Events = append(t.Events, Event{ID: id, Addr: addr})
-}
-
 // Region is a contiguous sub-trace corresponding to one dynamic execution of
 // a source loop, from loop entry to loop exit — the unit the paper analyzes
 // ("A subtrace was started upon loop entry and terminated upon loop exit").
