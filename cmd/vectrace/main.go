@@ -19,9 +19,16 @@
 //	                                 ("trace" is the legacy alias)
 //	vectrace speedup a.c b.c         verify equivalence, model the speedup
 //
-// Recording streams VTR1 events to disk as the program executes, and
-// "analyze -trace file.vtr -line N" replays regions from disk one at a
-// time, so neither side ever materializes the full trace in memory.
+// Every analysis runs live: the program's events (or a trace file's) flow
+// through the stream kernel as they are produced, and no command holds the
+// whole trace or builds a dependence graph. "analyze" without -line
+// analyzes the whole run as one region; -baselines replays the same
+// region through Kumar's critical-path baseline in the same pass; rank
+// analyzes each hot loop's first region in one live run; annotate is the
+// whole-run analysis per source line. Recording streams VTR1 events to
+// disk as the program executes, and "analyze -trace file.vtr -line N"
+// replays regions from disk one at a time, so neither side ever
+// materializes the full trace in memory.
 // "record -format vtr2" instead writes the indexed, compressed VTR2
 // container (block-compressed events plus a region index in the footer);
 // analyze sniffs the format, seeks straight to the requested -instance

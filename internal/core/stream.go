@@ -35,9 +35,9 @@ package core
 //
 // Equivalence with ddg.BuildOpts + AnalyzeCtx is enforced by differential
 // tests (stream_test.go and the pipeline suites, whose reference builds
-// each region's graph independently). The graph itself is still built for
-// the analyses that need every node at once: the Kumar/Larus baselines and
-// the Figure 1–2 partition listings.
+// each region's graph independently). No shipped command builds a graph:
+// the Figure 1–2 partitions come from InstanceTimestamps, and the
+// Kumar/Larus baselines replay the stream themselves (internal/baseline).
 
 import (
 	"context"

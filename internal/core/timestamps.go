@@ -7,9 +7,9 @@
 //
 // Production analysis runs the one-pass stream kernel (stream.go) over a
 // region's events. The graph routines here and in report.go — Timestamps,
-// Partitions, and the per-candidate Analyze sweep, which fans out across a
-// bounded worker pool (see parallel.go) — serve the figures, the baselines,
-// and the tests' reference.
+// Partitions, and the per-candidate AnalyzeCtx sweep, which fans out
+// across a bounded worker pool (see parallel.go) — are the tests'
+// reference; no shipped command calls them.
 package core
 
 import (

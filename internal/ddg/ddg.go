@@ -13,14 +13,14 @@
 // Because edges always point backwards in time, trace order is a
 // topological order of the DDG, which the timestamping analyses exploit.
 //
-// The one-pass stream kernel (internal/core.StreamKernel) runs every
-// production analysis: the Algorithm-1 sweep, partitioning, stride
-// statistics and reduction relaxation work directly off the event stream
-// without materializing a graph. The full graph is still built for the
-// analyses that genuinely need every node and edge at once — critical-path
-// extraction, the Kumar/Larus-style baselines, graph export, the Figure 1–2
-// partition listings — and as the independent reference the stream kernel
-// is differentially tested against.
+// No shipped command builds the graph. The one-pass stream kernel
+// (internal/core.StreamKernel) runs every production analysis — the
+// Algorithm-1 sweep, partitioning, stride statistics and reduction
+// relaxation — directly off the event stream, and the Kumar/Larus
+// baselines replay the stream with a last-writer table of their own
+// (internal/baseline.Stream). The graph is the independent reference both
+// are differentially tested against, and it carries the dependence
+// categories (anti/output, control) the ablation tests add.
 package ddg
 
 import (

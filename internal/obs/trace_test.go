@@ -34,15 +34,15 @@ func TestParseTraceparent(t *testing.T) {
 	bad := []string{
 		"",
 		"garbage",
-		"00-" + tid + "-" + pid,                                  // missing flags
-		"ff-" + tid + "-" + pid + "-01",                          // version ff reserved
-		"00-" + strings.Repeat("0", 32) + "-" + pid + "-01",      // all-zero trace id
-		"00-" + tid + "-" + strings.Repeat("0", 16) + "-01",      // all-zero parent id
-		"00-" + strings.ToUpper(tid) + "-" + pid + "-01",         // uppercase hex
-		"00-" + tid[:31] + "-" + pid + "-01",                     // short trace id
-		"00-" + tid + "x-" + pid + "-01",                         // bad length + non-hex
-		"00-" + tid + "-" + pid[:15] + "g-01",                    // non-hex parent
-		"0-" + tid + "-" + pid + "-01",                           // short version
+		"00-" + tid + "-" + pid,         // missing flags
+		"ff-" + tid + "-" + pid + "-01", // version ff reserved
+		"00-" + strings.Repeat("0", 32) + "-" + pid + "-01", // all-zero trace id
+		"00-" + tid + "-" + strings.Repeat("0", 16) + "-01", // all-zero parent id
+		"00-" + strings.ToUpper(tid) + "-" + pid + "-01",    // uppercase hex
+		"00-" + tid[:31] + "-" + pid + "-01",                // short trace id
+		"00-" + tid + "x-" + pid + "-01",                    // bad length + non-hex
+		"00-" + tid + "-" + pid[:15] + "g-01",               // non-hex parent
+		"0-" + tid + "-" + pid + "-01",                      // short version
 	}
 	for _, h := range bad {
 		if gt, gp, ok := ParseTraceparent(h); ok {

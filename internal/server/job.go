@@ -166,8 +166,7 @@ type Job struct {
 	Spec JobSpec
 
 	// source and payload (the optional uploaded trace) are the job's
-	// inputs; they are dropped once no run of the job can read them, so a
-	// terminal job holds only its result.
+	// inputs; a terminal job drops them and holds only its result.
 	source  string
 	payload []byte
 	rec     *obs.Recorder
@@ -259,8 +258,11 @@ func (j *Job) setRunning() bool {
 }
 
 // finish transitions to a terminal state exactly once, recording the
-// result. Returns false if the job was already terminal.
-func (j *Job) finish(state string, reportJS []byte, err error) bool {
+// result and dropping the job's inputs: no run of the job is left to read
+// them. settled, when non-nil, runs after the transition and before done
+// closes, so a client woken by done observes what it records. Returns
+// false if the job was already terminal.
+func (j *Job) finish(state string, reportJS []byte, err error, settled func()) bool {
 	j.mu.Lock()
 	if terminal(j.state) {
 		j.mu.Unlock()
@@ -269,10 +271,14 @@ func (j *Job) finish(state string, reportJS []byte, err error) bool {
 	j.state = state
 	j.reportJS = reportJS
 	j.err = err
+	j.source, j.payload = "", nil
 	if !j.started.IsZero() {
 		j.elapsed = time.Since(j.started)
 	}
 	j.mu.Unlock()
+	if settled != nil {
+		settled()
+	}
 	j.cancel(nil) // release the job context's resources
 	close(j.done)
 	return true

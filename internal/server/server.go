@@ -172,7 +172,7 @@ func (s *Server) submitReserved(spec JobSpec, source string, payload []byte, tra
 		// Drain closed the intake between reservation and enqueue.
 		s.rec.GaugeDec(obs.QueueDepth)
 		s.rec.Add(obs.JobsRejected, 1)
-		j.finish(StateCancelled, nil, err)
+		j.finish(StateCancelled, nil, err, nil)
 		s.flight.Record("reject", j.ID, j.TraceID(), "draining")
 		return nil, err
 	}
@@ -359,11 +359,6 @@ func (s *Server) runJob(j *Job) {
 		})
 		return rep, rerr
 	})
-	// The job's computation — its own run, or the single-flight leader's
-	// it waited on — has returned: nothing reads its inputs any more.
-	j.mu.Lock()
-	j.source, j.payload = "", nil
-	j.mu.Unlock()
 
 	// A cancelled job stays cancelled even when the computation raced to
 	// completion first (tiny jobs can finish before the cooperative
@@ -398,7 +393,15 @@ func (s *Server) runJob(j *Job) {
 	dur := time.Since(started)
 	s.queue.release(dur)
 	s.rec.GaugeDec(obs.QueueDepth)
-	if j.finish(state, report, err) {
+	// Everything a client woken by done may read is settled first: the
+	// terminal counters, and the closed trace tree. The root "job" span
+	// covers submit→terminal, so its duration is the sum of admission-wait
+	// plus the executed stages (within scheduling slack). The job duration
+	// feeds the job recorder's "job" histogram, and the merge folds it —
+	// with every per-stage histogram — into the service-wide ones
+	// (mergeable by construction), so each job lands exactly once in the
+	// service distributions.
+	j.finish(state, report, err, func() {
 		switch state {
 		case StateDone:
 			s.rec.Add(obs.JobsCompleted, 1)
@@ -407,18 +410,11 @@ func (s *Server) runJob(j *Job) {
 		case StateCancelled:
 			s.rec.Add(obs.JobsCancelled, 1)
 		}
-	}
-
-	// Close the trace tree: the root "job" span covers submit→terminal, so
-	// its duration is the sum of admission-wait plus the executed stages
-	// (within scheduling slack). The job duration feeds the job recorder's
-	// "job" histogram, and the merge below folds it — with every per-stage
-	// histogram — into the service-wide ones (mergeable by construction),
-	// so each job lands exactly once in the service distributions.
-	total := time.Since(j.submitted)
-	j.rec.RecordSpanAt("job", j.rootSpan, 0, "", j.submitted, total)
-	j.rec.ObserveDur("job", total)
-	s.rec.MergeHistsFrom(j.rec)
+		total := time.Since(j.submitted)
+		j.rec.RecordSpanAt("job", j.rootSpan, 0, "", j.submitted, total)
+		j.rec.ObserveDur("job", total)
+		s.rec.MergeHistsFrom(j.rec)
+	})
 
 	kind := flightKind(state)
 	detail := ""

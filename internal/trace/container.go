@@ -219,9 +219,9 @@ func (b blockMeta) storedWord() uint64 {
 // the stream. Memory is bounded by one uncompressed block plus the index —
 // O(block size + blocks + regions) — independent of the trace length.
 type ContainerWriter struct {
-	bw   *bufio.Writer
-	mod  *ir.Module
-	tk   allTracker
+	bw         *bufio.Writer
+	mod        *ir.Module
+	tk         allTracker
 	blockBytes int
 	codec      byte
 
