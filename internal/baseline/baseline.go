@@ -66,9 +66,15 @@ type streamFrame struct {
 func NewKumar(mod *ir.Module) *Stream { return NewLarus(mod, -1) }
 
 // NewLarus returns a stream computing Larus' loop-level finish times for
-// the given loop, with the model of Larus: iterations of loopID run
-// concurrently, each executing its statements in program order. A
-// negative loopID selects Kumar's rule instead.
+// the given loop: iterations of loopID may run concurrently, but each
+// executes its statements in program order, stalling at any statement
+// that depends on a not-yet-executed statement instance of another
+// iteration. Iterations start at the loop's OpLoopIter markers; events of
+// nested loops and callees belong to the iteration that spawned them.
+// Loop-control instructions (a for-loop's init, condition and increment)
+// are not statements and their values are free, so the induction chain
+// does not serialize the iterations. A negative loopID selects Kumar's
+// rule instead.
 func NewLarus(mod *ir.Module, loopID int) *Stream {
 	return &Stream{mod: mod, loopID: loopID, store: make(map[int64]int32)}
 }

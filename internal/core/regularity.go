@@ -43,7 +43,7 @@ func (r Regularity) Realizable() bool { return r.ModalFraction >= 0.75 }
 // RegularityCounter computes the control signature distribution of a
 // source loop over every dynamic execution, one region at a time: each
 // region's events flow through a sink from Sink (a trace.RegionSink, so a
-// region feed drives it live), and Result summarizes the regions seen.
+// region feed drives it live), and Result summarizes the iterations seen.
 // Memory is one count per distinct signature, independent of trace length.
 type RegularityCounter struct {
 	mod    *ir.Module
@@ -109,7 +109,9 @@ func (s *regularitySink) Close(int) { s.flush() }
 // has no last iteration boundary.
 func (s *regularitySink) Abort() {}
 
-// Result returns the signature distribution over the regions closed so far.
+// Result returns the signature distribution over the iterations completed
+// so far: an iteration completes at the loop's next iteration marker or
+// when its region closes.
 func (c *RegularityCounter) Result() Regularity {
 	r := Regularity{Iterations: c.total, DistinctShapes: len(c.counts)}
 	if c.total == 0 {
