@@ -466,7 +466,8 @@ func TestInstanceHeapFlatInProgramLength(t *testing.T) {
 }
 
 // TestRelaxReductionsHeldEventsCharged: the events RelaxReductions holds
-// for a region's graph are charged to MaxAnalysisBytes chunk by chunk.
+// for a region's replay are charged to MaxAnalysisBytes chunk by chunk,
+// the whole run (line 0) included.
 // Under a budget only the long last region exceeds, that region alone
 // fails with ErrResourceLimit before its events are all held, every other
 // region's report is byte-identical to the unbudgeted run, and the
@@ -519,5 +520,31 @@ void main() {
 	t.Logf("retained peak: %d events unbudgeted, %d under a %d-byte budget (long region %d events)", freePeak, peak, budget, long)
 	if freePeak < long || peak >= long/2 {
 		t.Fatalf("retained peak %d under the budget (unbudgeted %d) did not stop short of the %d-event region", peak, freePeak, long)
+	}
+
+	// The whole run (line 0) is one region: the same budget fails it, and
+	// unbudgeted it matches the analysis of the held trace.
+	whole := func(budget int64) ([]pipeline.RegionReport, error) {
+		copts := core.Options{RelaxReductions: true, Budget: core.Budget{MaxAnalysisBytes: budget}}
+		_, regs, err := pipeline.AnalyzeLoopRegionsLiveCtx(context.Background(), mod, 0, ddg.Options{}, copts, core.Budget{})
+		return regs, err
+	}
+	if _, err := whole(budget); !errors.Is(err, core.ErrResourceLimit) {
+		t.Fatalf("whole run under the budget: error %v, want ErrResourceLimit", err)
+	}
+	regs, err := whole(0)
+	if err != nil || len(regs) != 1 {
+		t.Fatalf("whole run: %d regions, err %v", len(regs), err)
+	}
+	_, tr, err := testprog.Trace(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pipeline.AnalyzeRegion(context.Background(), tr, ddg.Options{}, core.Options{RelaxReductions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regs[0].Events != tr.Len() || regs[0].Report.String() != want.String() {
+		t.Fatal("live whole-run relaxed analysis differs from the held trace's")
 	}
 }
