@@ -1,9 +1,9 @@
 package vectrace
 
-// arch_test guards the shape of the shipped binaries: the graph builder
-// and the whole-trace recorder are test references, and nothing the
-// binaries link may reach them again. The symbol check builds the
-// binaries, so it is skipped under -short.
+// arch_test guards the shape of the shipped binaries: the graph reference
+// (internal/reference) and the whole-trace recorder are test references,
+// and nothing the binaries link may reach them again. The symbol check
+// builds the binaries, so it is skipped under -short.
 
 import (
 	"go/parser"
@@ -21,9 +21,9 @@ func TestArchitectureBinarySymbols(t *testing.T) {
 		t.Skip("builds the binaries")
 	}
 	forbidden := map[string][]string{
-		"vectrace":  {"internal/ddg.BuildOpts", "internal/pipeline.TraceCtxOpts"},
-		"vecbench":  {"internal/ddg.BuildOpts"},
-		"vectraced": {"internal/ddg.BuildOpts"},
+		"vectrace":  {"internal/reference.", "internal/pipeline.TraceCtxOpts"},
+		"vecbench":  {"internal/reference."},
+		"vectraced": {"internal/reference."},
 	}
 	dir := t.TempDir()
 	for cmd, syms := range forbidden {
@@ -42,7 +42,7 @@ func TestArchitectureBinarySymbols(t *testing.T) {
 			}
 			name := fields[len(fields)-1]
 			for _, sym := range syms {
-				if strings.HasSuffix(name, sym) {
+				if strings.Contains(name, sym) {
 					t.Errorf("%s links %s", cmd, name)
 				}
 			}
@@ -51,9 +51,13 @@ func TestArchitectureBinarySymbols(t *testing.T) {
 }
 
 // TestTestprogImportedOnlyByTests: internal/testprog holds test fixtures
-// and the in-memory trace helpers, so no non-test package may import it.
+// and the in-memory trace helpers, and internal/reference the analysis
+// oracle, so no non-test package outside the two may import either.
 func TestTestprogImportedOnlyByTests(t *testing.T) {
-	const testprog = "github.com/example/vectrace/internal/testprog"
+	testOnly := map[string]bool{
+		"github.com/example/vectrace/internal/testprog":  true,
+		"github.com/example/vectrace/internal/reference": true,
+	}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -64,8 +68,8 @@ func TestTestprogImportedOnlyByTests(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
-			filepath.Dir(path) == filepath.Join("internal", "testprog") {
+		if dir := filepath.Dir(path); !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
+			dir == filepath.Join("internal", "testprog") || dir == filepath.Join("internal", "reference") {
 			return nil
 		}
 		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
@@ -73,8 +77,8 @@ func TestTestprogImportedOnlyByTests(t *testing.T) {
 			return err
 		}
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == testprog {
-				t.Errorf("%s imports %s", path, testprog)
+			if p, _ := strconv.Unquote(imp.Path.Value); testOnly[p] {
+				t.Errorf("%s imports %s", path, p)
 			}
 		}
 		return nil

@@ -28,6 +28,7 @@ import (
 	"github.com/example/vectrace/internal/obs"
 	"github.com/example/vectrace/internal/opt"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/report"
 	"github.com/example/vectrace/internal/staticvec"
 	"github.com/example/vectrace/internal/testprog"
@@ -179,7 +180,7 @@ func BenchmarkDDGBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ddg.Build(tr); err != nil {
+		if _, err := reference.Build(tr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -200,7 +201,7 @@ func BenchmarkDDGAnalysisPerNode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -244,11 +245,11 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 }
 
 // BenchmarkObservabilityOverhead bounds the cost of the obs hooks threaded
-// through the analysis (DESIGN.md §11). "off" runs with no recorder on the
-// context — every hook reduces to its nil-check branch, and the contract is
-// that this stays within 2% of BenchmarkAnalyzeParallel (the same sweep
-// from before the hooks existed). "on" attaches a live recorder and
-// measures the full counter/span cost of an observed run.
+// through the analysis (DESIGN.md §11) on the production engine: the
+// stream kernel over a held region (pipeline.AnalyzeRegion). "off" runs
+// with no recorder on the context — every hook reduces to its nil-check
+// branch. "on" attaches a live recorder and measures the full
+// counter/span cost of an observed run.
 func BenchmarkObservabilityOverhead(b *testing.B) {
 	k := kernels.GaussSeidel(32, 2)
 	mod, err := pipeline.Compile(k.Name+".c", k.Source)
@@ -259,28 +260,22 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
-	if err != nil {
-		b.Fatal(err)
+	for _, mode := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"off", context.Background()},
+		{"on", obs.WithRecorder(context.Background(), obs.New())},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := pipeline.AnalyzeRegion(mode.ctx, tr, ddg.Options{}, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	opts := core.Options{Workers: 4}
-	b.Run("off", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.AnalyzeCtx(context.Background(), g, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("on", func(b *testing.B) {
-		b.ReportAllocs()
-		ctx := obs.WithRecorder(context.Background(), obs.New())
-		for i := 0; i < b.N; i++ {
-			if _, err := core.AnalyzeCtx(ctx, g, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkTimestamps measures one Algorithm 1 sweep.
@@ -294,7 +289,7 @@ func BenchmarkTimestamps(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -304,7 +299,7 @@ func BenchmarkTimestamps(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Timestamps(g, ids[i%len(ids)], core.Options{})
+		reference.Timestamps(g, ids[i%len(ids)], core.Options{})
 	}
 }
 
@@ -398,7 +393,7 @@ func BenchmarkDependenceCategoryAblation(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g, err := ddg.BuildOpts(tr, cfg.opts)
+				g, err := reference.BuildOpts(tr, cfg.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -422,7 +417,7 @@ func BenchmarkAnalysisScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g, err := ddg.Build(tr)
+		g, err := reference.Build(tr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -605,9 +600,9 @@ func BenchmarkControlRegularity(b *testing.B) {
 }
 
 // mustAnalyze runs the graph reference, failing the test on error.
-func mustAnalyze(tb testing.TB, g *ddg.Graph, opts core.Options) *core.Report {
+func mustAnalyze(tb testing.TB, g *reference.Graph, opts core.Options) *core.Report {
 	tb.Helper()
-	rep, err := core.AnalyzeCtx(context.Background(), g, opts)
+	rep, err := reference.AnalyzeCtx(context.Background(), g, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -32,8 +32,8 @@
 // "record -format vtr2" instead writes the indexed, compressed VTR2
 // container (block-compressed events plus a region index in the footer);
 // analyze sniffs the format, seeks straight to the requested -instance
-// through the index, and fans "-instance -1" region scans across
-// -scan-workers. Old VTR1 files keep working unchanged.
+// through the index, and fans "-instance -1" region scans across the
+// analysis workers. Old VTR1 files keep working unchanged.
 //
 // Profiling the analysis itself: analyze accepts -cpuprofile and
 // -memprofile (pprof format) and -exectrace (go tool trace format); the
@@ -239,7 +239,7 @@ func run(args []string) error {
 		fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 		out := fs.String("o", "trace.vtr", "output trace file")
 		var tf diag.TraceFormat
-		tf.Register(fs, false)
+		tf.Register(fs)
 		if err := parseFlags(fs, rest); err != nil {
 			return err
 		}
@@ -287,8 +287,6 @@ func analyzeCmd(file, src string, rest []string) error {
 	intOps := fs.Bool("int-ops", false, "also characterize integer add/sub/mul")
 	workers := fs.Int("workers", 0, "analysis worker count (0 = GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "emit the canonical analysis JSON instead of text (requires -line; excludes -baselines)")
-	var tf diag.TraceFormat
-	tf.Register(fs, true)
 	var prof diag.Flags
 	prof.Register(fs, "exectrace")
 	var timeout diag.Timeout
@@ -300,12 +298,9 @@ func analyzeCmd(file, src string, rest []string) error {
 	}
 	opts := ddg.Options{CharacterizeInts: *intOps}
 	copts := core.Options{RelaxReductions: *relax, Workers: *workers}
-	if err := tf.Validate(); err != nil {
-		return usageError{err}
-	}
 	if *jsonOut {
 		// The JSON contract covers region analyses (internal/report); the
-		// whole-program graph and the Kumar baseline stay text-only.
+		// whole-program analysis and the Kumar baseline stay text-only.
 		if *line == 0 {
 			return usageError{fmt.Errorf("-json requires -line")}
 		}
@@ -314,7 +309,7 @@ func analyzeCmd(file, src string, rest []string) error {
 		}
 	}
 	if *compare && *line != 0 && *instance < 0 {
-		// The Kumar baseline analyzes one region's graph.
+		// The Kumar baseline analyzes one region.
 		return usageError{fmt.Errorf("-baselines needs a single -instance, got %d", *instance)}
 	}
 	if err := obsFlags.Start(); err != nil {
@@ -425,10 +420,6 @@ func analyzeCmd(file, src string, rest []string) error {
 				f.Close()
 				return nil, nil, err
 			}
-			if err := tf.CheckOpened(o); err != nil {
-				f.Close()
-				return nil, nil, usageError{err}
-			}
 			if o.IndexErr != nil {
 				fmt.Fprintf(os.Stderr, "vectrace: analyze: trace index unusable (%v); scanning sequentially\n", o.IndexErr)
 			}
@@ -479,13 +470,13 @@ func analyzeCmd(file, src string, rest []string) error {
 		// pipeline.AnalyzeOpened, which pipeline.AnalyzeTraceBytesCtx
 		// wraps), so the report bytes match the service's. A program runs
 		// live and never holds its trace. Trace files stream region by
-		// region, or seek and fan out across -scan-workers when indexed.
+		// region, or seek and fan out across -workers when indexed.
 		var regs []pipeline.RegionReport
 		var err error
 		if o == nil {
 			regs, err = pipeline.AnalyzeSourceCtx(ctx, file, src, *line, inst, opts, copts, core.Budget{})
 		} else {
-			regs, err = pipeline.AnalyzeOpened(ctx, o, mod, *line, inst, opts, copts, tf.ScanWorkers)
+			regs, err = pipeline.AnalyzeOpened(ctx, o, mod, *line, inst, opts, copts, 0)
 		}
 		if inst < 0 {
 			printRegions(regs, err)
@@ -505,8 +496,6 @@ func analyzeCmd(file, src string, rest []string) error {
 	}
 	if *traceFile != "" {
 		config["trace"] = *traceFile
-		config["trace_format"] = tf.Format
-		config["scan_workers"] = tf.ScanWorkers
 	}
 	if serr := obsFlags.Stop(config); err == nil {
 		err = serr

@@ -340,6 +340,8 @@ func TestExitCodes(t *testing.T) {
 		{"tile flag removed", []string{"analyze", path, "-line", "8", "-tile", "4"}, 2},
 		{"block on analyze", []string{"analyze", path, "-line", "8", "-block", "7"}, 2},
 		{"compress on analyze", []string{"analyze", path, "-line", "8", "-compress", "none"}, 2},
+		{"scan-workers flag removed", []string{"analyze", path, "-line", "8", "-scan-workers", "2"}, 2},
+		{"trace-format flag removed", []string{"analyze", path, "-line", "8", "-trace-format", "vtr1"}, 2},
 		{"record block and compress", []string{"record", path, "-o", filepath.Join(t.TempDir(), "s.vtr"),
 			"-format", "vtr2", "-block", "4096", "-compress", "none"}, 0},
 		{"baselines over all instances", []string{"analyze", path, "-line", "8", "-instance", "-1", "-baselines"}, 2},

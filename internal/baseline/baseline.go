@@ -23,8 +23,8 @@ import (
 
 // Stream computes either baseline over an event stream in one forward
 // pass, without a graph. Both are forward recurrences in trace order over
-// flow predecessors only, so the replay needs the last-writer state of the
-// graph builder and nothing else: per frame an int32 register file holding
+// flow predecessors only, so the replay needs the last-writer state a DDG
+// builder keeps and nothing else: per frame an int32 register file holding
 // each register producer's time, and an int32 map holding the time of each
 // address's last store. Memory is O(live registers + distinct addresses),
 // independent of the number of events.

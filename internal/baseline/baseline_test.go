@@ -4,20 +4,20 @@ import (
 	"testing"
 
 	"github.com/example/vectrace/internal/baseline"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/kernels"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
-func buildGraph(t *testing.T, src string) (*ddg.Graph, *trace.Trace) {
+func buildGraph(t *testing.T, src string) (*reference.Graph, *trace.Trace) {
 	t.Helper()
 	_, _, tr, err := testprog.CompileAndTrace("t.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestLarusFinishRespectsDependences(t *testing.T) {
 	lm := tr.Module.LoopByLine(k.LineOf("@main-loop"))
 	regions := tr.Regions(lm.ID)
 	sub := tr.Slice(regions[0])
-	g, err := ddg.Build(sub)
+	g, err := reference.Build(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestKumarNeverBeatsAlgorithm1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := ddg.Build(tr)
+		g, err := reference.Build(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func TestKumarNeverBeatsAlgorithm1(t *testing.T) {
 
 // corePartitions avoids importing core in this package's public test API
 // more than once.
-func corePartitions(g *ddg.Graph, id int32) [][]int32 {
+func corePartitions(g *reference.Graph, id int32) [][]int32 {
 	ts := algorithm1(g, id)
 	byTS := map[int32][]int32{}
 	for i := range g.Nodes {
@@ -296,7 +296,7 @@ func corePartitions(g *ddg.Graph, id int32) [][]int32 {
 
 // algorithm1 is a reference reimplementation used only for the comparison
 // property (deliberately independent of internal/core).
-func algorithm1(g *ddg.Graph, id int32) []int32 {
+func algorithm1(g *reference.Graph, id int32) []int32 {
 	ts := make([]int32, len(g.Nodes))
 	var preds []int32
 	for i := range g.Nodes {

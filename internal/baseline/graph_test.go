@@ -1,18 +1,18 @@
 package baseline_test
 
 // The graph forms of the two baselines: the reference the streaming
-// replay is tested against. They walk a materialized ddg.Graph and share
+// replay is tested against. They walk a materialized reference.Graph and share
 // no code with baseline.Stream.
 
 import (
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/ir"
+	"github.com/example/vectrace/internal/reference"
 )
 
 // kumarTimestamps computes the classic fine-grained parallelism timestamps:
 // every node is scheduled one step after the latest of its predecessors,
 // regardless of which static instruction it instantiates.
-func kumarTimestamps(g *ddg.Graph) []int32 {
+func kumarTimestamps(g *reference.Graph) []int32 {
 	ts := make([]int32, len(g.Nodes))
 	var preds []int32
 	for i := range g.Nodes {
@@ -40,7 +40,7 @@ type kumarProfile struct {
 }
 
 // kumar computes the critical-path parallelism profile of the whole graph.
-func kumar(g *ddg.Graph) kumarProfile {
+func kumar(g *reference.Graph) kumarProfile {
 	ts := kumarTimestamps(g)
 	var cp int32
 	for _, t := range ts {
@@ -61,7 +61,7 @@ func kumar(g *ddg.Graph) kumarProfile {
 // partitionsByTimestamp groups the instances of static instruction id by an
 // arbitrary timestamp assignment (Kumar or Larus), for comparison with
 // Algorithm 1's partitions. The returned slice is ordered by timestamp.
-func partitionsByTimestamp(g *ddg.Graph, id int32, ts []int32) [][]int32 {
+func partitionsByTimestamp(g *reference.Graph, id int32, ts []int32) [][]int32 {
 	byTS := make(map[int32][]int32)
 	var order []int32
 	for i := range g.Nodes {
@@ -108,7 +108,7 @@ type larusGraphResult struct {
 // implicit in the loop construct, so the induction-variable update chain
 // must not serialize the iterations. Dependences reaching a statement
 // through control instructions are likewise ignored.
-func larus(g *ddg.Graph, loopID int) *larusGraphResult {
+func larus(g *reference.Graph, loopID int) *larusGraphResult {
 	res := &larusGraphResult{Finish: make([]int32, len(g.Nodes))}
 	iter := -1
 	var curTime int32

@@ -8,6 +8,7 @@ import (
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/kernels"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
@@ -129,7 +130,7 @@ void main() {
 // negative larusLoop skips Larus (a whole trace has no one loop).
 func checkStream(t *testing.T, name string, tr *trace.Trace, larusLoop int) {
 	t.Helper()
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -164,7 +165,7 @@ func checkStream(t *testing.T, name string, tr *trace.Trace, larusLoop int) {
 		t.Fatalf("%s: Larus span %d, graph %d", name, ls.CriticalPath(), lr.Span)
 	}
 	for id, inst := range g.CandidateInstances() {
-		ts := core.Timestamps(g, id, core.Options{})
+		ts := reference.Timestamps(g, id, core.Options{})
 		got := k.InstanceTimestamps(id)
 		if len(got) != len(inst) {
 			t.Fatalf("%s: instr %d: kernel has %d instances, graph %d", name, id, len(got), len(inst))

@@ -10,8 +10,6 @@ package core
 // The zero Budget imposes no analysis bound and leaves the interpreter's
 // defaults in place, so existing callers are unaffected.
 
-import "fmt"
-
 // Budget is the resource policy for one analysis pipeline.
 type Budget struct {
 	// MaxSteps bounds the dynamic instructions the interpreter executes
@@ -24,34 +22,8 @@ type Budget struct {
 	// interpreter's 8 MiB default).
 	MaxStackBytes int64
 	// MaxAnalysisBytes bounds the analysis working set of one region: the
-	// stream kernel's live tables and instance arrays (see Options.Budget),
-	// or, on the graph reference, the per-worker timestamp buffers plus the
-	// per-candidate result rows. 0 means unlimited. Exceeding it fails with
-	// ErrResourceLimit instead of allocating past the budget.
+	// stream kernel's live tables and instance arrays (see Options.Budget).
+	// 0 means unlimited. Exceeding it fails with ErrResourceLimit instead
+	// of allocating past the budget.
 	MaxAnalysisBytes int64
-}
-
-// analysisFootprint estimates the graph reference's working set in bytes
-// for a graph of nNodes nodes swept by `workers` concurrent candidates:
-// each in-flight candidate holds a 4-byte timestamp per node, and every
-// candidate contributes a result row (dominated by the InstrReport).
-func analysisFootprint(nNodes, nCandidates, workers int) int64 {
-	const perCandidate = 256 // InstrReport + instance-index bookkeeping
-	buffers := 4 * int64(nNodes) * int64(workers)
-	return buffers + int64(nCandidates)*perCandidate
-}
-
-// checkAnalysisBudget verifies that analyzing a graph of nNodes nodes and
-// nCandidates candidates fits b.MaxAnalysisBytes, returning an
-// ErrResourceLimit-wrapped error when even the single-worker sweep exceeds
-// it.
-func (b Budget) checkAnalysisBudget(nNodes, nCandidates int) error {
-	if b.MaxAnalysisBytes <= 0 {
-		return nil
-	}
-	if need := analysisFootprint(nNodes, nCandidates, 1); need > b.MaxAnalysisBytes {
-		return fmt.Errorf("core: analysis of %d nodes / %d candidates needs ≥ %d bytes, budget %d: %w",
-			nNodes, nCandidates, need, b.MaxAnalysisBytes, ErrResourceLimit)
-	}
-	return nil
 }

@@ -6,15 +6,15 @@ import (
 
 	"github.com/example/vectrace/internal/baseline"
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/kernels"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
 // buildGraph compiles and traces a kernel and returns the whole-program DDG.
-func buildGraph(t *testing.T, k kernels.Kernel) (*ddg.Graph, *trace.Trace) {
+func buildGraph(t *testing.T, k kernels.Kernel) (*reference.Graph, *trace.Trace) {
 	t.Helper()
 	mod, _, tr, err := testprog.CompileAndTrace(k.Name+".c", k.Source)
 	if err != nil {
@@ -23,7 +23,7 @@ func buildGraph(t *testing.T, k kernels.Kernel) (*ddg.Graph, *trace.Trace) {
 	if mod.NumInstrs == 0 {
 		t.Fatalf("%s: empty module", k.Name)
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		t.Fatalf("build DDG: %v", err)
 	}
@@ -34,7 +34,7 @@ func buildGraph(t *testing.T, k kernels.Kernel) (*ddg.Graph, *trace.Trace) {
 }
 
 // candidateAt returns the unique candidate instruction on the marked line.
-func candidateAt(t *testing.T, g *ddg.Graph, k kernels.Kernel, marker string, bin ir.BinOp) int32 {
+func candidateAt(t *testing.T, g *reference.Graph, k kernels.Kernel, marker string, bin ir.BinOp) int32 {
 	t.Helper()
 	line := k.LineOf(marker)
 	var found []int32
@@ -60,7 +60,7 @@ func TestFigure1Partitions(t *testing.T) {
 	g, tr := buildGraph(t, k)
 	s2 := candidateAt(t, g, k, "@S2", ir.MulOp)
 
-	parts := core.Partitions(g, s2, core.Options{})
+	parts := reference.Partitions(g, s2, core.Options{})
 	if len(parts) != n-1 {
 		t.Fatalf("S2 partitions = %d, want %d", len(parts), n-1)
 	}
@@ -71,11 +71,11 @@ func TestFigure1Partitions(t *testing.T) {
 	}
 
 	// Properties 3.1: independence and earliest scheduling.
-	ts := core.Timestamps(g, s2, core.Options{})
-	if err := core.VerifyIndependence(g, s2, ts); err != nil {
+	ts := reference.Timestamps(g, s2, core.Options{})
+	if err := reference.VerifyIndependence(g, s2, ts); err != nil {
 		t.Fatalf("independence: %v", err)
 	}
-	if err := core.VerifyEarliest(g, s2, ts); err != nil {
+	if err := reference.VerifyEarliest(g, s2, ts); err != nil {
 		t.Fatalf("earliest: %v", err)
 	}
 
@@ -99,7 +99,7 @@ func TestFigure1Partitions(t *testing.T) {
 
 	// S1 is a serial chain: N-1 singleton partitions.
 	s1 := candidateAt(t, g, k, "@S1", ir.MulOp)
-	s1parts := core.Partitions(g, s1, core.Options{})
+	s1parts := reference.Partitions(g, s1, core.Options{})
 	if len(s1parts) != n-1 {
 		t.Fatalf("S1 partitions = %d, want %d", len(s1parts), n-1)
 	}
@@ -119,7 +119,7 @@ func TestFigure1UnitStride(t *testing.T) {
 	g, _ := buildGraph(t, k)
 	s2 := candidateAt(t, g, k, "@S2", ir.MulOp)
 
-	rep := core.AnalyzeInstr(g, s2, core.Options{})
+	rep := reference.AnalyzeInstr(g, s2, core.Options{})
 	if rep.Instances != n*(n-1) {
 		t.Fatalf("S2 instances = %d, want %d", rep.Instances, n*(n-1))
 	}
@@ -134,10 +134,10 @@ func TestFigure1UnitStride(t *testing.T) {
 	}
 
 	// Subpartition stride uniformity (invariant 4).
-	parts := core.Partitions(g, s2, core.Options{})
+	parts := reference.Partitions(g, s2, core.Options{})
 	for i := range parts {
-		for _, sp := range core.UnitStrideSubpartitions(g, &parts[i], 8) {
-			if err := core.VerifySubpartitionStrides(g, &sp); err != nil {
+		for _, sp := range reference.UnitStrideSubpartitions(g, &parts[i], 8) {
+			if err := reference.VerifySubpartitionStrides(g, &sp); err != nil {
 				t.Fatalf("partition %d: %v", i, err)
 			}
 		}
@@ -156,14 +156,14 @@ func TestFigure2Partitions(t *testing.T) {
 	s2 := candidateAt(t, g, k, "@S2", ir.MulOp)
 
 	for name, id := range map[string]int32{"S1": s1, "S2": s2} {
-		parts := core.Partitions(g, id, core.Options{})
+		parts := reference.Partitions(g, id, core.Options{})
 		if len(parts) != 1 {
 			t.Fatalf("%s partitions = %d, want 1 (fully parallel)", name, len(parts))
 		}
 		if len(parts[0].Nodes) != n-1 {
 			t.Fatalf("%s partition size = %d, want %d", name, len(parts[0].Nodes), n-1)
 		}
-		rep := core.AnalyzeInstr(g, id, core.Options{})
+		rep := reference.AnalyzeInstr(g, id, core.Options{})
 		if rep.Unit.VecOps != n-1 {
 			t.Fatalf("%s unit vec ops = %d, want %d", name, rep.Unit.VecOps, n-1)
 		}

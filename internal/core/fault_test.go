@@ -18,6 +18,7 @@ import (
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
@@ -55,11 +56,11 @@ func TestAnalyzePanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := core.AnalyzeCtx(context.Background(), g, core.Options{Workers: 1})
+	baseline, err := reference.AnalyzeCtx(context.Background(), g, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,22 +68,23 @@ func TestAnalyzePanicIsolation(t *testing.T) {
 		t.Fatalf("test kernel has %d candidates, want >= 3", len(baseline.PerInstr))
 	}
 	target := baseline.PerInstr[len(baseline.PerInstr)/2].ID
-	restore := core.SetAnalyzeUnitHook(func(id int32) {
+	poison := func(id int32) {
 		if id == target {
 			panic("injected candidate fault")
 		}
-	})
-	defer restore()
+	}
+	defer core.SetAnalyzeUnitHook(poison)()
+	defer reference.SetUnitHook(poison)()
 
 	engines := []struct {
 		name string
 		run  func() (*core.Report, error)
 	}{
 		{"graph workers=1", func() (*core.Report, error) {
-			return core.AnalyzeCtx(context.Background(), g, core.Options{Workers: 1})
+			return reference.AnalyzeCtx(context.Background(), g, core.Options{Workers: 1})
 		}},
 		{"graph workers=4", func() (*core.Report, error) {
-			return core.AnalyzeCtx(context.Background(), g, core.Options{Workers: 4})
+			return reference.AnalyzeCtx(context.Background(), g, core.Options{Workers: 4})
 		}},
 		{"stream", func() (*core.Report, error) {
 			return pipeline.AnalyzeRegion(context.Background(), tr, ddg.Options{}, core.Options{})
@@ -267,7 +269,7 @@ void main() { printi(down(500)); }
 // attempting the allocation.
 func TestBudgetAnalysisBytes(t *testing.T) {
 	g := buildKernelGraph(t, parallelTestSources[0])
-	_, err := core.AnalyzeCtx(context.Background(), g, core.Options{
+	_, err := reference.AnalyzeCtx(context.Background(), g, core.Options{
 		Budget: core.Budget{MaxAnalysisBytes: 64},
 	})
 	if !errors.Is(err, core.ErrResourceLimit) {
@@ -275,11 +277,11 @@ func TestBudgetAnalysisBytes(t *testing.T) {
 	}
 	// A budget that binds nowhere must still succeed and match the
 	// unbudgeted report exactly.
-	want, err := core.AnalyzeCtx(context.Background(), g, core.Options{Workers: 2})
+	want, err := reference.AnalyzeCtx(context.Background(), g, core.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.AnalyzeCtx(context.Background(), g, core.Options{
+	got, err := reference.AnalyzeCtx(context.Background(), g, core.Options{
 		Workers: 2,
 		Budget:  core.Budget{MaxAnalysisBytes: 8 << 20},
 	})
@@ -297,7 +299,7 @@ func TestAnalyzeCtxMatchesAnalyze(t *testing.T) {
 	for _, src := range parallelTestSources {
 		g := buildKernelGraph(t, src)
 		want := mustAnalyze(t, g, core.Options{Workers: 2})
-		got, err := core.AnalyzeCtx(context.Background(), g, core.Options{Workers: 2})
+		got, err := reference.AnalyzeCtx(context.Background(), g, core.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 )
 
@@ -31,7 +32,7 @@ void main() {
 	}
 
 	// Default (paper) mode: no floating-point candidates at all.
-	base, err := ddg.Build(tr)
+	base, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ void main() {
 	}
 
 	// Integer characterization: the saxpy's mul/add are analyzed.
-	g, err := ddg.BuildOpts(tr, ddg.Options{CharacterizeInts: true})
+	g, err := reference.BuildOpts(tr, ddg.Options{CharacterizeInts: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.BuildOpts(tr, ddg.Options{CharacterizeInts: true})
+	g, err := reference.BuildOpts(tr, ddg.Options{CharacterizeInts: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 )
 
@@ -53,13 +53,13 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 }
 
 // buildKernelGraph compiles and traces a small source and returns its DDG.
-func buildKernelGraph(t *testing.T, src string) *ddg.Graph {
+func buildKernelGraph(t *testing.T, src string) *reference.Graph {
 	t.Helper()
 	_, _, tr, err := testprog.CompileAndTrace("k.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,16 +116,16 @@ func TestAnalyzeInstrMatchesAnalyze(t *testing.T) {
 		t.Fatal("no candidates analyzed")
 	}
 	for _, want := range rep.PerInstr {
-		got := core.AnalyzeInstr(g, want.ID, core.Options{})
+		got := reference.AnalyzeInstr(g, want.ID, core.Options{})
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("instr %d: AnalyzeInstr = %+v, Analyze entry = %+v", want.ID, got, want)
 		}
 	}
 }
 
-// TestAnalyzeRepeatedReuse runs Analyze many times on the same graph so the
-// scratch pool recycles buffers across calls; any stale-state bug (a buffer
-// returned dirty and trusted clean) shows up as a diverging report.
+// TestAnalyzeRepeatedReuse runs the reference analysis many times on the
+// same graph, which shares its lazily built views across calls and
+// workers; any stale-state bug shows up as a diverging report.
 func TestAnalyzeRepeatedReuse(t *testing.T) {
 	g := buildKernelGraph(t, parallelTestSources[1])
 	base := mustAnalyze(t, g, core.Options{Workers: 1})
@@ -138,9 +138,9 @@ func TestAnalyzeRepeatedReuse(t *testing.T) {
 }
 
 // mustAnalyze runs the graph reference, failing the test on error.
-func mustAnalyze(tb testing.TB, g *ddg.Graph, opts core.Options) *core.Report {
+func mustAnalyze(tb testing.TB, g *reference.Graph, opts core.Options) *core.Report {
 	tb.Helper()
-	rep, err := core.AnalyzeCtx(context.Background(), g, opts)
+	rep, err := reference.AnalyzeCtx(context.Background(), g, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/kernels"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 )
 
@@ -20,7 +20,7 @@ func TestParallelismProfileListing1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +69,13 @@ func TestProfileMatchesPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id := range g.CandidateInstances() {
 		prof := profileOf(g, id, core.Options{})
-		parts := core.Partitions(g, id, core.Options{})
+		parts := reference.Partitions(g, id, core.Options{})
 		total := 0
 		for _, p := range parts {
 			if prof.Histogram[p.Timestamp-1] != len(p.Nodes) {
@@ -108,9 +108,9 @@ type parallelismProfile struct {
 }
 
 // profileOf computes the parallelism profile of static instruction id.
-func profileOf(g *ddg.Graph, id int32, opts core.Options) parallelismProfile {
+func profileOf(g *reference.Graph, id int32, opts core.Options) parallelismProfile {
 	inst := g.Instances(id)
-	ts := core.Timestamps(g, id, opts)
+	ts := reference.Timestamps(g, id, opts)
 	var max int32
 	for _, n := range inst {
 		if ts[n] > max {

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/obs"
 )
 
@@ -40,12 +38,31 @@ type InstrReport struct {
 
 // StrideSummary is the per-instruction slice of a stride analysis.
 type StrideSummary struct {
-	VecOps        int
+	// VecOps counts instances in non-singleton uniform-stride
+	// subpartitions — the potentially vectorizable operations.
+	VecOps int
+	// Subpartitions counts the non-singleton subpartitions.
 	Subpartitions int
-	SumSizes      int
+	// SumSizes accumulates their sizes; AvgVecSize = SumSizes/Subpartitions.
+	SumSizes int
 }
 
-// AvgVecSize returns the mean non-singleton subpartition size.
+// add counts one non-singleton subpartition of size members.
+func (s *StrideSummary) add(size int) {
+	s.VecOps += size
+	s.Subpartitions++
+	s.SumSizes += size
+}
+
+// merge adds o's counts to s.
+func (s *StrideSummary) merge(o StrideSummary) {
+	s.VecOps += o.VecOps
+	s.Subpartitions += o.Subpartitions
+	s.SumSizes += o.SumSizes
+}
+
+// AvgVecSize returns the mean non-singleton subpartition size, the
+// paper's "Average Vec. Size" column.
 func (s StrideSummary) AvgVecSize() float64 {
 	if s.Subpartitions == 0 {
 		return 0
@@ -83,131 +100,39 @@ type Report struct {
 }
 
 // analyzeUnitHook, when non-nil, observes the start of every
-// per-candidate analysis stage in both engines. It exists for
+// per-candidate analysis stage in the stream kernel's Finish. It exists for
 // fault-injection tests — injecting panics and delays into the sweep — and
 // is never set outside tests (see SetAnalyzeUnitHook in export_test.go).
 var analyzeUnitHook func(id int32)
 
-// AnalyzeCtx runs the complete §3 pipeline over the graph: Algorithm 1 per
-// candidate instruction, unit-stride subpartitioning of every parallel
-// partition, and the non-unit stride analysis of the leftovers.
-//
-// It is the graph reference the stream kernel is tested against: one
-// Algorithm-1 sweep of the whole graph per candidate, fanned out across
-// opts.WorkerCount() workers. Results land in index-addressed slots and
-// all aggregation happens afterwards over integer counters in candidate-id
-// order, making the output byte-identical for every worker count.
-//
-// Its failure model: cooperative cancellation through ctx (checked
-// between candidates), the opts.Budget.MaxAnalysisBytes working-set bound
-// (exceeded ⇒ an error wrapping ErrResourceLimit, before any large
-// allocation), and per-unit panic isolation (a poisoned candidate surfaces as a *UnitError naming
-// it, while every other candidate's row is computed normally).
-//
-// On error the returned report is still populated with the successful
-// candidates' rows — degraded, never silently partial: the error lists
-// every failed unit. The report is nil only when nothing was analyzed
-// (budget exceeded or canceled before the sweep).
-func AnalyzeCtx(ctx context.Context, g *ddg.Graph, opts Options) (*Report, error) {
-	rep := &Report{TotalNodes: g.NumNodes()}
-	instances := g.CandidateInstances()
-	ids := make([]int32, 0, len(instances))
-	for id := range instances {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if len(ids) == 0 {
-		return rep, nil
-	}
-	if err := Canceled(ctx); err != nil {
-		return nil, err
-	}
-	if err := opts.Budget.checkAnalysisBudget(len(g.Nodes), len(ids)); err != nil {
-		return nil, err
-	}
-
-	// The recorder is resolved once per analysis, never per node or per
-	// candidate; a nil recorder reduces every hook below to one branch.
-	rec := obs.FromContext(ctx)
-	if rec != nil {
-		rec.Add(obs.DDGNodes, int64(g.NumNodes()))
-		rec.Add(obs.DDGEdges, g.NumEdges())
-		rec.Add(obs.CandidatesAnalyzed, int64(len(ids)))
-		rec.Set(obs.BudgetMaxAnalysisBytes, opts.Budget.MaxAnalysisBytes)
-		rec.Max(obs.AnalysisFootprintBytes, analysisFootprint(len(g.Nodes), len(ids), opts.WorkerCount()))
-	}
-
-	results := make([]InstrReport, len(ids))
-	sweepErr := ParallelFor(ctx, len(ids), opts.WorkerCount(), func(i int) error {
-		return Guard(i, "candidate", int64(ids[i]), func() error {
-			if analyzeUnitHook != nil {
-				analyzeUnitHook(ids[i])
-			}
-			sc := getScratch(len(g.Nodes), rec)
-			defer sc.release()
-			results[i] = analyzeInstr(g, ids[i], instances[ids[i]], opts, sc)
-			return nil
-		})
-	})
-	if sweepErr != nil {
-		// Reset slots the sweep never reached (cancellation) or left
-		// poisoned to identity-only rows, so the degraded report still names
-		// every candidate and sorts exactly like the no-fault report. A
-		// successful row always carries the instruction's printed form, so
-		// an empty Text identifies a degraded slot.
-		for i := range results {
-			if results[i].Text == "" {
-				in := g.Mod.InstrAt(ids[i])
-				results[i] = InstrReport{ID: ids[i], Line: in.Pos.Line, AssignID: in.AssignID}
-			}
-		}
-	}
-
-	rep.aggregate(results, rec)
-	return rep, sweepErr
-}
-
 // aggregate installs the per-candidate rows in rep, fills the region-wide
 // metrics from them, records their counters, and sorts the rows by source
-// line then ID. Both engines end here, so their reports agree field for
-// field.
+// line then ID.
 func (rep *Report) aggregate(results []InstrReport, rec *obs.Recorder) {
-	totalOps := 0
-	totalPartitions := 0
-	unitVecOps, unitSubparts, unitSum := 0, 0, 0
-	nonVecOps, nonSubparts, nonSum := 0, 0, 0
+	partitions := 0
+	var unit, non StrideSummary
 	for i := range results {
 		r := &results[i]
-		totalOps += r.Instances
-		totalPartitions += r.Partitions
-		unitVecOps += r.Unit.VecOps
-		unitSubparts += r.Unit.Subpartitions
-		unitSum += r.Unit.SumSizes
-		nonVecOps += r.NonUnit.VecOps
-		nonSubparts += r.NonUnit.Subpartitions
-		nonSum += r.NonUnit.SumSizes
+		rep.TotalCandidateOps += r.Instances
+		partitions += r.Partitions
+		unit.merge(r.Unit)
+		non.merge(r.NonUnit)
 	}
 	rep.PerInstr = results
 	if rec != nil {
-		rec.Add(obs.PartitionsEmitted, int64(totalPartitions))
-		rec.Add(obs.UnitVecOps, int64(unitVecOps))
-		rec.Add(obs.NonUnitVecOps, int64(nonVecOps))
+		rec.Add(obs.PartitionsEmitted, int64(partitions))
+		rec.Add(obs.UnitVecOps, int64(unit.VecOps))
+		rec.Add(obs.NonUnitVecOps, int64(non.VecOps))
 	}
-
-	rep.TotalCandidateOps = totalOps
-	if totalPartitions > 0 {
-		rep.AvgConcurrency = float64(totalOps) / float64(totalPartitions)
+	if partitions > 0 {
+		rep.AvgConcurrency = float64(rep.TotalCandidateOps) / float64(partitions)
 	}
-	if totalOps > 0 {
-		rep.UnitVecOpsPct = 100 * float64(unitVecOps) / float64(totalOps)
-		rep.NonUnitVecOpsPct = 100 * float64(nonVecOps) / float64(totalOps)
+	if ops := rep.TotalCandidateOps; ops > 0 {
+		rep.UnitVecOpsPct = 100 * float64(unit.VecOps) / float64(ops)
+		rep.NonUnitVecOpsPct = 100 * float64(non.VecOps) / float64(ops)
 	}
-	if unitSubparts > 0 {
-		rep.UnitAvgVecSize = float64(unitSum) / float64(unitSubparts)
-	}
-	if nonSubparts > 0 {
-		rep.NonUnitAvgVecSize = float64(nonSum) / float64(nonSubparts)
-	}
+	rep.UnitAvgVecSize = unit.AvgVecSize()
+	rep.NonUnitAvgVecSize = non.AvgVecSize()
 
 	sort.SliceStable(rep.PerInstr, func(i, j int) bool {
 		if rep.PerInstr[i].Line != rep.PerInstr[j].Line {
@@ -215,63 +140,6 @@ func (rep *Report) aggregate(results []InstrReport, rec *obs.Recorder) {
 		}
 		return rep.PerInstr[i].ID < rep.PerInstr[j].ID
 	})
-}
-
-// AnalyzeInstr runs the pipeline for a single static instruction.
-func AnalyzeInstr(g *ddg.Graph, id int32, opts Options) InstrReport {
-	sc := getScratch(len(g.Nodes), nil)
-	defer sc.release()
-	return analyzeInstr(g, id, g.Instances(id), opts, sc)
-}
-
-// analyzeInstr is the complete per-candidate pipeline — one Algorithm 1
-// sweep for this candidate alone, then the shared post-timestamp stages —
-// over the precomputed instance list, using the scratch's recycled buffers.
-// It is the unit of work of AnalyzeCtx and AnalyzeInstr, and it only reads
-// shared state.
-func analyzeInstr(g *ddg.Graph, id int32, inst []int32, opts Options, sc *instrScratch) InstrReport {
-	red := detectReductionInst(g, id, inst)
-	var cut *reductionInfo
-	if opts.RelaxReductions {
-		cut = red
-	}
-	fillTimestampsRed(g, id, cut, sc.ts)
-	if cap(sc.instTS) < len(inst) {
-		sc.instTS = make([]int32, len(inst))
-	}
-	instTS := sc.instTS[:len(inst)]
-	for k, n := range inst {
-		instTS[k] = sc.ts[n]
-	}
-	return finishInstr(g, id, inst, instTS, red, sc)
-}
-
-// finishInstr runs the stages after timestamping — partitioning,
-// unit-stride subpartitioning, the non-unit wait-list analysis, and report
-// assembly — for one candidate. It consumes only per-instance timestamps
-// (instTS parallel to inst), gathered from the sweep's whole-graph array.
-func finishInstr(g *ddg.Graph, id int32, inst, instTS []int32, red *reductionInfo, sc *instrScratch) InstrReport {
-	parts := sc.partition(inst, instTS)
-	elem := elemSizeOf(g, id)
-	unit, non := strideStats(g, parts, elem, sc)
-	var cp int32
-	for _, t := range instTS {
-		if t > cp {
-			cp = t
-		}
-	}
-	in := g.Mod.InstrAt(id)
-	rep := InstrReport{
-		ID: id, Line: in.Pos.Line, AssignID: in.AssignID, Text: in.String(),
-		Instances: len(inst), Partitions: len(parts), CriticalPath: cp,
-		Unit:        StrideSummary{VecOps: unit.VecOps, Subpartitions: unit.Subpartitions, SumSizes: unit.SumSizes},
-		NonUnit:     StrideSummary{VecOps: non.VecOps, Subpartitions: non.Subpartitions, SumSizes: non.SumSizes},
-		IsReduction: red != nil,
-	}
-	if len(parts) > 0 {
-		rep.AvgPartitionSize = float64(len(inst)) / float64(len(parts))
-	}
-	return rep
 }
 
 // StatementGroup aggregates the per-instruction reports of one source

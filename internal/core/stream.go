@@ -1,16 +1,15 @@
 package core
 
 // The one-pass stream kernel: Algorithm 1 evaluated directly over the
-// region's event stream, without materializing a ddg.Graph first. It is
-// the only Algorithm-1 engine the shipped binaries run; the graph sweep in
-// report.go (AnalyzeCtx) is the reference the tests compare it against.
+// region's event stream, without materializing the dynamic
+// data-dependence graph first. It is the only Algorithm-1 engine in the
+// production packages.
 //
 // The paper's timestamp recurrence needs only, at each dynamic event, the
-// timestamps of that event's flow predecessors. The materialized builder
-// resolves those predecessors through last-writer state it carries anyway
-// (a register→producer table per frame and a last-store map per address);
-// this kernel carries the same tables but stores, per producer, a
-// *timestamp row* — one int32 per active candidate column — instead of a
+// timestamps of that event's flow predecessors. The kernel resolves those
+// predecessors through last-writer state — a register→producer table per
+// frame and a last-store table per address — and stores, per producer, a
+// *timestamp row*: one int32 per active candidate column, instead of a
 // node index into an O(events) graph. Peak memory is therefore
 // O(live values × active candidates + candidate instances), independent of
 // the region's event count:
@@ -19,7 +18,7 @@ package core
 //   - shadow memory: one row per address with a live last store (plus, under
 //     IncludeAntiOutput, one running-max row over the readers since it);
 //   - per candidate column: the per-instance timestamp/tuple arrays the
-//     partitioning and stride stages consume.
+//     partitioning and stride stages (stride.go) consume.
 //
 // Columns are assigned lazily, in order of first dynamic appearance, and
 // rows are extended lazily: a row written when the width was w' < w
@@ -31,18 +30,20 @@ package core
 // carries the accumulator; Relax keeps those records for the columns that
 // qualify as reductions and resets the region, and the second feed of the
 // same events computes those columns' instance timestamps without the
-// recorded operand — the cut the graph reference makes.
+// recorded operand's dependence.
 //
-// Equivalence with ddg.BuildOpts + AnalyzeCtx is enforced by differential
-// tests (stream_test.go and the pipeline suites, whose reference builds
-// each region's graph independently). No shipped command builds a graph:
-// the Figure 1–2 partitions come from InstanceTimestamps, and the
-// Kumar/Larus baselines replay the stream themselves (internal/baseline).
+// The graph formulation (internal/reference: the DDG, its Algorithm-1
+// sweep, and the paper's checkers) is the oracle this kernel is
+// differentially tested against; the two share no algorithm code. No
+// shipped command builds a graph: the Figure 1–2 partitions come from
+// InstanceTimestamps, and the Kumar/Larus baselines replay the stream
+// themselves (internal/baseline).
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -67,7 +68,7 @@ const (
 // need (candidate column/instance for store patching, load address and the
 // load's producing store for operand tuples and reduction round trips).
 // Copies of the descriptor travel through call arguments and return values
-// exactly as the materialized builder propagates producer node indices.
+// with the value itself.
 type streamVal struct {
 	row         []int32
 	instr       int32 // producing static instruction, -1 when unwritten
@@ -75,12 +76,12 @@ type streamVal struct {
 	inst        int32 // instance index within the column (when cand >= 0)
 	storedInstr int32 // for loads: the producing store's value instr, -1
 	loadAddr    int64 // for loads: the accessed address
-	node        int64 // the producing event's index: the graph's node identity
+	node        int64 // the producing event's index: the value's identity
 	isLoad      bool
 }
 
 // streamFrame is one call-stack entry of the replay: the register file of
-// producer descriptors, mirroring ddg's frame of producer node indices.
+// producer descriptors.
 type streamFrame struct {
 	fn        *ir.Function
 	callerDst ir.Reg
@@ -138,8 +139,7 @@ func accumBits(p *streamVal, id int32, reg, load uint8) uint8 {
 // i, or 0: the first of X, Y that is an earlier instance of the column
 // (a register chain) or a load of the address the instance's value is
 // first stored to, whose last store held an earlier instance's value (the
-// s += expr round trip). X before Y is the P1-then-P2 order in which
-// accumPredOf searches the graph.
+// s += expr round trip). X is searched before Y.
 func (ca *candCol) accumOp(i int) uint8 {
 	a, t := ca.acc[i], &ca.tup[i]
 	rt := t[0] != ddg.NoAddr && t[0] != 0
@@ -152,9 +152,20 @@ func (ca *candCol) accumOp(i int) uint8 {
 	return 0
 }
 
-// isReduction applies detectReductionInst's rule to the column: an
-// eligible instruction with at least three instances, at least half of
-// those after the first carrying an accumulator.
+// reductionEligible reports whether the static instruction's opcode can
+// participate in a reassociable reduction: a floating-point add, sub, or
+// mul (div is not reassociable, and integer candidates are excluded to
+// match the paper's FP reduction discussion).
+func reductionEligible(in *ir.Instr) bool {
+	if !(in.Op == ir.OpBin && in.Type.IsFloat()) {
+		return false
+	}
+	return in.Bin == ir.AddOp || in.Bin == ir.SubOp || in.Bin == ir.MulOp
+}
+
+// isReduction reports whether the column behaves as a reduction in this
+// region: an eligible instruction with at least three instances, at least
+// half of those after the first carrying an accumulator.
 func (ca *candCol) isReduction() bool {
 	n := len(ca.instTS)
 	if !ca.elig || n < 3 {
@@ -172,8 +183,8 @@ func (ca *candCol) isReduction() bool {
 // shadowCell is the last-writer state of one memory address: the last
 // store's timestamp row and value provenance, plus (under IncludeAntiOutput)
 // a running elementwise max over the rows of readers since that store and
-// their count — enough to reproduce the oracle's anti/output edges without
-// keeping the reader nodes.
+// their count — enough to reproduce the anti/output edges without keeping
+// the reader nodes.
 type shadowCell struct {
 	row      []int32
 	readers  []int32
@@ -256,12 +267,11 @@ type StreamKernel struct {
 	pair      [2][]int32
 	branch    []int32
 	branchSet bool
-	iota      []int32
 	order     []int32
-	fin       instrScratch
+	fin       finishScratch
 
 	n         int64 // events fed
-	edges     int64 // dependence edges the materialized graph would hold
+	edges     int64 // dependence edges of the region's DDG
 	live      int64 // current nominal working set, for Budget accounting
 	peak      int64
 	peakAddrs int
@@ -274,7 +284,7 @@ type StreamKernel struct {
 var streamKernelPool = sync.Pool{New: func() any { return new(StreamKernel) }}
 
 // AcquireStreamKernel checks a one-pass kernel out of the pool, configured
-// for one region of a trace of mod under the given graph and analysis
+// for one region of a trace of mod under the given dependence and analysis
 // options. A non-nil recorder tallies the checkout as a pool hit (recycled
 // tables) or miss (fresh allocation). Callers must Release the kernel.
 func AcquireStreamKernel(mod *ir.Module, dopts ddg.Options, opts Options, rec *obs.Recorder) *StreamKernel {
@@ -413,9 +423,8 @@ func (k *StreamKernel) Relax() bool {
 }
 
 // InstanceTimestamps returns the Algorithm-1 timestamps of candidate id's
-// instances fed so far, in trace order (nil when id has none): the values
-// the graph's Timestamps assigns those instances. Instances sharing a
-// timestamp form one partition. The slice is the kernel's own and is valid
+// instances fed so far, in trace order (nil when id has none). Instances
+// sharing a timestamp form one partition. The slice is the kernel's own and is valid
 // until the next Feed, Relax or Release.
 func (k *StreamKernel) InstanceTimestamps(id int32) []int32 {
 	if id < 0 || int(id) >= len(k.colOf) || k.colOf[id] < 0 {
@@ -518,7 +527,7 @@ func rowMaxInto(dst []int32, w int, rows [][]int32) []int32 {
 
 // cutMax returns column c's maximum over the predecessors of a relaxed
 // instance, leaving out the accumulator operand op names. The cut is by
-// node, as in the graph: when both operands are the same node (s = s + s)
+// producing event: when both operands are the same value (s = s + s)
 // neither counts.
 func (k *StreamKernel) cutMax(c int32, op uint8, px, py *streamVal) int32 {
 	cut := px
@@ -537,9 +546,8 @@ func (k *StreamKernel) cutMax(c int32, op uint8, px, py *streamVal) int32 {
 	return m
 }
 
-// val resolves an operand to its live producer descriptor, mirroring the
-// materialized builder's producer(): nil for constants, out-of-range
-// registers, and unwritten registers.
+// val resolves an operand to its live producer descriptor: nil for
+// constants, out-of-range registers, and unwritten registers.
 func (k *StreamKernel) val(f *streamFrame, o ir.Operand) *streamVal {
 	if o.Kind != ir.KindReg || int(o.Reg) >= len(f.regs) {
 		return nil
@@ -564,7 +572,7 @@ func provAddr(v *streamVal, o ir.Operand) int64 {
 }
 
 // stageControl stages the control edge from the most recent conditional
-// branch, exactly where the materialized builder's flush would append it.
+// branch, after the event's data predecessors.
 func (k *StreamKernel) stageControl() {
 	if k.dopts.IncludeControl && k.branchSet {
 		k.preds = append(k.preds, k.branch)
@@ -708,8 +716,7 @@ func (k *StreamKernel) colFor(id int32, in *ir.Instr) int32 {
 	return c
 }
 
-// Feed consumes one trace event in trace order. It mirrors the
-// materialized builder's replay case by case; errors (frame mismatch,
+// Feed consumes one trace event in trace order. Errors (frame mismatch,
 // budget exceeded) latch — subsequent calls return the same error and the
 // kernel stops consuming.
 func (k *StreamKernel) Feed(id int32, addr int64) error {
@@ -878,8 +885,7 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 				*dst = streamVal{row: buf, instr: rp.instr, cand: rp.cand, inst: rp.inst,
 					storedInstr: rp.storedInstr, loadAddr: rp.loadAddr, node: rp.node, isLoad: rp.isLoad}
 			} else {
-				// The oracle clears the caller's register on a
-				// producer-less return.
+				// A producer-less return clears the caller's register.
 				r := dst.row
 				*dst = streamVal{row: r, instr: -1, cand: -1, storedInstr: -1}
 			}
@@ -967,10 +973,11 @@ func (k *StreamKernel) Feed(id int32, addr int64) error {
 }
 
 // Finish completes the region: partitions every candidate column, runs the
-// §3.2/§3.3 stride stages over the online tuples, and assembles the Report
-// exactly as AnalyzeCtx does over a materialized graph — same obs counters,
-// same per-candidate Guard isolation, same degraded-slot and aggregation
-// rules, same sort. Callers Release the kernel afterwards either way.
+// §3.2/§3.3 stride stages over the online tuples, and assembles the Report.
+// Each candidate runs under Guard: a panicking candidate becomes a
+// *UnitError and keeps only its identity row (ID, Line, AssignID), while
+// every other row is computed. Callers Release the kernel afterwards either
+// way.
 func (k *StreamKernel) Finish(ctx context.Context) (*Report, error) {
 	if k.err != nil {
 		return nil, k.err
@@ -1025,40 +1032,19 @@ func (k *StreamKernel) Finish(ctx context.Context) (*Report, error) {
 	return rep, errors.Join(unitErrs...)
 }
 
-// finishCand runs the post-timestamp stages for one candidate column. The
-// instance handles handed to partition/stride are iota positions into the
-// column's parallel arrays; the mapping to the oracle's node indices is
-// order-preserving, so every grouping and every group size is identical.
+// finishCand runs the post-timestamp stages for one candidate column:
+// partitioning, the stride stages over the column's tuples, and the
+// candidate's report row.
 func (k *StreamKernel) finishCand(ca *candCol) InstrReport {
 	nInst := len(ca.instTS)
-	for len(k.iota) < nInst {
-		k.iota = append(k.iota, int32(len(k.iota)))
-	}
-	inst := k.iota[:nInst]
-	sc := &k.fin
-	parts := sc.partition(inst, ca.instTS)
+	parts := k.fin.partition(ca.instTS)
 	in := k.mod.InstrAt(ca.id)
-	tup := func(p int32) [3]int64 {
-		t := ca.tup[p]
-		if t[0] == ddg.NoAddr {
-			t[0] = 0 // never stored: the paper's artificial address
-		}
-		return t
-	}
-	unit, non := strideStatsFn(tup, parts, in.Type.Size(), sc)
-	var cp int32
-	for _, t := range ca.instTS {
-		if t > cp {
-			cp = t
-		}
-	}
 	rep := InstrReport{
 		ID: ca.id, Line: in.Pos.Line, AssignID: in.AssignID, Text: in.String(),
-		Instances: nInst, Partitions: len(parts), CriticalPath: cp,
-		Unit:        StrideSummary{VecOps: unit.VecOps, Subpartitions: unit.Subpartitions, SumSizes: unit.SumSizes},
-		NonUnit:     StrideSummary{VecOps: non.VecOps, Subpartitions: non.Subpartitions, SumSizes: non.SumSizes},
+		Instances: nInst, Partitions: len(parts), CriticalPath: slices.Max(ca.instTS),
 		IsReduction: ca.isReduction(),
 	}
+	rep.Unit, rep.NonUnit = k.fin.strideStats(ca.tup, parts, in.Type.Size())
 	if len(parts) > 0 {
 		rep.AvgPartitionSize = float64(nInst) / float64(len(parts))
 	}

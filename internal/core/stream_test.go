@@ -5,8 +5,8 @@ package core_test
 // graph-option variant, feeding a region's events through
 // AcquireStreamKernel/Feed/(Relax, Feed)/Finish must produce a Report
 // byte-identical (reflect.DeepEqual) to materializing the region with
-// ddg.BuildOpts and analyzing it with the per-candidate graph reference
-// core.AnalyzeCtx, with and without RelaxReductions. The
+// reference.BuildOpts and analyzing it with the per-candidate graph reference
+// reference.AnalyzeCtx, with and without RelaxReductions. The
 // streaming-region-level differentials live in internal/pipeline.
 
 import (
@@ -21,6 +21,7 @@ import (
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
@@ -108,11 +109,11 @@ func oneShot(t *testing.T, tr *trace.Trace, dopts ddg.Options, opts core.Options
 // materialized is the oracle: build the full graph, analyze it.
 func materialized(t *testing.T, tr *trace.Trace, dopts ddg.Options, opts core.Options) (*core.Report, error) {
 	t.Helper()
-	g, err := ddg.BuildOpts(tr, dopts)
+	g, err := reference.BuildOpts(tr, dopts)
 	if err != nil {
-		t.Fatalf("ddg.BuildOpts: %v", err)
+		t.Fatalf("reference.BuildOpts: %v", err)
 	}
-	return core.AnalyzeCtx(context.Background(), g, opts)
+	return reference.AnalyzeCtx(context.Background(), g, opts)
 }
 
 var streamDoptsVariants = []struct {
@@ -266,11 +267,11 @@ func TestStreamKernelCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
-		t.Fatalf("ddg.Build: %v", err)
+		t.Fatalf("reference.Build: %v", err)
 	}
-	_, wantErr := core.AnalyzeCtx(ctx, g, core.Options{})
+	_, wantErr := reference.AnalyzeCtx(ctx, g, core.Options{})
 
 	k := core.AcquireStreamKernel(tr.Module, ddg.Options{}, core.Options{}, nil)
 	defer k.Release()

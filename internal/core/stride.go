@@ -1,10 +1,17 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/example/vectrace/internal/ddg"
 )
+
+// This file holds the stream kernel's post-timestamp stages for one
+// candidate column: partitioning its instances by timestamp, and the §3.2
+// and §3.3 stride analyses over the column's own tuple array. Instances are
+// named by their position in the column (the k-th instance in trace
+// order), which indexes instTS and tup directly.
 
 // Subpartition is a set of instances from one parallel partition that are
 // independent AND access memory with a uniform stride: the viable unit of
@@ -23,28 +30,86 @@ type Subpartition struct {
 // length for this group.
 func (s *Subpartition) Size() int { return len(s.Nodes) }
 
-// tupleFn resolves an instance handle to its memory-access tuple. The
-// graph-backed analyses resolve node indices through tupleOf; the one-pass
-// stream kernel resolves per-candidate instance positions into its online
-// tuple array. The stride machinery below is agnostic: it only compares and
-// subtracts tuples, so any order-preserving handle space yields identical
-// groupings.
-type tupleFn func(n int32) [3]int64
-
-// graphTuple adapts a materialized graph to the tupleFn interface.
-func graphTuple(g *ddg.Graph) tupleFn {
-	return func(n int32) [3]int64 { return tupleOf(&g.Nodes[n]) }
+// finishScratch holds the reusable buffers of one candidate's
+// post-timestamp stages; each kernel keeps one, so successive candidates
+// and regions recycle them.
+type finishScratch struct {
+	// counts is indexed by timestamp (1..maxTS) during partition bucketing.
+	counts []int32
+	// backing is the single allocation all of one candidate's partition
+	// member lists are sliced from.
+	backing []int32
+	// parts is the reused partition header slice.
+	parts []Partition
+	// singles collects one partition's unit-stride singleton leftovers for
+	// the §3.3 wait-list analysis.
+	singles []int32
+	// visit, when non-nil, sees every subpartition the stride stages form
+	// (see export_test.go); nil in production.
+	visit func(nonUnit bool, sp Subpartition)
 }
 
-// sortByTupleFn orders instance handles by their memory-access tuples
-// (lexicographically), the order in which uniform strides become adjacent.
-func sortByTupleFn(tup tupleFn, nodes []int32) []int32 {
-	sorted := make([]int32, len(nodes))
-	copy(sorted, nodes)
+// partition buckets a candidate's instances by timestamp. instTS holds
+// the instances' timestamps in trace order; members are positions into it.
+// Timestamps of instances are contiguous in 1..maxTS (each instance
+// increments its own timestamp, so no instance sits at 0), which makes a
+// counting sort both allocation-lean and deterministic: every bucket keeps
+// its members in trace order, and buckets are emitted in increasing
+// timestamp order.
+//
+// The returned partitions alias sc.backing and sc.parts; they are valid
+// until the scratch's next partition call.
+func (sc *finishScratch) partition(instTS []int32) []Partition {
+	sc.parts = sc.parts[:0]
+	if len(instTS) == 0 {
+		return sc.parts
+	}
+	maxTS := slices.Max(instTS)
+	if cap(sc.counts) < int(maxTS)+1 {
+		sc.counts = make([]int32, maxTS+1)
+	} else {
+		sc.counts = sc.counts[:maxTS+1]
+		clear(sc.counts)
+	}
+	counts := sc.counts
+	for _, t := range instTS {
+		counts[t]++
+	}
+	// Exclusive prefix sum: counts[t] becomes bucket t's start offset.
+	var sum int32
+	for t := int32(1); t <= maxTS; t++ {
+		c := counts[t]
+		counts[t] = sum
+		sum += c
+	}
+	if cap(sc.backing) < len(instTS) {
+		sc.backing = make([]int32, len(instTS))
+	}
+	backing := sc.backing[:len(instTS)]
+	for k, t := range instTS {
+		backing[counts[t]] = int32(k)
+		counts[t]++
+	}
+	// counts[t] is now bucket t's end offset; the previous end is its start.
+	prev := int32(0)
+	for t := int32(1); t <= maxTS; t++ {
+		end := counts[t]
+		if end > prev {
+			sc.parts = append(sc.parts, Partition{Timestamp: t, Nodes: backing[prev:end:end]})
+		}
+		prev = end
+	}
+	return sc.parts
+}
+
+// sortByTuple returns the instances sorted lexicographically by memory
+// tuple, ties in their given (trace) order: the order in which uniform
+// strides become adjacent.
+func sortByTuple(tup [][3]int64, nodes []int32) []int32 {
+	sorted := slices.Clone(nodes)
 	sort.SliceStable(sorted, func(i, j int) bool {
-		a := tup(sorted[i])
-		b := tup(sorted[j])
-		for k := 0; k < 3; k++ {
+		a, b := &tup[sorted[i]], &tup[sorted[j]]
+		for k := range a {
 			if a[k] != b[k] {
 				return a[k] < b[k]
 			}
@@ -54,16 +119,12 @@ func sortByTupleFn(tup tupleFn, nodes []int32) []int32 {
 	return sorted
 }
 
-// UnitStrideSubpartitions implements §3.2: the instances of one parallel
+// unitStrideSubpartitions implements §3.2: the instances of one parallel
 // partition are sorted by operand addresses, then scanned; the current
 // subpartition ends when a component stride is non-zero and non-unit, or
 // differs from the previously observed stride for that component.
-func UnitStrideSubpartitions(g *ddg.Graph, p *Partition, elemSize int64) []Subpartition {
-	return unitStrideSubpartitionsFn(graphTuple(g), p.Nodes, elemSize)
-}
-
-func unitStrideSubpartitionsFn(tup tupleFn, nodes []int32, elemSize int64) []Subpartition {
-	sorted := sortByTupleFn(tup, nodes)
+func unitStrideSubpartitions(tup [][3]int64, nodes []int32, elemSize int64) []Subpartition {
+	sorted := sortByTuple(tup, nodes)
 	var out []Subpartition
 	var cur Subpartition
 	flush := func() {
@@ -77,8 +138,7 @@ func unitStrideSubpartitionsFn(tup tupleFn, nodes []int32, elemSize int64) []Sub
 			cur.Nodes = append(cur.Nodes, n)
 			continue
 		}
-		prev := tup(cur.Nodes[len(cur.Nodes)-1])
-		t := tup(n)
+		prev, t := &tup[cur.Nodes[len(cur.Nodes)-1]], &tup[n]
 		ok := true
 		var strides [3]int64
 		for k := 0; k < 3; k++ {
@@ -107,20 +167,17 @@ func unitStrideSubpartitionsFn(tup tupleFn, nodes []int32, elemSize int64) []Sub
 	return out
 }
 
-// NonUnitStrideSubpartitions implements §3.3: the singleton leftovers of the
-// unit-stride analysis (instances of the same static instruction with the
-// same timestamp) are sorted and scanned with a wait list. When the observed
-// stride differs from the current subpartition's established stride, the
-// instance is waitlisted and the scan continues; waitlisted instances are
-// then re-scanned, each pass forming one subpartition, until none remain.
-// Any constant per-component stride is accepted — including the non-unit
-// strides whose presence signals a profitable data-layout transformation.
-func NonUnitStrideSubpartitions(g *ddg.Graph, nodes []int32) []Subpartition {
-	return nonUnitStrideSubpartitionsFn(graphTuple(g), nodes)
-}
-
-func nonUnitStrideSubpartitionsFn(tup tupleFn, nodes []int32) []Subpartition {
-	pending := sortByTupleFn(tup, nodes)
+// nonUnitStrideSubpartitions implements §3.3: the singleton leftovers of
+// the unit-stride analysis (instances of the same static instruction with
+// the same timestamp) are sorted and scanned with a wait list. When the
+// observed stride differs from the current subpartition's established
+// stride, the instance is waitlisted and the scan continues; waitlisted
+// instances are then re-scanned, each pass forming one subpartition, until
+// none remain. Any constant per-component stride is accepted — including
+// the non-unit strides whose presence signals a profitable data-layout
+// transformation.
+func nonUnitStrideSubpartitions(tup [][3]int64, nodes []int32) []Subpartition {
+	pending := sortByTuple(tup, nodes)
 	var out []Subpartition
 	for len(pending) > 0 {
 		var cur Subpartition
@@ -131,8 +188,7 @@ func nonUnitStrideSubpartitionsFn(tup tupleFn, nodes []int32) []Subpartition {
 				cur.Nodes = append(cur.Nodes, n)
 				continue
 			}
-			prev := tup(cur.Nodes[len(cur.Nodes)-1])
-			t := tup(n)
+			prev, t := &tup[cur.Nodes[len(cur.Nodes)-1]], &tup[n]
 			var strides [3]int64
 			for k := 0; k < 3; k++ {
 				strides[k] = t[k] - prev[k]
@@ -150,69 +206,42 @@ func nonUnitStrideSubpartitionsFn(tup tupleFn, nodes []int32) []Subpartition {
 			}
 		}
 		out = append(out, cur)
-		if len(wait) == len(pending) {
-			// No progress (cannot happen: cur always takes ≥1), but guard
-			// against pathological inputs.
-			break
-		}
 		pending = wait
 	}
 	return out
 }
 
-// StrideStats summarizes one stride analysis over a set of partitions.
-type StrideStats struct {
-	// VecOps counts instances in non-singleton uniform-stride
-	// subpartitions — the potentially vectorizable operations.
-	VecOps int
-	// Subpartitions counts the non-singleton subpartitions.
-	Subpartitions int
-	// SumSizes accumulates their sizes; AvgVecSize = SumSizes/Subpartitions.
-	SumSizes int
-}
-
-// AvgVecSize returns the average non-singleton subpartition size, the
-// paper's "Average Vec. Size" column.
-func (s *StrideStats) AvgVecSize() float64 {
-	if s.Subpartitions == 0 {
-		return 0
-	}
-	return float64(s.SumSizes) / float64(s.Subpartitions)
-}
-
-// strideStats runs §3.2 and §3.3 over all partitions of one instruction on
-// a materialized graph.
-func strideStats(g *ddg.Graph, parts []Partition, elemSize int64, sc *instrScratch) (unit, non StrideStats) {
-	return strideStatsFn(graphTuple(g), parts, elemSize, sc)
-}
-
-// strideStatsFn is strideStats over an arbitrary tuple resolver — the form
-// both the materialized path and the one-pass stream kernel share.
+// strideStats runs §3.2 and §3.3 over all partitions of one candidate
+// column whose instance tuples are tup. A never-stored result's tuple slot
+// still holds ddg.NoAddr from the feed; it is rewritten in place to the
+// paper's artificial address 0 first (the reduction rule reads both alike).
 //
 // Instances in singleton *parallel* partitions are serial and excluded
 // from both analyses (only "instructions within a non-singleton parallel
 // partition that did not belong in any unit-stride subpartition" are
 // further analyzed). The §3.3 wait-list scan operates on instances "of the
-// same static instruction, and with the same timestamp" — and since every
+// same static instruction, and with the same timestamp" — and every
 // singleton leftover of partition p carries exactly p's timestamp while
-// distinct partitions carry distinct timestamps, that grouping is
-// precisely per-source-partition. Processing leftovers partition by
-// partition (partitions arrive in increasing timestamp order) therefore
-// reproduces the former timestamp-keyed map grouping byte for byte while
-// needing no per-node timestamp array — which is what lets the stream
-// kernel avoid materializing one.
-func strideStatsFn(tup tupleFn, parts []Partition, elemSize int64, sc *instrScratch) (unit, non StrideStats) {
+// distinct partitions carry distinct timestamps, so the leftovers are
+// scanned partition by partition.
+func (sc *finishScratch) strideStats(tup [][3]int64, parts []Partition, elemSize int64) (unit, non StrideSummary) {
+	for i := range tup {
+		if tup[i][0] == ddg.NoAddr {
+			tup[i][0] = 0
+		}
+	}
 	for i := range parts {
 		p := &parts[i]
 		if len(p.Nodes) == 1 {
 			continue // singleton parallel partition: not vectorizable, not waitlisted
 		}
 		sc.singles = sc.singles[:0]
-		for _, sp := range unitStrideSubpartitionsFn(tup, p.Nodes, elemSize) {
+		for _, sp := range unitStrideSubpartitions(tup, p.Nodes, elemSize) {
+			if sc.visit != nil {
+				sc.visit(false, sp)
+			}
 			if sp.Size() > 1 {
-				unit.VecOps += sp.Size()
-				unit.Subpartitions++
-				unit.SumSizes += sp.Size()
+				unit.add(sp.Size())
 			} else {
 				sc.singles = append(sc.singles, sp.Nodes...)
 			}
@@ -220,11 +249,12 @@ func strideStatsFn(tup tupleFn, parts []Partition, elemSize int64, sc *instrScra
 		if len(sc.singles) < 2 {
 			continue
 		}
-		for _, sp := range nonUnitStrideSubpartitionsFn(tup, sc.singles) {
+		for _, sp := range nonUnitStrideSubpartitions(tup, sc.singles) {
+			if sc.visit != nil {
+				sc.visit(true, sp)
+			}
 			if sp.Size() > 1 {
-				non.VecOps += sp.Size()
-				non.Subpartitions++
-				non.SumSizes += sp.Size()
+				non.add(sp.Size())
 			}
 		}
 	}

@@ -6,17 +6,17 @@ import (
 	"testing/quick"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/ir"
 	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 )
 
 // synthGraph builds a DDG directly (without a trace) for analysis unit
 // tests: a module with a single candidate instruction, and nodes whose
 // preds/tuples the caller controls.
-func synthGraph(t *testing.T, nodes []ddg.Node) *ddg.Graph {
+func synthGraph(t *testing.T, nodes []reference.Node) *reference.Graph {
 	t.Helper()
 	m := &ir.Module{Name: "synth"}
 	f := &ir.Function{Name: "main"}
@@ -32,26 +32,26 @@ func synthGraph(t *testing.T, nodes []ddg.Node) *ddg.Graph {
 	for i := range nodes {
 		nodes[i].Instr = 0
 	}
-	return &ddg.Graph{Mod: m, Nodes: nodes}
+	return &reference.Graph{Mod: m, Nodes: nodes}
 }
 
 func TestUnitStrideSubpartitionsBasic(t *testing.T) {
 	// Eight independent instances walking three unit-stride columns.
-	var nodes []ddg.Node
+	var nodes []reference.Node
 	for i := 0; i < 8; i++ {
-		nodes = append(nodes, ddg.Node{
-			P1: ddg.NoPred, P2: ddg.NoPred,
+		nodes = append(nodes, reference.Node{
+			P1: reference.NoPred, P2: reference.NoPred,
 			StoreAddr: 0x1000 + int64(i)*8,
 			OpAddr1:   0x2000 + int64(i)*8,
 			OpAddr2:   0x3000 + int64(i)*8,
 		})
 	}
 	g := synthGraph(t, nodes)
-	parts := core.Partitions(g, 0, core.Options{})
+	parts := reference.Partitions(g, 0, core.Options{})
 	if len(parts) != 1 {
 		t.Fatalf("partitions = %d, want 1", len(parts))
 	}
-	sps := core.UnitStrideSubpartitions(g, &parts[0], 8)
+	sps := reference.UnitStrideSubpartitions(g, &parts[0], 8)
 	if len(sps) != 1 || sps[0].Size() != 8 {
 		t.Fatalf("subpartitions = %+v, want one of size 8", sps)
 	}
@@ -63,18 +63,18 @@ func TestUnitStrideSubpartitionsBasic(t *testing.T) {
 func TestUnitStrideZeroComponentAllowed(t *testing.T) {
 	// A splat operand (same address every instance) must not break the
 	// subpartition.
-	var nodes []ddg.Node
+	var nodes []reference.Node
 	for i := 0; i < 6; i++ {
-		nodes = append(nodes, ddg.Node{
-			P1: ddg.NoPred, P2: ddg.NoPred,
+		nodes = append(nodes, reference.Node{
+			P1: reference.NoPred, P2: reference.NoPred,
 			StoreAddr: 0x1000 + int64(i)*8,
 			OpAddr1:   0x2000, // invariant: zero stride
 			OpAddr2:   0,      // constant operand
 		})
 	}
 	g := synthGraph(t, nodes)
-	parts := core.Partitions(g, 0, core.Options{})
-	sps := core.UnitStrideSubpartitions(g, &parts[0], 8)
+	parts := reference.Partitions(g, 0, core.Options{})
+	sps := reference.UnitStrideSubpartitions(g, &parts[0], 8)
 	if len(sps) != 1 || sps[0].Size() != 6 {
 		t.Fatalf("subpartitions = %+v, want one of size 6", sps)
 	}
@@ -82,17 +82,17 @@ func TestUnitStrideZeroComponentAllowed(t *testing.T) {
 
 func TestUnitStrideBreaksOnNonUnit(t *testing.T) {
 	// Stride-16 walks split into singletons under the unit analysis.
-	var nodes []ddg.Node
+	var nodes []reference.Node
 	for i := 0; i < 5; i++ {
-		nodes = append(nodes, ddg.Node{
-			P1: ddg.NoPred, P2: ddg.NoPred,
+		nodes = append(nodes, reference.Node{
+			P1: reference.NoPred, P2: reference.NoPred,
 			StoreAddr: 0x1000 + int64(i)*16,
 			OpAddr1:   0x2000 + int64(i)*16,
 		})
 	}
 	g := synthGraph(t, nodes)
-	parts := core.Partitions(g, 0, core.Options{})
-	sps := core.UnitStrideSubpartitions(g, &parts[0], 8)
+	parts := reference.Partitions(g, 0, core.Options{})
+	sps := reference.UnitStrideSubpartitions(g, &parts[0], 8)
 	if len(sps) != 5 {
 		t.Fatalf("subpartitions = %d, want 5 singletons", len(sps))
 	}
@@ -101,13 +101,13 @@ func TestUnitStrideBreaksOnNonUnit(t *testing.T) {
 func TestUnitStrideBreaksOnStrideChange(t *testing.T) {
 	// Unit stride then a gap then unit stride: two subpartitions.
 	addrs := []int64{0x1000, 0x1008, 0x1010, 0x2000, 0x2008}
-	var nodes []ddg.Node
+	var nodes []reference.Node
 	for _, a := range addrs {
-		nodes = append(nodes, ddg.Node{P1: ddg.NoPred, P2: ddg.NoPred, StoreAddr: a})
+		nodes = append(nodes, reference.Node{P1: reference.NoPred, P2: reference.NoPred, StoreAddr: a})
 	}
 	g := synthGraph(t, nodes)
-	parts := core.Partitions(g, 0, core.Options{})
-	sps := core.UnitStrideSubpartitions(g, &parts[0], 8)
+	parts := reference.Partitions(g, 0, core.Options{})
+	sps := reference.UnitStrideSubpartitions(g, &parts[0], 8)
 	if len(sps) != 2 || sps[0].Size() != 3 || sps[1].Size() != 2 {
 		sizes := []int{}
 		for _, sp := range sps {
@@ -120,10 +120,10 @@ func TestUnitStrideBreaksOnStrideChange(t *testing.T) {
 func TestNonUnitStrideConstant(t *testing.T) {
 	// Stride-144 (the milc su3_matrix size): the non-unit analysis groups
 	// all of them.
-	var nodes []ddg.Node
+	var nodes []reference.Node
 	for i := 0; i < 7; i++ {
-		nodes = append(nodes, ddg.Node{
-			P1: ddg.NoPred, P2: ddg.NoPred,
+		nodes = append(nodes, reference.Node{
+			P1: reference.NoPred, P2: reference.NoPred,
 			StoreAddr: 0x1000 + int64(i)*144,
 			OpAddr1:   0x9000 + int64(i)*144,
 		})
@@ -133,7 +133,7 @@ func TestNonUnitStrideConstant(t *testing.T) {
 	for i := range nodes {
 		ns = append(ns, int32(i))
 	}
-	sps := core.NonUnitStrideSubpartitions(g, ns)
+	sps := reference.NonUnitStrideSubpartitions(g, ns)
 	if len(sps) != 1 || sps[0].Size() != 7 {
 		t.Fatalf("non-unit subpartitions = %+v, want one of 7", sps)
 	}
@@ -146,25 +146,25 @@ func TestNonUnitStrideWaitList(t *testing.T) {
 	// Two stride families in disjoint address ranges (accesses to two
 	// different arrays): the first scan recovers family A and waitlists
 	// family B; the second pass recovers B.
-	var nodes []ddg.Node
+	var nodes []reference.Node
 	for i := 0; i < 4; i++ {
-		nodes = append(nodes, ddg.Node{P1: ddg.NoPred, P2: ddg.NoPred, StoreAddr: 0x1000 + int64(i)*24})
+		nodes = append(nodes, reference.Node{P1: reference.NoPred, P2: reference.NoPred, StoreAddr: 0x1000 + int64(i)*24})
 	}
 	for i := 0; i < 4; i++ {
-		nodes = append(nodes, ddg.Node{P1: ddg.NoPred, P2: ddg.NoPred, StoreAddr: 0x9000 + int64(i)*40})
+		nodes = append(nodes, reference.Node{P1: reference.NoPred, P2: reference.NoPred, StoreAddr: 0x9000 + int64(i)*40})
 	}
 	g := synthGraph(t, nodes)
 	var ns []int32
 	for i := range nodes {
 		ns = append(ns, int32(i))
 	}
-	sps := core.NonUnitStrideSubpartitions(g, ns)
+	sps := reference.NonUnitStrideSubpartitions(g, ns)
 	total := 0
 	var sizes []int
 	for _, sp := range sps {
 		total += sp.Size()
 		sizes = append(sizes, sp.Size())
-		if err := core.VerifySubpartitionStrides(g, &sp); err != nil {
+		if err := reference.VerifySubpartitionStrides(g, &sp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,9 +192,9 @@ func TestTimestampPropertyRandomDAGs(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + rng.Intn(60)
-		nodes := make([]ddg.Node, n)
+		nodes := make([]reference.Node, n)
 		for i := range nodes {
-			nodes[i].P1, nodes[i].P2 = ddg.NoPred, ddg.NoPred
+			nodes[i].P1, nodes[i].P2 = reference.NoPred, reference.NoPred
 			if i > 0 && rng.Intn(3) > 0 {
 				nodes[i].P1 = int32(rng.Intn(i))
 			}
@@ -203,11 +203,11 @@ func TestTimestampPropertyRandomDAGs(t *testing.T) {
 			}
 		}
 		g := synthGraphQuick(nodes, func(i int) bool { return i%3 == 0 })
-		ts := core.Timestamps(g, 0, core.Options{})
-		if err := core.VerifyIndependence(g, 0, ts); err != nil {
+		ts := reference.Timestamps(g, 0, core.Options{})
+		if err := reference.VerifyIndependence(g, 0, ts); err != nil {
 			return false
 		}
-		if err := core.VerifyEarliest(g, 0, ts); err != nil {
+		if err := reference.VerifyEarliest(g, 0, ts); err != nil {
 			return false
 		}
 		return true
@@ -220,7 +220,7 @@ func TestTimestampPropertyRandomDAGs(t *testing.T) {
 // synthGraphQuick builds a two-instruction module: instruction 0 is the
 // analyzed candidate, instruction 1 an unrelated int op; mark selects which
 // nodes instantiate the candidate.
-func synthGraphQuick(nodes []ddg.Node, mark func(int) bool) *ddg.Graph {
+func synthGraphQuick(nodes []reference.Node, mark func(int) bool) *reference.Graph {
 	m := &ir.Module{Name: "synthq"}
 	f := &ir.Function{Name: "main"}
 	b := f.NewBlock()
@@ -240,7 +240,7 @@ func synthGraphQuick(nodes []ddg.Node, mark func(int) bool) *ddg.Graph {
 			nodes[i].Instr = 1
 		}
 	}
-	return &ddg.Graph{Mod: m, Nodes: nodes}
+	return &reference.Graph{Mod: m, Nodes: nodes}
 }
 
 // TestPartitionsCoverInstances: partitions must exactly cover the instance
@@ -251,12 +251,12 @@ func TestPartitionsCoverInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id, instances := range g.CandidateInstances() {
-		parts := core.Partitions(g, id, core.Options{})
+		parts := reference.Partitions(g, id, core.Options{})
 		seen := make(map[int32]bool)
 		total := 0
 		for _, p := range parts {
@@ -292,7 +292,7 @@ func TestListing3NonUnitStride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(region)
+	g, err := reference.Build(region)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestListing3NonUnitStride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g4, err := ddg.Build(region4)
+	g4, err := reference.Build(region4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestListing3ColumnStride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(region)
+	g, err := reference.Build(region)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,14 +402,14 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var addID int32 = -1
 	for id := range g.CandidateInstances() {
 		in := g.Mod.InstrAt(id)
-		if in.Bin == ir.AddOp && core.IsReduction(g, id) {
+		if in.Bin == ir.AddOp && reference.IsReduction(g, id) {
 			addID = id
 		}
 	}
@@ -417,8 +417,8 @@ void main() {
 		t.Fatal("reduction add not detected")
 	}
 
-	base := core.AnalyzeInstr(g, addID, core.Options{})
-	relaxed := core.AnalyzeInstr(g, addID, core.Options{RelaxReductions: true})
+	base := reference.AnalyzeInstr(g, addID, core.Options{})
+	relaxed := reference.AnalyzeInstr(g, addID, core.Options{RelaxReductions: true})
 	if base.Partitions != 64 {
 		t.Errorf("base partitions = %d, want 64 (serial chain)", base.Partitions)
 	}
@@ -438,7 +438,7 @@ func TestRecurrenceNotRelaxed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,11 +447,11 @@ func TestRecurrenceNotRelaxed(t *testing.T) {
 		if g.Mod.InstrAt(id).Pos.Line != line {
 			continue
 		}
-		if core.IsReduction(g, id) {
+		if reference.IsReduction(g, id) {
 			t.Fatal("S1's array recurrence misdetected as a reduction")
 		}
-		base := core.AnalyzeInstr(g, id, core.Options{})
-		relaxed := core.AnalyzeInstr(g, id, core.Options{RelaxReductions: true})
+		base := reference.AnalyzeInstr(g, id, core.Options{})
+		relaxed := reference.AnalyzeInstr(g, id, core.Options{RelaxReductions: true})
 		if base.Partitions != relaxed.Partitions {
 			t.Fatalf("relaxation changed a non-reduction: %d vs %d partitions",
 				base.Partitions, relaxed.Partitions)

@@ -1,7 +1,8 @@
-package ddg
+package ddg_test
 
-// Tests for the derived shared views on Graph: the CSR overflow-predecessor
-// layout and the per-instruction instance index. These are built directly on
+// Tests for the derived shared views on the reference DDG
+// (reference.Graph): the CSR overflow-predecessor layout and the
+// per-instruction instance index. These are built directly on
 // hand-assembled graphs (no trace replay) so edge shapes the builder rarely
 // produces — overflow lists, empty graphs, sparse instruction ids — are
 // covered explicitly.
@@ -11,15 +12,17 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"github.com/example/vectrace/internal/reference"
 )
 
 // randomGraph assembles a structurally valid graph (edges point backwards)
 // with random preds, overflow lists, and instruction ids.
-func randomGraph(rng *rand.Rand, n int) *Graph {
-	g := &Graph{Nodes: make([]Node, n)}
+func randomGraph(rng *rand.Rand, n int) *reference.Graph {
+	g := &reference.Graph{Nodes: make([]reference.Node, n)}
 	for i := range g.Nodes {
 		g.Nodes[i].Instr = int32(rng.Intn(7) * 3) // sparse ids: 0,3,...,18
-		g.Nodes[i].P1, g.Nodes[i].P2 = NoPred, NoPred
+		g.Nodes[i].P1, g.Nodes[i].P2 = reference.NoPred, reference.NoPred
 		if i > 0 && rng.Intn(3) > 0 {
 			g.Nodes[i].P1 = int32(rng.Intn(i))
 		}
@@ -86,7 +89,7 @@ func TestInstancesMatchesScan(t *testing.T) {
 }
 
 func TestInstancesEmptyGraph(t *testing.T) {
-	g := &Graph{}
+	g := &reference.Graph{}
 	if got := g.Instances(0); got != nil {
 		t.Fatalf("Instances on empty graph = %v", got)
 	}
@@ -128,10 +131,10 @@ func TestPredsMatchesCSR(t *testing.T) {
 	for i := range g.Nodes {
 		buf = g.Preds(int32(i), buf[:0])
 		var want []int32
-		if p := g.Nodes[i].P1; p != NoPred {
+		if p := g.Nodes[i].P1; p != reference.NoPred {
 			want = append(want, p)
 		}
-		if p := g.Nodes[i].P2; p != NoPred {
+		if p := g.Nodes[i].P2; p != reference.NoPred {
 			want = append(want, p)
 		}
 		if off != nil {

@@ -5,11 +5,12 @@ import (
 
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 )
 
 // countEdges sums flow-predecessor counts across the graph.
-func countEdges(g *ddg.Graph) int {
+func countEdges(g *reference.Graph) int {
 	n := 0
 	var preds []int32
 	for i := range g.Nodes {
@@ -43,25 +44,25 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow, err := ddg.Build(tr)
+	flow, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withAO, err := ddg.BuildOpts(tr, ddg.Options{IncludeAntiOutput: true})
+	withAO, err := reference.BuildOpts(tr, ddg.Options{IncludeAntiOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtl, err := ddg.BuildOpts(tr, ddg.Options{IncludeControl: true})
+	withCtl, err := reference.BuildOpts(tr, ddg.Options{IncludeControl: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withAll, err := ddg.BuildOpts(tr, ddg.Options{IncludeAntiOutput: true, IncludeControl: true})
+	withAll, err := reference.BuildOpts(tr, ddg.Options{IncludeAntiOutput: true, IncludeControl: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	base := countEdges(flow)
-	for name, g := range map[string]*ddg.Graph{
+	for name, g := range map[string]*reference.Graph{
 		"anti/output": withAO, "control": withCtl, "all": withAll,
 	} {
 		if err := g.CheckTopological(); err != nil {
@@ -79,11 +80,11 @@ void main() {
 	// these loops, produces identical partitions: the extra edges end at
 	// stores and branches, not between candidate instances.
 	for id := range flow.CandidateInstances() {
-		want := len(core.Partitions(flow, id, core.Options{}))
-		for name, g := range map[string]*ddg.Graph{
+		want := len(reference.Partitions(flow, id, core.Options{}))
+		for name, g := range map[string]*reference.Graph{
 			"anti/output": withAO, "control": withCtl,
 		} {
-			if got := len(core.Partitions(g, id, core.Options{})); got != want {
+			if got := len(reference.Partitions(g, id, core.Options{})); got != want {
 				t.Errorf("%s: instr %d partitions = %d, flow-only = %d", name, id, got, want)
 			}
 		}
@@ -92,7 +93,7 @@ void main() {
 	// Whole-graph scheduling (Kumar) can only get longer as categories are
 	// added.
 	cpFlow := criticalPath(flow)
-	for name, g := range map[string]*ddg.Graph{
+	for name, g := range map[string]*reference.Graph{
 		"anti/output": withAO, "control": withCtl, "all": withAll,
 	} {
 		if cp := criticalPath(g); cp < cpFlow {
@@ -122,11 +123,11 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow, err := ddg.Build(tr)
+	flow, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withAO, err := ddg.BuildOpts(tr, ddg.Options{IncludeAntiOutput: true})
+	withAO, err := reference.BuildOpts(tr, ddg.Options{IncludeAntiOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ void main() {
 
 // kumarTimestamps schedules every node one step after the latest of its
 // predecessors, whatever their dependence category.
-func kumarTimestamps(g *ddg.Graph) []int32 {
+func kumarTimestamps(g *reference.Graph) []int32 {
 	ts := make([]int32, len(g.Nodes))
 	var preds []int32
 	for i := range g.Nodes {
@@ -171,7 +172,7 @@ func kumarTimestamps(g *ddg.Graph) []int32 {
 }
 
 // criticalPath is the largest Kumar timestamp of g.
-func criticalPath(g *ddg.Graph) int32 {
+func criticalPath(g *reference.Graph) int32 {
 	var cp int32
 	for _, t := range kumarTimestamps(g) {
 		cp = max(cp, t)

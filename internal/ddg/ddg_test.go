@@ -5,17 +5,18 @@ import (
 
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/ir"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
 
-func buildFor(t *testing.T, src string) (*ddg.Graph, *trace.Trace) {
+func buildFor(t *testing.T, src string) (*reference.Graph, *trace.Trace) {
 	t.Helper()
 	_, _, tr, err := testprog.CompileAndTrace("t.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func buildFor(t *testing.T, src string) (*ddg.Graph, *trace.Trace) {
 }
 
 // findNodes returns node indices whose static instruction satisfies pred.
-func findNodes(g *ddg.Graph, pred func(*ir.Instr) bool) []int32 {
+func findNodes(g *reference.Graph, pred func(*ir.Instr) bool) []int32 {
 	var out []int32
 	for i := range g.Nodes {
 		if pred(g.Mod.InstrAt(g.Nodes[i].Instr)) {
@@ -34,7 +35,7 @@ func findNodes(g *ddg.Graph, pred func(*ir.Instr) bool) []int32 {
 }
 
 // reaches reports whether there is a DDG path from a to b (a < b).
-func reaches(g *ddg.Graph, a, b int32) bool {
+func reaches(g *reference.Graph, a, b int32) bool {
 	seen := make(map[int32]bool)
 	var stack []int32
 	stack = append(stack, b)
@@ -154,7 +155,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.BuildOpts(tr, ddg.Options{IncludeAntiOutput: true})
+	g, err := reference.BuildOpts(tr, ddg.Options{IncludeAntiOutput: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ void main() {
 	if len(regions) != 1 {
 		t.Fatalf("regions = %d", len(regions))
 	}
-	g, err := ddg.Build(tr.Slice(regions[0]))
+	g, err := reference.Build(tr.Slice(regions[0]))
 	if err != nil {
 		t.Fatal(err)
 	}

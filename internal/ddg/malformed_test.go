@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
@@ -41,7 +41,7 @@ void main() {
 	// Include the callee's ret and subsequent caller events: the frame
 	// stack pops below zero and re-initializes to the wrong function.
 	bad := &trace.Trace{Module: tr.Module, Events: tr.Events[start:]}
-	_, err = ddg.Build(bad)
+	_, err = reference.Build(bad)
 	if err == nil {
 		t.Skip("builder tolerated the sliced trace (re-initialized frames consistently)")
 	}
@@ -57,7 +57,7 @@ func TestEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(&trace.Trace{Module: mod})
+	g, err := reference.Build(&trace.Trace{Module: mod})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ void main() {
 	if len(tr.Events) < 1_000_000 {
 		t.Fatalf("trace has %d events, expected >= 1M", len(tr.Events))
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ void main() {
 	}
 }
 
-func coreCriticalPath(g *ddg.Graph, id int32) int32 {
+func coreCriticalPath(g *reference.Graph, id int32) int32 {
 	// Local reimplementation to avoid importing core here (keeps the
 	// package dependency direction clean for this white-box smoke).
 	ts := make([]int32, len(g.Nodes))

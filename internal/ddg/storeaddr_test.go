@@ -10,6 +10,7 @@ import (
 
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/ir"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
@@ -32,7 +33,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ void main() {
 	}
 	doctored := &trace.Trace{Module: mod, Events: events}
 
-	g, err := ddg.Build(doctored)
+	g, err := reference.Build(doctored)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ void main() {
 	if storeAddr == ddg.NoAddr {
 		t.Fatal("no F64 store in trace")
 	}
-	g, err := ddg.Build(tr)
+	g, err := reference.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,56 +8,33 @@ import (
 )
 
 // TraceFormat groups the trace-container knobs of vectrace's writer
-// (record) and reader (analyze): which on-disk format to write (and, on
-// the read side, to require), the VTR2 block-size and compression options
-// the writer encodes with, and how many workers the reader's indexed
-// region scan fans out across. Like the other flag groups here, zero
-// values select the defaults and the struct is safe to wire
-// unconditionally.
+// (record): which on-disk format to write, and the VTR2 block-size and
+// compression options the writer encodes with. Readers need no knobs: they
+// sniff the format. Like the other flag groups here, zero values select
+// the defaults and the struct is safe to wire unconditionally.
 type TraceFormat struct {
 	// Format is the selected trace format: trace.FormatVTR1 or
-	// trace.FormatVTR2 on the write side; on the read side "auto" (accept
-	// whatever the file is, the default there) is also valid and format
-	// values act as an assertion on the sniffed file.
+	// trace.FormatVTR2.
 	Format string
 	// BlockBytes is the VTR2 target uncompressed payload per block.
 	BlockBytes int
 	// Compress is the VTR2 codec: "flate" or "none".
 	Compress string
-	// ScanWorkers is the indexed-scan fan-out: 0 = match the analysis
-	// worker count, -1 = force the sequential scanner even on an indexed
-	// file (the differential-testing oracle).
-	ScanWorkers int
-
-	reader bool
 }
 
-// Register installs the format flags on fs. A writer gets -format, seeded
-// "vtr1" so old consumers keep working, plus the VTR2 encoding knobs
-// -block and -compress. A reader gets -trace-format (plain -format would
-// be ambiguous with report formatting), seeded "auto", plus -scan-workers.
-// Each side registers only the flags it reads.
-func (t *TraceFormat) Register(fs *flag.FlagSet, reader bool) {
-	t.reader = reader
-	if reader {
-		fs.StringVar(&t.Format, "trace-format", "auto", "trace file `format`: vtr1 or vtr2 (indexed container), or auto to sniff")
-		fs.IntVar(&t.ScanWorkers, "scan-workers", 0, "indexed-scan worker `count` (0 = analysis workers, -1 = sequential scan)")
-		return
-	}
+// Register installs the format flags on fs: -format, seeded "vtr1" so old
+// consumers keep working, plus the VTR2 encoding knobs -block and
+// -compress.
+func (t *TraceFormat) Register(fs *flag.FlagSet) {
 	fs.StringVar(&t.Format, "format", trace.FormatVTR1, "trace file `format`: vtr1 or vtr2 (indexed container)")
 	fs.IntVar(&t.BlockBytes, "block", trace.DefaultBlockBytes, "vtr2 target uncompressed `bytes` per container block")
 	fs.StringVar(&t.Compress, "compress", "flate", "vtr2 block compression: flate or none")
 }
 
-// Validate checks the selected values. Only a reader accepts "auto": it
-// sniffs, while a writer must pick a concrete format.
+// Validate checks the selected values.
 func (t *TraceFormat) Validate() error {
 	switch t.Format {
 	case trace.FormatVTR1, trace.FormatVTR2:
-	case "auto":
-		if !t.reader {
-			return fmt.Errorf("format %q: pick vtr1 or vtr2", t.Format)
-		}
 	default:
 		return fmt.Errorf("unknown trace format %q (want vtr1 or vtr2)", t.Format)
 	}
@@ -72,13 +49,4 @@ func (t *TraceFormat) Validate() error {
 // ContainerOptions maps the flags onto the VTR2 writer options.
 func (t *TraceFormat) ContainerOptions() trace.ContainerOptions {
 	return trace.ContainerOptions{BlockBytes: t.BlockBytes, Codec: t.Compress}
-}
-
-// CheckOpened asserts a sniffed file against the selected format ("auto"
-// accepts anything).
-func (t *TraceFormat) CheckOpened(o *trace.Opened) error {
-	if t.Format != "auto" && t.Format != o.Format {
-		return fmt.Errorf("trace file is %s, but -trace-format requires %s", o.Format, t.Format)
-	}
-	return nil
 }

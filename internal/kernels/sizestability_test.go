@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/kernels"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 )
 
@@ -22,7 +22,7 @@ func analyzeRegion(t *testing.T, k kernels.Kernel, marker string) *core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(region)
+	g, err := reference.Build(region)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSizeStability(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := ddg.Build(tr)
+			g, err := reference.Build(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestSizeStability(t *testing.T) {
 				if g.Mod.InstrAt(id).Pos.Line != line {
 					continue
 				}
-				rep := core.AnalyzeInstr(g, id, core.Options{})
+				rep := reference.AnalyzeInstr(g, id, core.Options{})
 				if rep.Partitions != n-1 {
 					t.Errorf("N=%d: partitions = %d, want %d", n, rep.Partitions, n-1)
 				}
@@ -108,9 +108,9 @@ func TestSizeStability(t *testing.T) {
 }
 
 // mustAnalyze runs the graph reference, failing the test on error.
-func mustAnalyze(tb testing.TB, g *ddg.Graph, opts core.Options) *core.Report {
+func mustAnalyze(tb testing.TB, g *reference.Graph, opts core.Options) *core.Report {
 	tb.Helper()
-	rep, err := core.AnalyzeCtx(context.Background(), g, opts)
+	rep, err := reference.AnalyzeCtx(context.Background(), g, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}

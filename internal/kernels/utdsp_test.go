@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/staticvec"
 	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
@@ -26,7 +26,7 @@ func analyzeHot(t *testing.T, k kernels.Kernel) (*core.Report, []float64) {
 	if err != nil {
 		t.Fatalf("%s: %v", k.Name, err)
 	}
-	g, err := ddg.Build(region)
+	g, err := reference.Build(region)
 	if err != nil {
 		t.Fatalf("%s: DDG: %v", k.Name, err)
 	}

@@ -35,7 +35,7 @@ import (
 
 // Counter identifies one of the recorder's fixed atomic counters. The set
 // covers the pipeline end to end: ingestion (bytes, events), region
-// lifecycle, graph construction, the analysis sweep, pool behaviour, and
+// lifecycle, DDG size, the analysis sweep, pool behaviour, and
 // budget consumption.
 type Counter int
 
@@ -69,8 +69,9 @@ const (
 	RegionsStarted
 	RegionsCompleted
 	RegionsFailed
-	// DDGNodes / DDGEdges count dynamic instances and dependence edges of
-	// every graph handed to the analysis.
+	// DDGNodes / DDGEdges count the dynamic instances and dependence edges
+	// of every analyzed region's DDG (the stream kernel counts them without
+	// building the graph).
 	DDGNodes
 	DDGEdges
 	// CandidatesAnalyzed counts candidate static instructions swept.
@@ -85,10 +86,6 @@ const (
 	// non-singleton unit-stride / non-unit-stride subpartitions.
 	UnitVecOps
 	NonUnitVecOps
-	// ScratchPoolHits / ScratchPoolMisses track reuse of the pooled
-	// per-worker analysis buffers (a miss is a fresh allocation).
-	ScratchPoolHits
-	ScratchPoolMisses
 	// ScanPeakRetainedEvents is the scanner's high-water mark of buffered
 	// events (a max gauge): the bounded-memory guarantee, observed.
 	ScanPeakRetainedEvents
@@ -107,8 +104,8 @@ const (
 	// vs MaxAnalysisBytes).
 	BudgetMaxSteps
 	BudgetMaxAnalysisBytes
-	// AnalysisFootprintBytes is a max gauge of the estimated analysis
-	// working set (timestamp matrices + result rows) per region.
+	// AnalysisFootprintBytes is a max gauge of the stream kernel's peak
+	// nominal working set (the quantity MaxAnalysisBytes bounds) per region.
 	AnalysisFootprintBytes
 	// ShadowPeakLiveAddresses is a max gauge of the one-pass stream
 	// kernel's shadow-memory table: the largest number of distinct live
@@ -192,8 +189,6 @@ var counterNames = [numCounters]string{
 	"partitions_emitted",
 	"unit_vec_ops",
 	"nonunit_vec_ops",
-	"scratch_pool_hits",
-	"scratch_pool_misses",
 	"scan_peak_retained_events",
 	"resident_regions",
 	"peak_resident_regions",

@@ -15,6 +15,7 @@ import (
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 )
 
@@ -32,7 +33,7 @@ func TestRandomProgramsParallelDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("pipeline failed:\n%s\nerror: %v", src, err)
 			}
-			g, err := ddg.Build(tr)
+			g, err := reference.Build(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +89,7 @@ void main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := ddg.Build(sub)
+		g, err := reference.Build(sub)
 		if err != nil {
 			t.Fatal(err)
 		}

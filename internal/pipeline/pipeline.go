@@ -147,9 +147,9 @@ type RegionReport struct {
 // every analysis of held events — the region dispatcher's relaxed regions
 // and the report package's region sampling.
 // Cancellation is polled at the scanner's granularity, but only from the
-// second poll window on — regions shorter than the poll interval behave
-// exactly like AnalyzeCtx on the graph, which for a candidate-free region
-// succeeds even on a canceled context.
+// second poll window on, so a region shorter than the poll interval is
+// fed whole; Finish then checks ctx, except for a candidate-free region,
+// which succeeds even on a canceled context.
 func AnalyzeRegion(ctx context.Context, sub *trace.Trace, dopts ddg.Options, copts core.Options) (*core.Report, error) {
 	rec := obs.FromContext(ctx)
 	k := core.AcquireStreamKernel(sub.Module, dopts, copts, rec)

@@ -8,6 +8,7 @@ import (
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 )
 
@@ -107,7 +108,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ddg.Build(region)
+	g, err := reference.Build(region)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +178,9 @@ void main() {
 }
 
 // mustAnalyze runs the graph reference, failing the test on error.
-func mustAnalyze(tb testing.TB, g *ddg.Graph, opts core.Options) *core.Report {
+func mustAnalyze(tb testing.TB, g *reference.Graph, opts core.Options) *core.Report {
 	tb.Helper()
-	rep, err := core.AnalyzeCtx(context.Background(), g, opts)
+	rep, err := reference.AnalyzeCtx(context.Background(), g, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 
 	"github.com/example/vectrace/internal/baseline"
 	"github.com/example/vectrace/internal/core"
-	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/opt"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 	"github.com/example/vectrace/internal/trace"
 )
@@ -61,7 +61,7 @@ func TestRandomProgramsInvariants(t *testing.T) {
 			}
 
 			// DDG invariants.
-			g, err := ddg.Build(tr)
+			g, err := reference.Build(tr)
 			if err != nil {
 				t.Fatalf("DDG: %v", err)
 			}
@@ -79,8 +79,8 @@ func TestRandomProgramsInvariants(t *testing.T) {
 			}
 			small := g.NumNodes() <= 4000
 			for id, nodes := range instances {
-				ts := core.Timestamps(g, id, core.Options{})
-				parts := core.Partitions(g, id, core.Options{})
+				ts := reference.Timestamps(g, id, core.Options{})
+				parts := reference.Partitions(g, id, core.Options{})
 
 				// Disjoint cover.
 				seen := make(map[int32]bool)
@@ -100,10 +100,10 @@ func TestRandomProgramsInvariants(t *testing.T) {
 
 				// Properties 3.1 (quadratic; only on small graphs).
 				if small {
-					if err := core.VerifyIndependence(g, id, ts); err != nil {
+					if err := reference.VerifyIndependence(g, id, ts); err != nil {
 						t.Fatalf("instr %d: %v\nprogram:\n%s", id, err, src)
 					}
-					if err := core.VerifyEarliest(g, id, ts); err != nil {
+					if err := reference.VerifyEarliest(g, id, ts); err != nil {
 						t.Fatalf("instr %d: %v", id, err)
 					}
 				}
@@ -121,8 +121,8 @@ func TestRandomProgramsInvariants(t *testing.T) {
 				// Stride subpartition internal consistency.
 				elem := mod.InstrAt(id).Type.Size()
 				for i := range parts {
-					for _, sp := range core.UnitStrideSubpartitions(g, &parts[i], elem) {
-						if err := core.VerifySubpartitionStrides(g, &sp); err != nil {
+					for _, sp := range reference.UnitStrideSubpartitions(g, &parts[i], elem) {
+						if err := reference.VerifySubpartitionStrides(g, &sp); err != nil {
 							t.Fatalf("instr %d: %v", id, err)
 						}
 					}
@@ -189,13 +189,13 @@ func TestRandomProgramsRelaxationMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := ddg.Build(tr)
+		g, err := reference.Build(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for id := range g.CandidateInstances() {
-			base := core.Partitions(g, id, core.Options{})
-			relaxed := core.Partitions(g, id, core.Options{RelaxReductions: true})
+			base := reference.Partitions(g, id, core.Options{})
+			relaxed := reference.Partitions(g, id, core.Options{RelaxReductions: true})
 			if len(relaxed) > len(base) {
 				t.Fatalf("seed %d instr %d: relaxation split partitions (%d -> %d)\n%s",
 					seed, id, len(base), len(relaxed), src)

@@ -8,13 +8,14 @@ import (
 	"github.com/example/vectrace/internal/core"
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/trace"
 )
 
 // referenceRegions is the independent reference the region fan-outs are
 // tested against. It slices each dynamic region out of the resident trace
 // (trace.Regions, as pipeline.LoopRegion does) and analyzes the region's materialized graph with
-// ddg.BuildOpts + core.AnalyzeCtx, so it shares no dispatcher, feed, or
+// reference.BuildOpts + reference.AnalyzeCtx, so it shares no dispatcher, feed, or
 // stream-kernel code with the entry points under test. Its results follow
 // their contract: one report per region in index order, each region
 // analyzed with Workers=1, a failure under the "pipeline: region N" prefix
@@ -35,9 +36,9 @@ func referenceRegions(tr *trace.Trace, line int, dopts ddg.Options, copts core.O
 	for i := range out {
 		sub := tr.Slice(regions[i])
 		out[i] = pipeline.RegionReport{Index: i, Events: sub.Len()}
-		g, err := ddg.BuildOpts(sub, dopts)
+		g, err := reference.BuildOpts(sub, dopts)
 		if err == nil {
-			out[i].Report, err = core.AnalyzeCtx(context.Background(), g, copts)
+			out[i].Report, err = reference.AnalyzeCtx(context.Background(), g, copts)
 		}
 		if err != nil {
 			out[i].Err = fmt.Errorf("pipeline: region %d: %w", i, err)

@@ -38,8 +38,9 @@ func AnalyzeSourceCtx(ctx context.Context, filename, src string, line, instance 
 // The payload is format-sniffed exactly like a trace file — VTR2 footers
 // enable indexed region seeks and parallel scanning, damaged or VTR1
 // payloads take the sequential salvage path — and corrupt uploads degrade
-// per-region with the byte offset in the error, never a panic.
-func AnalyzeTraceBytesCtx(ctx context.Context, filename, src string, payload []byte, line, instance int, dopts ddg.Options, copts core.Options, scanWorkers int) ([]RegionReport, error) {
+// per-region with the byte offset in the error, never a panic. The indexed
+// scan fans out across copts.WorkerCount() decoders.
+func AnalyzeTraceBytesCtx(ctx context.Context, filename, src string, payload []byte, line, instance int, dopts ddg.Options, copts core.Options) ([]RegionReport, error) {
 	mod, err := CompileCtx(ctx, filename, src)
 	if err != nil {
 		return nil, err
@@ -50,5 +51,5 @@ func AnalyzeTraceBytesCtx(ctx context.Context, filename, src string, payload []b
 	if err != nil {
 		return nil, err
 	}
-	return AnalyzeOpened(ctx, o, mod, line, instance, dopts, copts, scanWorkers)
+	return AnalyzeOpened(ctx, o, mod, line, instance, dopts, copts, 0)
 }

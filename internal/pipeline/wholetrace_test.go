@@ -10,6 +10,7 @@ import (
 	"github.com/example/vectrace/internal/ddg"
 	"github.com/example/vectrace/internal/kernels"
 	"github.com/example/vectrace/internal/pipeline"
+	"github.com/example/vectrace/internal/reference"
 	"github.com/example/vectrace/internal/testprog"
 )
 
@@ -46,7 +47,7 @@ func TestAnalyzeRegionWholeTraceMatchesGraph(t *testing.T) {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
 		events += len(tr.Events)
-		g, err := ddg.Build(tr)
+		g, err := reference.Build(tr)
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
@@ -59,7 +60,7 @@ func TestAnalyzeRegionWholeTraceMatchesGraph(t *testing.T) {
 				t.Fatalf("%s relax=%v: %v", k.Name, relax, err)
 			}
 			start = time.Now()
-			want, err := core.AnalyzeCtx(context.Background(), g, copts)
+			want, err := reference.AnalyzeCtx(context.Background(), g, copts)
 			graphTime += time.Since(start)
 			if err != nil {
 				t.Fatalf("%s relax=%v: graph reference: %v", k.Name, relax, err)

@@ -1,16 +1,16 @@
-package core
+package reference
 
 import (
 	"fmt"
 
-	"github.com/example/vectrace/internal/ddg"
+	"github.com/example/vectrace/internal/core"
 )
 
 // VerifyIndependence checks Property 3.1's independence guarantee by brute
 // force: no DDG path may connect two instances of id that received the same
 // timestamp. It computes full reachability with per-node bitsets, so it is
 // O(V²/64) and intended for tests on small graphs.
-func VerifyIndependence(g *ddg.Graph, id int32, ts []int32) error {
+func VerifyIndependence(g *Graph, id int32, ts []int32) error {
 	n := len(g.Nodes)
 	words := (n + 63) / 64
 	reach := make([]uint64, n*words)
@@ -36,7 +36,7 @@ func VerifyIndependence(g *ddg.Graph, id int32, ts []int32) error {
 				continue
 			}
 			if row[j/64]&(1<<(uint(j)%64)) != 0 {
-				return fmt.Errorf("core: nodes %d and %d share timestamp %d but are connected", j, i, ts[i])
+				return fmt.Errorf("reference: nodes %d and %d share timestamp %d but are connected", j, i, ts[i])
 			}
 		}
 	}
@@ -49,7 +49,7 @@ func VerifyIndependence(g *ddg.Graph, id int32, ts []int32) error {
 // longest-path DP as Algorithm 1 but with explicit path reconstruction
 // disabled — the check recomputes timestamps with a reference implementation
 // that tracks the count over all paths explicitly.
-func VerifyEarliest(g *ddg.Graph, id int32, ts []int32) error {
+func VerifyEarliest(g *Graph, id int32, ts []int32) error {
 	// Reference DP: best[i] = max over paths p ending at i of (number of
 	// id-instances on p, excluding i).
 	best := make([]int32, len(g.Nodes))
@@ -74,7 +74,7 @@ func VerifyEarliest(g *ddg.Graph, id int32, ts []int32) error {
 		}
 		want := best[i] + 1
 		if ts[i] != want {
-			return fmt.Errorf("core: node %d has timestamp %d, earliest possible is %d", i, ts[i], want)
+			return fmt.Errorf("reference: node %d has timestamp %d, earliest possible is %d", i, ts[i], want)
 		}
 	}
 	return nil
@@ -83,7 +83,7 @@ func VerifyEarliest(g *ddg.Graph, id int32, ts []int32) error {
 // VerifySubpartitionStrides checks invariant 4 from DESIGN.md: within a
 // subpartition, consecutive tuples advance each component by that
 // component's fixed stride.
-func VerifySubpartitionStrides(g *ddg.Graph, sp *Subpartition) error {
+func VerifySubpartitionStrides(g *Graph, sp *core.Subpartition) error {
 	if len(sp.Nodes) < 2 {
 		return nil
 	}
@@ -92,7 +92,7 @@ func VerifySubpartitionStrides(g *ddg.Graph, sp *Subpartition) error {
 		cur := tupleOf(&g.Nodes[sp.Nodes[i]])
 		for k := 0; k < 3; k++ {
 			if cur[k]-prev[k] != sp.Strides[k] {
-				return fmt.Errorf("core: subpartition member %d: component %d stride %d, want %d",
+				return fmt.Errorf("reference: subpartition member %d: component %d stride %d, want %d",
 					i, k, cur[k]-prev[k], sp.Strides[k])
 			}
 		}

@@ -76,10 +76,6 @@ type JobSpec struct {
 	Instance int `json:"instance,omitempty"`
 	// Table selects the table (1–3) for table jobs.
 	Table int `json:"table,omitempty"`
-	// Workers / ScanWorkers tune the analysis exactly like the CLI flags
-	// of the same names; output bytes are identical for any values.
-	Workers     int `json:"workers,omitempty"`
-	ScanWorkers int `json:"scan_workers,omitempty"`
 	// RelaxReductions / IntOps select the analysis variants.
 	RelaxReductions bool `json:"relax_reductions,omitempty"`
 	IntOps          bool `json:"int_ops,omitempty"`
@@ -149,13 +145,11 @@ func (sp *JobSpec) budget(ceil core.Budget) core.Budget {
 	}
 }
 
-// coreOptions maps the spec onto analysis options.
+// coreOptions maps the spec onto analysis options. The region fan-out is
+// the server's default (GOMAXPROCS), never the client's to choose: each
+// in-flight region holds its own kernel under the job's budget.
 func (sp *JobSpec) coreOptions(b core.Budget) core.Options {
-	return core.Options{
-		RelaxReductions: sp.RelaxReductions,
-		Workers:         sp.Workers,
-		Budget:          b,
-	}
+	return core.Options{RelaxReductions: sp.RelaxReductions, Budget: b}
 }
 
 // A Job is one admitted submission moving through the queue.
@@ -349,7 +343,7 @@ func (j *Job) run(ctx context.Context, ceil core.Budget) ([]byte, error) {
 		var err error
 		if len(j.payload) > 0 {
 			regs, err = pipeline.AnalyzeTraceBytesCtx(ctx, j.Spec.Filename, j.source, j.payload,
-				j.Spec.Line, j.Spec.Instance, dopts, copts, j.Spec.ScanWorkers)
+				j.Spec.Line, j.Spec.Instance, dopts, copts)
 		} else {
 			regs, err = pipeline.AnalyzeSourceCtx(ctx, j.Spec.Filename, j.source,
 				j.Spec.Line, j.Spec.Instance, dopts, copts, b)

@@ -215,7 +215,7 @@ func TestDifferentialConcurrent(t *testing.T) {
 		{Line: sampleLine, Instance: -1},
 		{Line: sampleLine, Instance: -1, RelaxReductions: true},
 		{Line: 14, Instance: 0, IntOps: true},
-		{Line: 8, Instance: -1, Workers: 3},
+		{Line: 8, Instance: -1},
 	}
 	want := make([][]byte, len(specs))
 	for i, sp := range specs {
@@ -308,7 +308,7 @@ func TestTraceUploadDifferential(t *testing.T) {
 	for name, payload := range map[string][]byte{"vtr1": vtr1.Bytes(), "vtr2": vtr2.Bytes()} {
 		spec := JobSpec{Line: sampleLine, Instance: -1}
 		regs, err := pipeline.AnalyzeTraceBytesCtx(ctx, "prog.c", sampleProgram, payload,
-			sampleLine, -1, ddg.Options{}, core.Options{}, 0)
+			sampleLine, -1, ddg.Options{}, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: direct: %v", name, err)
 		}
@@ -760,19 +760,24 @@ func TestUploadGuards(t *testing.T) {
 	}
 }
 
-// TestNegativeTileRejected: a job config has no "tile" field, so the
-// decoder's DisallowUnknownFields turns any "tile" into a bad request
-// naming the field, before admission, leaving no job and no reserved slot.
+// TestNegativeTileRejected: a job config has no "tile" field, and no
+// fan-out fields ("workers", "scan_workers": a tenant cannot choose how
+// many kernels or decoders its job holds at once), so the decoder's
+// DisallowUnknownFields turns any of them into a bad request naming the
+// field, before admission, leaving no job and no reserved slot.
 func TestNegativeTileRejected(t *testing.T) {
 	s := newTestServer(t, Config{Queue: 2, Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for _, tile := range []int{-1, 2} {
+	for _, tc := range []struct {
+		field string
+		value int
+	}{{"tile", -1}, {"tile", 2}, {"workers", 64}, {"scan_workers", 64}} {
 		var buf bytes.Buffer
 		mw := multipart.NewWriter(&buf)
 		for _, p := range [][2]string{
-			{partConfig, fmt.Sprintf(`{"line": %d, "tile": %d}`, sampleLine, tile)},
+			{partConfig, fmt.Sprintf(`{"line": %d, %q: %d}`, sampleLine, tc.field, tc.value)},
 			{partSource, sampleProgram},
 		} {
 			w, err := mw.CreateFormField(p[0])
@@ -790,13 +795,13 @@ func TestNegativeTileRejected(t *testing.T) {
 		derr := json.NewDecoder(resp.Body).Decode(&doc)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("tile %d: status %d, want 400", tile, resp.StatusCode)
+			t.Fatalf("%s %d: status %d, want 400", tc.field, tc.value, resp.StatusCode)
 		}
 		if derr != nil {
 			t.Fatal(derr)
 		}
-		if !strings.Contains(doc.Error, `unknown field "tile"`) {
-			t.Fatalf("tile %d: rejection %q does not name the unknown tile field", tile, doc.Error)
+		if !strings.Contains(doc.Error, fmt.Sprintf("unknown field %q", tc.field)) {
+			t.Fatalf("%s %d: rejection %q does not name the unknown field", tc.field, tc.value, doc.Error)
 		}
 	}
 	if got := s.rec.Get(obs.JobsAdmitted); got != 0 {

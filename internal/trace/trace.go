@@ -1,5 +1,6 @@
 // Package trace defines the execution-trace model produced by the
-// instrumenting interpreter and consumed by the DDG builder.
+// instrumenting interpreter and consumed by the analysis (the stream
+// kernel, and in tests the reference DDG builder).
 //
 // A trace is the sequence of dynamic instruction instances in execution
 // order. Each event records the static instruction ID and, for loads and
@@ -9,7 +10,7 @@
 // addresses for loads/stores, procedure calls, etc.", §3).
 //
 // Register and control-flow structure is not recorded per event: it is
-// static, so the DDG builder recovers it by replaying the event stream
+// static, so the analysis recovers it by replaying the event stream
 // against the module.
 //
 // Traces exist in two shapes: the in-memory Trace slice, and the VTR1/VTR2
@@ -146,7 +147,7 @@ func (t *Trace) Regions(loopID int) []Region {
 }
 
 // Slice returns a new Trace containing only the given region's events (the
-// module is shared). The DDG for a region is built from such a slice.
+// module is shared): the held form of one region's events.
 func (t *Trace) Slice(r Region) *Trace {
 	return &Trace{Module: t.Module, Events: t.Events[r.Start:r.End]}
 }
